@@ -19,6 +19,7 @@ from .errors import (
     GovernorInfeasible,
     NNLoopError,
     NonPositiveD,
+    NonPositiveGamma,
     SingularAa,
     SingularGain,
     StarOutsideBox,

@@ -124,7 +124,7 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
         "plant": {"A": plant.A.tolist(), "B": plant.B.tolist(),
                   "C": plant.C.tolist()},
         "activation": nn.activation.kind,
-        "solver": {"backend": options.backend, "tol": options.tol},
+        "solver": {"tol": options.tol},
         "d": _listify(d),
         "gamma": gamma if theorem == "local-range" else None,
     }
@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
     if args.d is not None:
         d = _parse_vector(args.d)
         d = float(d[0]) if d.size == 1 else d
-    options = sdp.SolveOptions(tol=args.tol, backend=args.solver)
+    options = sdp.SolveOptions(tol=args.tol)
     report = run_verify(
         plant, nn, k_xi, args.theorem,
         r=None if args.r is None else _parse_vector(args.r),
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--d", help="layer-1 box half-width (scalar or CSV)")
     p_ver.add_argument("--gamma", type=float, default=1.0,
                        help="weight of trace(Q) in the local-range objective")
-    p_ver.add_argument("--solver", default="dense-ipm")
     p_ver.add_argument("--tol", type=float, default=1e-8)
     p_ver.set_defaults(func=cmd_verify)
 

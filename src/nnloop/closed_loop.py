@@ -52,7 +52,6 @@ class Trajectory:
 @dataclass(frozen=True)
 class GovernorConfig:
     mode: str = "full"              # "full" | "output-error"
-    optimizer: str = "grid-golden"  # "grid-golden" (n_r = 1) | "projected-descent"
     tolerance: float = 1e-9
     grid_points: int = 256
     refine_iters: int = 60
@@ -63,8 +62,6 @@ class GovernorConfig:
             raise ValueError("tolerance must be positive")
         if self.mode not in ("full", "output-error"):
             raise ValueError("mode must be 'full' or 'output-error'")
-        if self.optimizer not in ("grid-golden", "projected-descent"):
-            raise ValueError("unknown optimizer")
 
 
 def step(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r) -> np.ndarray:

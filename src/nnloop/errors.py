@@ -21,6 +21,10 @@ class NonPositiveD(NNLoopError):
     """A pre-activation box half-width is zero or negative."""
 
 
+class NonPositiveGamma(NNLoopError):
+    """The trace(Q) weight of the local-range objective is zero or negative."""
+
+
 class StarOutsideBox(NNLoopError):
     """The stationary pre-activation lies outside the propagated box."""
 

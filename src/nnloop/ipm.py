@@ -1,32 +1,39 @@
-"""Dense interior-point core for linear matrix-inequality programs.
+"""Homogeneous self-dual interior-point method for linear matrix inequalities.
 
-Solves
+Solves the pair
 
-    minimize    c' y
-    subject to  S_b(y) = G0_b + sum_i y_i G_{b,i}  is PSD   for every block b,
-                lb <= y <= ub                               (entries may be inf),
+    primal:  minimize   c' y
+             subject to S_b(y) = G0_b + sum_i y_i G_{b,i}  >=  tol I   for every b
 
-starting from a strictly feasible ``y0``, by path-following on the log-det
-barrier: for a decreasing sequence of centering parameters mu the iterate is
-driven to an approximate minimizer of
+    dual:    maximize   -sum_b <G0_b - tol I, Z_b>
+             subject to sum_b <G_{b,i}, Z_b> = c_i,   Z_b >= 0
 
-    c' y / mu  -  sum_b log det S_b(y)  -  sum log (y - lb)  -  sum log (ub - y)
+(">=" in the PSD order) through their homogeneous self-dual embedding (Ye,
+Todd and Mizuno 1994), in the layout of CVXOPT's ``conelp`` (Vandenberghe
+2010).  One run from the infeasible start y = 0, S = Z = I, tau = kappa = 1
+ends in either
 
-with damped Newton steps; mu shrinks geometrically once the Newton decrement
-certifies approximate centering.  The Newton matrix
+* an optimum: y/tau is primal feasible, Z/tau dual feasible and the gap is
+  small, or
+* an infeasibility ray: tau -> 0 while <G0, Z> < 0 and sum_b <G_{b,i}, Z_b>
+  -> 0, so the trace-normalized Z is a Farkas certificate that no y makes
+  every block positive definite.  The run stops on it as soon as
+  :func:`_check_farkas` accepts it on the blocks as given.
 
-    H_ij = sum_b <G_{b,i}, S_b^-1 G_{b,j} S_b^-1> + bound terms
+Each iteration computes the Nesterov-Todd scaling R_b with
+R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
+H_ij = sum_b <Ghat_{b,i}, Ghat_{b,j}> of the scaled coefficients
+Ghat = R^-1 G R^-T, factors it once, and solves the Mehrotra predictor and
+corrector with that factor (the tau column costs one extra back-solve).
 
-is assembled densely, which is adequate for a few hundred scalar variables
-and total matrix order in the low hundreds.
-
-At a mu-centered point the matrices X_b = mu S_b(y)^-1 (and the analogous
-bound multipliers) are feasible dual multipliers up to O(mu): the
-complementarity gap equals mu times the barrier parameter nu, and the
-stationarity residual ||c - A*(X)|| is of order mu times the Newton
-decrement.  Both are reported, and along mu -> 0 the multipliers converge to
-an optimal dual solution - or, for phase-1 style feasibility problems with a
-negative optimum, to a Farkas certificate ray.
+The shift tol I is an interior target: a primal point that meets the shifted
+blocks up to the stopping tolerances still satisfies the blocks as given, so
+the returned y passes an independent eigenvalue check without a re-solve.
+The run stops at the first iterate that meets the tolerances and whose blocks,
+as given, pass a Cholesky factorization (for c = 0 any such iterate is
+optimal).  When the iterates stall short of the tolerances, the lowest-
+objective iterate that passed is returned instead of running on into a
+numerical breakdown.
 """
 
 from __future__ import annotations
@@ -34,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
-_STEP_FRACTION = 0.98
-_CENTER_TOL = 0.5
-_MU_SHRINK = 0.1
+_STEP = 0.99      # fraction of the step to the cone boundary
+_EXPON = 3        # Mehrotra centering exponent: sigma = (1 - alpha_aff)^3
+_STALL = 1e-8     # a step shorter than this makes no progress
 
 
 @dataclass(frozen=True)
@@ -56,201 +63,190 @@ class ConeBlock:
 
 @dataclass
 class IPMResult:
-    status: str              # "converged" | "stopped" | "max_iter" | "numerical"
-    y: np.ndarray
-    X: list = field(default_factory=list)
-    x_lo: np.ndarray | None = None
-    x_hi: np.ndarray | None = None
+    status: str              # "optimal" | "infeasible" | "stalled" | "max_iter"
+    y: np.ndarray | None     # best iterate whose blocks pass Cholesky, if any
+    Z: list = field(default_factory=list)  # trace-normalized infeasibility ray
     objective: float = np.nan
-    gap: float = np.nan
     rel_gap: float = np.nan
-    pinf: float = np.nan
-    mu: float = np.nan
+    pres: float = np.nan
+    dres: float = np.nan
     iterations: int = 0
 
 
-def _chol_all(blocks, y):
-    mats = []
+def _check_farkas(raw_blocks, X, tol):
+    m = raw_blocks[0].coeffs.shape[0] if raw_blocks else 0
+    resid = np.zeros(m)
+    viol = 0.0
+    for blk, Xb in zip(raw_blocks, X):
+        resid += blk.coeffs.reshape(m, -1) @ Xb.ravel()
+        viol += float(np.vdot(blk.G0, Xb))
+    col_scale = np.array([
+        1.0 + max(float(np.max(np.abs(blk.coeffs[i]))) for blk in raw_blocks)
+        for i in range(m)
+    ])
+    res_rel = float(np.max(np.abs(resid) / col_scale)) if m else 0.0
+    g0_scale = 1.0 + max(float(np.max(np.abs(blk.G0))) for blk in raw_blocks)
+    eq_tol = max(1e3 * tol, 1e-6)
+    if res_rel <= eq_tol and viol <= eq_tol * g0_scale:
+        return {"X": X, "equality_residual": res_rel, "violation": viol}
+    return None
+
+
+def _positive_definite(blocks, y) -> bool:
     for blk in blocks:
-        S = blk.G0 + np.tensordot(y, blk.coeffs, axes=1)
-        mats.append(np.linalg.cholesky(0.5 * (S + S.T)))
-    return mats
+        try:
+            np.linalg.cholesky(blk.G0 + np.tensordot(y, blk.coeffs, axes=1))
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
-def _logdet(L_all) -> float:
-    return 2.0 * sum(float(np.sum(np.log(np.diag(L)))) for L in L_all)
+def _max_step(lam: np.ndarray, D: np.ndarray) -> float:
+    """Largest a with diag(lam) + a D PSD."""
+    r = 1.0 / np.sqrt(lam)
+    w = np.linalg.eigvalsh(D * np.outer(r, r))[0]
+    return np.inf if w >= 0.0 else -1.0 / w
 
 
-def _max_step(L: np.ndarray, D: np.ndarray) -> float:
-    """Largest a with L L' + a D > 0, given the Cholesky factor L."""
-    W = solve_triangular(L, D, lower=True)
-    W = solve_triangular(L, W.T, lower=True)
-    lam = np.linalg.eigvalsh(0.5 * (W + W.T))[0]
-    if lam >= 0.0:
-        return np.inf
-    return -1.0 / lam
-
-
-def solve_conic(blocks, c, y0, lb=None, ub=None, *, tol=1e-8,
-                max_iter=300, verbose=False, stop=None) -> IPMResult:
-    """Run the barrier path-following iteration from a strictly feasible y0.
-
-    ``stop`` is an optional early-exit predicate on the iterate, checked at
-    approximately centered points; when it fires the result carries status
-    "stopped" with the current point (used by feasibility phases that only
-    need a strictly interior point, not an optimum).
-    """
+def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
+    """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
     c = np.asarray(c, dtype=float)
     m = c.shape[0]
-    y = np.array(y0, dtype=float)
-    if y.shape != (m,):
-        raise ValueError("y0 length must match c")
-    lb = np.full(m, -np.inf) if lb is None else np.asarray(lb, dtype=float)
-    ub = np.full(m, np.inf) if ub is None else np.asarray(ub, dtype=float)
-    i_lo = np.where(np.isfinite(lb))[0]
-    i_hi = np.where(np.isfinite(ub))[0]
-    if np.any(y[i_lo] <= lb[i_lo]) or np.any(y[i_hi] >= ub[i_hi]):
-        raise ValueError("y0 must satisfy the bounds strictly")
-    try:
-        L_all = _chol_all(blocks, y)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("y0 is not strictly feasible for the matrix blocks") from exc
-
+    G0 = [blk.G0 - tol * np.eye(blk.order) for blk in blocks]
     flats = [blk.coeffs.reshape(m, -1) for blk in blocks]
-    nu = sum(blk.order for blk in blocks) + i_lo.size + i_hi.size
-    mu = max(1.0, abs(float(c @ y)) / nu)
-    last_center = None  # (y, mu, L_all) at the most recent centered point
+    nu = sum(blk.order for blk in blocks) + 1
+    res_x0 = max(1.0, float(np.linalg.norm(c)))
+    res_z0 = max(1.0, float(np.sqrt(sum(np.sum(G * G) for G in G0))))
+    feasibility = not np.any(c)
 
-    def result(status, it, mu_now, L_now, y_now):
-        Sinv_all = []
-        for blk, L in zip(blocks, L_now):
-            Linv = solve_triangular(L, np.eye(blk.order), lower=True)
-            Sinv_all.append(Linv.T @ Linv)
-        X = [mu_now * Sinv for Sinv in Sinv_all]
-        x_lo = np.zeros(m)
-        x_hi = np.zeros(m)
-        x_lo[i_lo] = mu_now / (y_now[i_lo] - lb[i_lo])
-        x_hi[i_hi] = mu_now / (ub[i_hi] - y_now[i_hi])
-        gap = mu_now * nu
-        obj = float(c @ y_now)
-        adj = np.zeros(m)
-        for flat, Xb in zip(flats, X):
-            adj += flat @ Xb.ravel()
-        adj[i_lo] += x_lo[i_lo]
-        adj[i_hi] -= x_hi[i_hi]
-        pinf = float(np.max(np.abs(c - adj))) / (1.0 + float(np.max(np.abs(c))))
-        return IPMResult(status=status, y=y_now, X=X, x_lo=x_lo, x_hi=x_hi,
-                         objective=obj, gap=gap,
-                         rel_gap=gap / (1.0 + abs(obj)), pinf=pinf,
-                         mu=mu_now, iterations=it)
+    y = np.zeros(m)
+    tau = kappa = 1.0
+    R = [np.eye(blk.order) for blk in blocks]
+    Rinv = [np.eye(blk.order) for blk in blocks]
+    lam = [np.ones(blk.order) for blk in blocks]
+    best = None      # IPMResult of the lowest-objective iterate passing Cholesky
+    least_res = np.inf
+    status = "max_iter"
 
-    def degraded(status, it):
-        """Fall back to the last centered point, whose multipliers are sound."""
-        if last_center is not None:
-            yc, muc, Lc = last_center
-            return result(status, it, muc, Lc, yc)
-        return result(status, it, mu, L_all, y)
+    for it in range(max_iter + 1):
+        S = [(Rb * lb) @ Rb.T for Rb, lb in zip(R, lam)]
+        Z = [(Ri.T * lb) @ Ri for Ri, lb in zip(Rinv, lam)]
+        rx = sum(fl @ Zb.ravel() for fl, Zb in zip(flats, Z)) - c * tau
+        rz = [Sb - Gb * tau - np.tensordot(y, blk.coeffs, axes=1)
+              for Sb, Gb, blk in zip(S, G0, blocks)]
+        g0z = sum(float(np.vdot(Gb, Zb)) for Gb, Zb in zip(G0, Z))
+        rt = kappa + float(c @ y) + g0z
+        sz = sum(float(lb @ lb) for lb in lam)
+        mu = (sz + tau * kappa) / nu
 
-    it = 0
-    while it < max_iter:
-        it += 1
-        s_lo = y[i_lo] - lb[i_lo]
-        s_hi = ub[i_hi] - y[i_hi]
+        p_res = float(np.sqrt(sum(np.sum(r * r) for r in rz))) / res_z0
+        d_res = float(np.linalg.norm(rx)) / res_x0
+        y_hat = y / tau
+        obj = float(c @ y_hat)
+        now = IPMResult("optimal", y_hat, [], obj, sz / tau**2 / max(1.0, abs(obj)),
+                        p_res / tau, d_res / tau, it)
+        if _positive_definite(blocks, y_hat):
+            if feasibility or max(now.pres, now.dres, now.rel_gap) <= tol:
+                return now
+            if best is None or now.objective <= best.objective:
+                best = now
+        # A ray is accepted once its equality residual is down to tol, the
+        # accuracy asked of every other residual; the 1e3 slack of the check
+        # is left for the caller undoing its per-block scaling.
+        if sum(float(np.vdot(blk.G0, Zb)) for blk, Zb in zip(blocks, Z)) < 0.0:
+            tr = sum(float(np.trace(Zb)) for Zb in Z)
+            ray = [Zb / tr for Zb in Z]
+            cert = _check_farkas(blocks, ray, tol)
+            if cert is not None and cert["equality_residual"] <= tol:
+                return IPMResult("infeasible", None, ray, now.objective,
+                                 now.rel_gap, now.pres, now.dres, it)
+        # Homogeneous residuals shrink by 1 - alpha * eta every step in exact
+        # arithmetic; a tenfold rise means rounding has taken over.
+        least_res = min(least_res, max(p_res, d_res))
+        if max(p_res, d_res) > 10.0 * least_res:
+            status = "stalled"
+            break
+        if it == max_iter:
+            break
 
-        # Barrier gradient pieces and the Newton matrix at the current y.
-        # With Ghat_i = Linv G_i Linv', H_ij = <Ghat_i, Ghat_j> is assembled
-        # from two batched GEMMs and one Gram product, symmetric by design.
-        grad_a = np.zeros(m)
-        H = np.zeros((m, m))
-        for blk, L, flat in zip(blocks, L_all, flats):
-            Linv = solve_triangular(L, np.eye(blk.order), lower=True)
-            Sinv = Linv.T @ Linv
-            grad_a += flat @ Sinv.ravel()
-            Ghat = np.matmul(np.matmul(Linv[None, :, :], blk.coeffs),
-                             Linv.T[None, :, :]).reshape(m, -1)
-            H += Ghat @ Ghat.T
-        if i_lo.size:
-            grad_a[i_lo] += 1.0 / s_lo
-            H[i_lo, i_lo] += 1.0 / s_lo**2
-        if i_hi.size:
-            grad_a[i_hi] -= 1.0 / s_hi
-            H[i_hi, i_hi] += 1.0 / s_hi**2
+        # Schur matrix of the NT-scaled coefficients, factored once.
+        Gh = [np.matmul(np.matmul(Ri[None], blk.coeffs), Ri.T[None]).reshape(m, -1)
+              for Ri, blk in zip(Rinv, blocks)]
+        G0h = [(Ri @ Gb @ Ri.T).ravel() for Ri, Gb in zip(Rinv, G0)]
+        rzh = [(Ri @ r @ Ri.T).ravel() for Ri, r in zip(Rinv, rz)]
+        H = sum(G @ G.T for G in Gh)
+        g = sum(G @ G0b for G, G0b in zip(Gh, G0h))
+        g00 = sum(float(G0b @ G0b) for G0b in G0h)
+        try:
+            fac = cho_factor(H, lower=True)
+        except LinAlgError:
+            status = "stalled"
+            break
+        q = cho_solve(fac, c + g)
+        denom = float((c - g) @ q) + g00 + kappa / tau
 
-        jitter = 0.0
-        base = max(float(np.trace(H)) / m, 1.0)
-        while True:
-            try:
-                fac = cho_factor(H + jitter * np.eye(m), lower=True)
-                break
-            except np.linalg.LinAlgError:
-                jitter = max(jitter * 10.0, 1e-14 * base)
-                if jitter > 1e-4 * base:
-                    return degraded("numerical", it)
+        def direction(eta, rc, rtk):
+            """Newton direction for residual reduction eta and scaled
+            complementarity right-hand sides rc (blocks) and rtk (tau kappa)."""
+            t = [rcb.ravel() + eta * r for rcb, r in zip(rc, rzh)]
+            f = sum(G @ tb for G, tb in zip(Gh, t)) + eta * rx
+            h = -eta * rt - rtk / tau - sum(float(G0b @ tb) for G0b, tb in zip(G0h, t))
+            p = cho_solve(fac, f)
+            dtau = (float((c - g) @ p) - h) / denom
+            dy = p - q * dtau
+            dz = [(tb - G0b * dtau - dy @ G).reshape(lb.size, lb.size)
+                  for tb, G0b, G, lb in zip(t, G0h, Gh, lam)]
+            dz = [0.5 * (D + D.T) for D in dz]
+            ds = [rcb - D for rcb, D in zip(rc, dz)]
+            dkappa = (rtk - kappa * dtau) / tau
+            return dy, ds, dz, dtau, dkappa
 
-        # Shrink mu while the current point is centered for it.
-        while True:
-            rhs = grad_a - c / mu
-            dy = cho_solve(fac, rhs)
-            lam = float(np.sqrt(max(rhs @ dy, 0.0)))
-            if lam > _CENTER_TOL:
-                break
-            last_center = (y.copy(), mu, list(L_all))
-            obj = float(c @ y)
-            if verbose:
-                print(f"  it {it:3d}  centered  mu {mu:.3e}  obj {obj:+.6e}")
-            if stop is not None and stop(y):
-                return result("stopped", it, mu, L_all, y)
-            if mu * nu <= tol * (1.0 + abs(obj)):
-                return result("converged", it, mu, L_all, y)
-            mu *= _MU_SHRINK
+        def step_length(d):
+            _, ds, dz, dtau, dkappa = d
+            a = np.inf
+            for lb, dsb, dzb in zip(lam, ds, dz):
+                a = min(a, _max_step(lb, dsb), _max_step(lb, dzb))
+            if dtau < 0.0:
+                a = min(a, -tau / dtau)
+            if dkappa < 0.0:
+                a = min(a, -kappa / dkappa)
+            return a
 
-        # Newton step: start from the fraction-to-boundary limit and
-        # backtrack on the barrier merit (Armijo on f = c'y/mu - barriers).
-        alpha = 1.0
-        dS_all = [np.tensordot(dy, blk.coeffs, axes=1) for blk in blocks]
-        for L, dS in zip(L_all, dS_all):
-            alpha = min(alpha, _STEP_FRACTION * _max_step(L, dS))
-        if i_lo.size:
-            neg = dy[i_lo] < 0.0
-            if np.any(neg):
-                alpha = min(alpha, _STEP_FRACTION *
-                            float(np.min(s_lo[neg] / -dy[i_lo][neg])))
-        if i_hi.size:
-            pos = dy[i_hi] > 0.0
-            if np.any(pos):
-                alpha = min(alpha, _STEP_FRACTION *
-                            float(np.min(s_hi[pos] / dy[i_hi][pos])))
+        # Predictor (affine scaling), then the Mehrotra combined step.
+        aff = direction(1.0, [-np.diag(lb) for lb in lam], -tau * kappa)
+        sigma = (1.0 - min(1.0, step_length(aff))) ** _EXPON
+        rc = []
+        for lb, dsa, dza in zip(lam, aff[1], aff[2]):
+            M = -np.diag(lb * lb) + sigma * mu * np.eye(lb.size) \
+                - 0.5 * (dsa @ dza + dza @ dsa)
+            rc.append(2.0 * M / np.add.outer(lb, lb))
+        d = direction(1.0 - sigma, rc,
+                      sigma * mu - tau * kappa - aff[3] * aff[4])
+        alpha = min(1.0, _STEP * step_length(d))
+        if alpha < _STALL:
+            status = "stalled"
+            break
 
-        f_cur = float(c @ y) / mu - _logdet(L_all)
-        if i_lo.size:
-            f_cur -= float(np.sum(np.log(s_lo)))
-        if i_hi.size:
-            f_cur -= float(np.sum(np.log(s_hi)))
+        dy, ds, dz, dtau, dkappa = d
+        try:
+            new = []
+            for Rb, Ri, lb, dsb, dzb in zip(R, Rinv, lam, ds, dz):
+                L1 = np.linalg.cholesky(np.diag(lb) + alpha * dsb)
+                L2 = np.linalg.cholesky(np.diag(lb) + alpha * dzb)
+                _, lnew, Vt = np.linalg.svd(L2.T @ L1)
+                root = np.sqrt(lnew)
+                new.append(((Rb @ L1 @ Vt.T) / root,
+                            (Vt @ solve_triangular(L1, Ri, lower=True))
+                            * root[:, None], lnew))
+        except np.linalg.LinAlgError:
+            status = "stalled"
+            break
+        R, Rinv, lam = (list(v) for v in zip(*new))
+        y = y + alpha * dy
+        tau += alpha * dtau
+        kappa += alpha * dkappa
 
-        y_prev, L_prev = y, L_all
-        lam2 = lam * lam
-        ok = False
-        for _ in range(60):
-            y_try = y_prev + alpha * dy
-            try:
-                L_try = _chol_all(blocks, y_try)
-            except np.linalg.LinAlgError:
-                alpha *= 0.5
-                continue
-            f_try = float(c @ y_try) / mu - _logdet(L_try)
-            if i_lo.size:
-                f_try -= float(np.sum(np.log(y_try[i_lo] - lb[i_lo])))
-            if i_hi.size:
-                f_try -= float(np.sum(np.log(ub[i_hi] - y_try[i_hi])))
-            if f_try <= f_cur - 1e-4 * alpha * lam2:
-                ok = True
-                break
-            alpha *= 0.5
-        if verbose:
-            print(f"  it {it:3d}  mu {mu:.3e}  lam {lam:.3e}  "
-                  f"alpha {alpha:.3e}  obj {float(c @ y_prev):+.6e}")
-        if not ok or alpha < 1e-14:
-            return degraded("numerical", it)
-        y, L_all = y_try, L_try
-
-    return result("max_iter", it, mu, L_all, y)
+    if best is None:
+        return IPMResult(status, None, [], iterations=it)
+    best.status, best.iterations = status, it
+    return best

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonPositiveGamma
 from .network import FeedForwardNN
 from .plant import AugmentedPlant, SteadyStateMap, _frozen
 from .sectors import SectorBounds
@@ -369,7 +369,12 @@ def build_local_range(aug: AugmentedPlant, sel: Selectors,
                       sectors: SectorBounds, d, refsens: RefSensitivity,
                       gamma: float = 1.0) -> LMISystem:
     """Reference-range LMI: adds Q > 0 over the reference deviation and joint
-    containment rows [d_j^2, [N0_1, S]_j; *, blkdiag(P, Q)] >= 0."""
+    containment rows [d_j^2, [N0_1, S]_j; *, blkdiag(P, Q)] >= 0.
+
+    ``gamma`` weighs trace(Q) in the objective; it must be positive, since
+    otherwise the objective is unbounded below in Q."""
+    if not gamma > 0.0:
+        raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
     n_xtil = aug.n_xtil
     n_r = aug.n_r
     n = sel.N1lm1.shape[0]

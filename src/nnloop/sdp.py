@@ -1,18 +1,17 @@
-"""Solve and certify LMI systems through a pluggable conic backend.
+"""Solve and certify LMI systems with one interior-point run each.
 
-The built-in backend "dense-ipm" runs two phases of the interior-point core:
+:func:`solve` scale-normalizes the margin-shifted blocks and hands them to the
+homogeneous self-dual solver in :mod:`nnloop.ipm` once.  The run ends in
 
-* phase 1 maximizes the smallest block eigenvalue t subject to the shifted
-  constraints (plus generous variable boxes and a cap on t).  Its sign decides
-  feasibility; for clearly negative optima the multipliers are normalized into
-  a Farkas certificate which is re-verified on the raw block data before an
-  infeasible verdict is allowed.
-* phase 2, entered only with a strictly feasible interior point in hand,
-  minimizes the linear objective (when one is declared).
+* an optimum (or, when the iterates stall, the best iterate whose blocks
+  pass a Cholesky factorization): feasible, but only after every block's
+  smallest eigenvalue at that point re-checks nonnegative;
+* an infeasibility ray: infeasible, but only after the ray, mapped back to the
+  raw unshifted block data, verifies as a Farkas certificate;
+* anything else: inaccurate, or solver error when no point was certified.
 
-Every feasible verdict is re-certified a posteriori by substituting the
-solution into all blocks and checking extreme eigenvalues with a plain
-symmetric eigensolver, independently of the interior-point machinery.
+:func:`certify` repeats the eigenvalue check from the unpacked matrices with a
+plain symmetric eigensolver, independently of the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ipm import ConeBlock, solve_conic
+from .ipm import ConeBlock, _check_farkas, solve_conic
 from .lmi import LMISystem
 
 FEASIBLE = "feasible"
@@ -35,10 +34,6 @@ SOLVER_ERROR = "solver_error"
 class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 200
-    backend: str = "dense-ipm"
-    var_bound: float = 1e9
-    t_cap: float = 1.0
-    verbose: bool = False
 
 
 @dataclass
@@ -50,7 +45,6 @@ class SDPSolution:
     iterations: int = 0
     y: np.ndarray | None = None
     farkas: dict | None = None
-    phase1_t: float | None = None
     wall_time: float = 0.0
 
     @property
@@ -101,154 +95,19 @@ def _solver_blocks(system: LMISystem):
     return out, np.array(scales)
 
 
-def _psd_clip(M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    return (V * np.maximum(w, 0.0)) @ V.T
-
-
-def _certificate_search(raw_blocks, tol, max_iter=200):
-    """Search for a Farkas certificate by solving a small SDP.
-
-    Over multipliers X_b >= 0 parameterized by their symmetric components,
-    minimize a uniform residual bound s subject to
-
-        |sum_b <G_{b,i}, X_b>| <= s * sigma_i   for every variable i,
-        |sum_b tr X_b - 1|     <= s,
-        sum_b <G0_b, X_b>      <= s * sigma_0,
-
-    which is again a dual-form LMI program solved by the same interior-point
-    core (strictly feasible by construction, so no feasibility phase is
-    needed).  A near-zero optimum yields a machine-checkable certificate.
-    """
-    m = raw_blocks[0].coeffs.shape[0]
-    sizes = [blk.order for blk in raw_blocks]
-
-    bases, owners = [], []
-    for b, k in enumerate(sizes):
-        for i in range(k):
-            for j in range(i, k):
-                E = np.zeros((k, k))
-                E[i, j] = 1.0
-                E[j, i] = 1.0
-                bases.append(E)
-                owners.append(b)
-    D = len(bases)
-    n_z = D + 1  # components plus the residual bound s
-
-    eqJ = np.zeros((m, D))
-    trv = np.zeros(D)
-    g0v = np.zeros(D)
-    for col, (E, b) in enumerate(zip(bases, owners)):
-        flat = raw_blocks[b].coeffs.reshape(m, -1)
-        eqJ[:, col] = flat @ E.ravel()
-        trv[col] = float(np.trace(E))
-        g0v[col] = float(np.vdot(raw_blocks[b].G0, E))
-    sigma = 1.0 + np.max(np.abs(eqJ), axis=1)
-    sigma0 = 1.0 + max(float(np.max(np.abs(blk.G0))) for blk in raw_blocks)
-
-    cone_blocks = []
-    for b, blk in enumerate(raw_blocks):
-        k = blk.order
-        coeffs = np.zeros((n_z, k, k))
-        for col, (E, owner) in enumerate(zip(bases, owners)):
-            if owner == b:
-                coeffs[col] = E
-        cone_blocks.append(ConeBlock(f"X_{blk.name}", np.zeros((k, k)), coeffs))
-
-    def lin_block(name, const, w_coeffs, s_coeff):
-        coeffs = np.zeros((n_z, 1, 1))
-        coeffs[:D, 0, 0] = w_coeffs
-        coeffs[D, 0, 0] = s_coeff
-        return ConeBlock(name, np.array([[const]]), coeffs)
-
-    for i in range(m):
-        cone_blocks.append(lin_block(f"eq_hi_{i}", 0.0, -eqJ[i], sigma[i]))
-        cone_blocks.append(lin_block(f"eq_lo_{i}", 0.0, eqJ[i], sigma[i]))
-    cone_blocks.append(lin_block("tr_hi", 1.0, -trv, 1.0))
-    cone_blocks.append(lin_block("tr_lo", -1.0, trv, 1.0))
-    cone_blocks.append(lin_block("violation", 0.0, -g0v, sigma0))
-
-    y0 = np.zeros(n_z)
-    scale0 = 1.0 / sum(sizes)
-    col = 0
-    for b, k in enumerate(sizes):
-        for i in range(k):
-            for j in range(i, k):
-                if i == j:
-                    y0[col] = scale0
-                col += 1
-    res0 = float(np.max(np.abs(eqJ @ y0[:D])))
-    y0[D] = 2.0 * (res0 / float(np.min(sigma)) + 1.0)
-    c = np.zeros(n_z)
-    c[D] = 1.0
-    lb = np.concatenate([np.full(D, -2.0), [0.0]])
-    ub = np.concatenate([np.full(D, 2.0), [y0[D] + 1.0]])
-    y0 = np.minimum(np.maximum(y0, lb + 1e-3), ub - 1e-3)
-
-    s_goal = 0.01 * max(1e3 * tol, 1e-6)
-    res = solve_conic(cone_blocks, c, y0, lb, ub, tol=tol, max_iter=max_iter,
-                      stop=lambda z: z[D] <= s_goal)
-    if res.status not in ("converged", "stopped"):
-        return None
-    out = []
-    col = 0
-    for b, k in enumerate(sizes):
-        Xb = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                Xb[i, j] = res.y[col]
-                Xb[j, i] = res.y[col]
-                col += 1
-        out.append(_psd_clip(Xb))
-    tr = sum(float(np.trace(Xb)) for Xb in out)
-    if not np.isfinite(tr) or tr <= 1e-9:
-        return None
-    return [Xb / tr for Xb in out]
-
-
-def _check_farkas(raw_blocks, X, tol):
-    m = raw_blocks[0].coeffs.shape[0] if raw_blocks else 0
-    resid = np.zeros(m)
-    viol = 0.0
-    for blk, Xb in zip(raw_blocks, X):
-        resid += blk.coeffs.reshape(m, -1) @ Xb.ravel()
-        viol += float(np.vdot(blk.G0, Xb))
-    col_scale = np.array([
-        1.0 + max(float(np.max(np.abs(blk.coeffs[i]))) for blk in raw_blocks)
-        for i in range(m)
-    ])
-    res_rel = float(np.max(np.abs(resid) / col_scale)) if m else 0.0
-    g0_scale = 1.0 + max(float(np.max(np.abs(blk.G0))) for blk in raw_blocks)
-    eq_tol = max(1e3 * tol, 1e-6)
-    if res_rel <= eq_tol and viol <= eq_tol * g0_scale:
-        return {"X": X, "equality_residual": res_rel, "violation": viol}
-    return None
-
-
-def _verify_farkas(raw_blocks, X_scaled, scales, tol):
-    """Validate a normalized Farkas certificate against raw block data.
+def _verify_farkas(raw_blocks, Z_scaled, scales, tol):
+    """Validate the solver's infeasibility ray against the raw block data.
 
     A valid strict-infeasibility certificate is X_b >= 0, not all zero, with
     sum_b <G_{b,i}, X_b> ~ 0 for every scalar variable and
     sum_b <G0_b, X_b> <~ 0: then no y makes every block strictly positive
-    definite.  The solver multipliers are tried directly; when they carry too
-    much residual (degenerate certificates sit on a boundary face where
-    interior iterates center badly) a fresh certificate is recovered by
-    :func:`_certificate_search`.  The final check always runs on the raw data
-    with relative tolerances, independent of whatever produced X.
+    definite.  The ray of the scale-normalized blocks is mapped back to the
+    raw data and re-normalized to unit trace; the check runs on the raw data
+    with relative tolerances, independent of the solver.
     """
-    X = [Xb / s for Xb, s in zip(X_scaled, scales)]
+    X = [Zb / s for Zb, s in zip(Z_scaled, scales)]
     tr = sum(float(np.trace(Xb)) for Xb in X)
-    if not np.isfinite(tr) or tr <= 0.0:
-        return None
-    X = [Xb / tr for Xb in X]
-    direct = _check_farkas(raw_blocks, X, tol)
-    if direct is not None:
-        return direct
-    searched = _certificate_search(raw_blocks, tol)
-    if searched is None:
-        return None
-    return _check_farkas(raw_blocks, searched, tol)
+    return _check_farkas(raw_blocks, [Xb / tr for Xb in X], tol)
 
 
 def _margins(system: LMISystem, theta: np.ndarray) -> dict:
@@ -259,105 +118,34 @@ def _margins(system: LMISystem, theta: np.ndarray) -> dict:
     return out
 
 
-def _solve_dense_ipm(system: LMISystem, options: SolveOptions) -> SDPSolution:
+def solve(system: LMISystem, options: SolveOptions | None = None) -> SDPSolution:
+    """Solve an LMI system with one self-dual interior-point run."""
+    options = options or SolveOptions()
     start = time.perf_counter()
     blocks, scales = _solver_blocks(system)
-    raw_blocks = _oriented_blocks(system, with_margins=False)
-    m = system.n_scalars
-    tol = options.tol
-    R = options.var_bound
+    c = np.zeros(system.n_scalars) if system.objective is None else system.objective
+    res = solve_conic(blocks, c, tol=options.tol, max_iter=options.max_iter)
 
-    # phase 1: maximize the uniform eigenvalue shift t.
-    ext = []
-    for blk in blocks:
-        coeffs_t = np.concatenate(
-            [blk.coeffs, -np.eye(blk.order)[None, :, :]], axis=0)
-        ext.append(ConeBlock(name=blk.name, G0=blk.G0, coeffs=coeffs_t))
-    t0 = min(float(np.linalg.eigvalsh(blk.G0)[0]) for blk in blocks) - 1.0
-    t0 = min(t0, options.t_cap - 1.0)
-    y0 = np.zeros(m + 1)
-    y0[m] = t0
-    c1 = np.zeros(m + 1)
-    c1[m] = -1.0
-    lb = np.concatenate([np.full(m, -R), [-np.inf]])
-    ub = np.concatenate([np.full(m, R), [options.t_cap]])
-    t_target = 0.5 * options.t_cap
-    res1 = solve_conic(ext, c1, y0, lb, ub, tol=tol,
-                       max_iter=options.max_iter, verbose=options.verbose,
-                       stop=lambda yv: yv[m] >= t_target)
-    t_star = float(res1.y[m])
-
-    delta_scaled = max(
-        (blk.delta / s for blk, s in zip(system.blocks, scales)), default=0.0)
-    band = 10.0 * max(tol, delta_scaled)
-
-    def finish(status, theta=None, objective=None, iters=0, farkas=None):
-        margins = _margins(system, theta) if theta is not None else {}
-        if status == FEASIBLE and margins and min(margins.values()) < 0.0:
+    theta, objective, farkas, margins = res.y, None, None, {}
+    if res.status == "infeasible":
+        farkas = _verify_farkas(_oriented_blocks(system, with_margins=False),
+                                res.Z, scales, options.tol)
+        status = INFEASIBLE if farkas is not None else INACCURATE
+    elif res.status == "max_iter":
+        status = INACCURATE
+    else:  # an optimum, or the best certified iterate of a stalled run
+        status = FEASIBLE if theta is not None else SOLVER_ERROR
+    if theta is not None:
+        margins = _margins(system, theta)
+        if min(margins.values()) < 0.0:
             status = INACCURATE
-        values = system.unpack(theta) if theta is not None else {}
-        return SDPSolution(status=status, values=values,
-                           objective_value=objective, margins=margins,
-                           iterations=iters, y=theta, farkas=farkas,
-                           phase1_t=t_star,
-                           wall_time=time.perf_counter() - start)
-
-    if t_star <= band:
-        # Strict feasibility failed at the margin scale.  Infeasible is only
-        # reported when the multipliers verify as a Farkas certificate on the
-        # raw data (independent of how the solver exited); marginal outcomes
-        # stay "inaccurate", numerical breakdowns become "solver_error".
-        cert = _verify_farkas(raw_blocks, res1.X[: len(blocks)], scales, tol)
-        if cert is not None:
-            return finish(INFEASIBLE, iters=res1.iterations, farkas=cert)
-        if res1.status == "numerical":
-            return finish(SOLVER_ERROR, iters=res1.iterations)
-        return finish(INACCURATE, iters=res1.iterations)
-
-    theta = res1.y[:m].copy()
-    iters = res1.iterations
-    if system.objective is None:
-        return finish(FEASIBLE, theta=theta, iters=iters)
-
-    # phase 2: minimize the declared objective from the interior point.
-    res2 = solve_conic(blocks, system.objective, theta,
-                       np.full(m, -R), np.full(m, R), tol=tol,
-                       max_iter=options.max_iter, verbose=options.verbose)
-    iters += res2.iterations
-    theta2 = res2.y
-    obj = float(system.objective @ theta2)
-    if res2.status == "converged":
-        if min(_margins(system, theta2).values()) < 0.0:
-            # Badly scaled optima can drive active-block margins below the
-            # eigensolver's noise floor.  Back off to an earlier, strictly
-            # more interior point on the path and certify that instead.
-            res2b = solve_conic(blocks, system.objective, theta,
-                                np.full(m, -R), np.full(m, R), tol=100 * tol,
-                                max_iter=options.max_iter,
-                                verbose=options.verbose)
-            iters += res2b.iterations
-            if res2b.status == "converged" and \
-                    min(_margins(system, res2b.y).values()) >= 0.0:
-                theta2 = res2b.y
-                obj = float(system.objective @ theta2)
-        return finish(FEASIBLE, theta=theta2, objective=obj, iters=iters)
-    if res2.status == "max_iter":
-        # Strictly feasible point, objective not converged to tolerance.
-        return finish(INACCURATE, theta=theta2, objective=obj, iters=iters)
-    return finish(SOLVER_ERROR, theta=theta, iters=iters)
-
-
-BACKENDS = {"dense-ipm": _solve_dense_ipm}
-
-
-def solve(system: LMISystem, options: SolveOptions | None = None) -> SDPSolution:
-    """Solve an LMI system with the configured backend."""
-    options = options or SolveOptions()
-    try:
-        backend = BACKENDS[options.backend]
-    except KeyError:
-        raise ValueError(f"unknown solver backend {options.backend!r}") from None
-    return backend(system, options)
+        if system.objective is not None:
+            objective = float(system.objective @ theta)
+    return SDPSolution(status=status,
+                       values=system.unpack(theta) if theta is not None else {},
+                       objective_value=objective, margins=margins,
+                       iterations=res.iterations, y=theta, farkas=farkas,
+                       wall_time=time.perf_counter() - start)
 
 
 def certify(system: LMISystem, solution: SDPSolution) -> Certification:

@@ -88,6 +88,16 @@ def test_verify_local_missing_d_exit_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("gamma", ["-1", "0"])
+def test_verify_local_range_nonpositive_gamma_exit_three(tmp_path, capsys, gamma):
+    code = main(["verify", "--pendulum", PENDULUM_FLAG,
+                 "--nn", example_nn_path(), "--theorem", "local-range",
+                 "--rnom", "0", "--d", str(PENDULUM_D), "--gamma", gamma,
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert "gamma must be positive" in capsys.readouterr().err
+
+
 def test_bounds_report_values(tmp_path):
     out = str(tmp_path / "out")
     code = main(["bounds", "--pendulum", PENDULUM_FLAG,

@@ -239,3 +239,14 @@ def test_objective_trace_weights(pendulum, pendulum_aug, d_ship):
     Qm = np.array([[1.7]])
     theta = system.pack({"P": Pm, "Lambda": np.diag(np.ones(10)), "Q": Qm})
     assert system.objective @ theta == pytest.approx(np.trace(Pm) + 2.5 * 1.7)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0])
+def test_local_range_rejects_nonpositive_gamma(pendulum, pendulum_aug, d_ship,
+                                               gamma):
+    plant, nn, k_xi = pendulum
+    sel = build_selectors(nn, pendulum_aug.n_xtil)
+    secs = global_sectors(nn.activation, nn.n_hidden)
+    refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+    with pytest.raises(nl.NonPositiveGamma):
+        nl.build_local_range(pendulum_aug, sel, secs, d_ship, refsens, gamma=gamma)

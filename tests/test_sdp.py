@@ -149,28 +149,16 @@ def test_feasible_margins_never_negative(thm2_report):
     assert min(thm2_report["margins"].values()) >= 0.0
 
 
-def test_unknown_backend():
-    with pytest.raises(ValueError):
-        nl.solve(scalar_system(), nl.SolveOptions(backend="mosek"))
-
-
 def test_solve_options_tolerance():
     sol = nl.solve(scalar_system(), nl.SolveOptions(tol=1e-6))
     assert sol.status == "feasible"
 
 
-def test_ipm_rejects_infeasible_start():
-    blk = ConeBlock("b", -np.eye(1), np.ones((1, 1, 1)))
-    with pytest.raises(ValueError):
-        solve_conic([blk], np.ones(1), np.zeros(1))
-
-
 def test_ipm_simple_bound_problem():
     # minimize y subject to y >= 1 (one 1x1 block), solved to tolerance
     blk = ConeBlock("b", -np.eye(1), np.ones((1, 1, 1)))
-    res = solve_conic([blk], np.ones(1), np.array([5.0]),
-                      lb=np.array([-10.0]), ub=np.array([10.0]), tol=1e-9)
-    assert res.status == "converged"
+    res = solve_conic([blk], np.ones(1), tol=1e-9)
+    assert res.status == "optimal"
     assert res.y[0] == pytest.approx(1.0, abs=1e-6)
 
 
