@@ -38,17 +38,33 @@ class CliError(Exception):
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        vec = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise CliError(f"cannot parse vector {text!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise CliError(f"vector entries must be finite: {text!r}")
+    return vec
 
 
 def _parse_matrix(text: str) -> np.ndarray:
     try:
         rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-        return np.array(rows, dtype=float)
+        mat = np.array(rows, dtype=float)
     except ValueError as exc:
         raise CliError(f"cannot parse matrix {text!r}") from exc
+    if not np.all(np.isfinite(mat)):
+        raise CliError(f"matrix entries must be finite: {text!r}")
+    return mat
+
+
+def _parse_dims(text: str, n: int) -> tuple:
+    try:
+        dims = tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise CliError(f"cannot parse --dims {text!r}") from exc
+    if len(dims) != 2 or dims[0] == dims[1] or not all(0 <= i < n for i in dims):
+        raise CliError(f"--dims must be two distinct indices in 0..{n - 1}, got {text!r}")
+    return dims
 
 
 def _parse_pendulum(text: str) -> Plant:
@@ -200,6 +216,8 @@ def cmd_verify(args) -> int:
     if args.d is not None:
         d = _parse_vector(args.d)
         d = float(d[0]) if d.size == 1 else d
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise CliError(f"--tol must be finite and positive, got {args.tol}")
     options = sdp.SolveOptions(tol=args.tol)
     report = run_verify(
         plant, nn, k_xi, args.theorem,
@@ -227,6 +245,8 @@ def _joint_from_report(report: dict, plant, nn, k_xi):
 def cmd_simulate(args) -> int:
     plant, nn, k_xi = _load_inputs(args)
     aug = augment(plant, k_xi)
+    if args.steps < 1:
+        raise CliError(f"--steps must be at least 1, got {args.steps}")
     if args.ref_schedule:
         with open(args.ref_schedule) as fh:
             schedule = json.load(fh)
@@ -316,7 +336,7 @@ def cmd_roa_plot(args) -> int:
     if report.get("P") is None:
         raise CliError("report has no P matrix (was the run feasible?)")
     P = np.array(report["P"], dtype=float)
-    dims = tuple(int(v) for v in args.dims.split(","))
+    dims = _parse_dims(args.dims, P.shape[0])
     curves = []
     if report.get("Q") is not None:
         J = _joint_from_report(report, plant, nn, k_xi)

@@ -64,19 +64,18 @@ class GovernorConfig:
             raise ValueError("mode must be 'full' or 'output-error'")
 
 
-def step(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r) -> np.ndarray:
-    """One transition xtil+ = Atil xtil + Btil kappa(x, r) + Br r."""
+def _transition(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r):
+    """One network pass: plant input u = k_xi xi + kappa(x, r) and xtil+."""
     xtil = np.asarray(xtil, dtype=float)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     u_nn = forward(nn, xtil[: aug.n_x], r).u
-    return aug.Atil @ xtil + aug.Btil @ u_nn + aug.Br @ r
+    u = aug.k_xi @ xtil[aug.n_x:] + u_nn
+    return u, aug.Atil @ xtil + aug.Btil @ u_nn + aug.Br @ r
 
 
-def plant_input(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r) -> np.ndarray:
-    """Actual plant input u = k_xi xi + kappa(x, r)."""
-    xtil = np.asarray(xtil, dtype=float)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    return aug.k_xi @ xtil[aug.n_x:] + forward(nn, xtil[: aug.n_x], r).u
+def step(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r) -> np.ndarray:
+    """One transition xtil+ = Atil xtil + Btil kappa(x, r) + Br r."""
+    return _transition(aug, nn, xtil, r)[1]
 
 
 def schedule_at(schedule, k: int, n_r: int) -> np.ndarray:
@@ -107,10 +106,10 @@ def _run(aug, nn, xtil0, T, ref_at, conv_tol):
     for k in range(T):
         r_des, r_app = ref_at(k, xtil)
         outputs.append(aug.Ctil @ xtil)
-        inputs.append(plant_input(aug, nn, xtil, r_app))
+        u, xtil = _transition(aug, nn, xtil, r_app)
+        inputs.append(u)
         applied.append(r_app)
         desired.append(r_des)
-        xtil = step(aug, nn, xtil, r_app)
         states.append(xtil)
         if np.linalg.norm(xtil) > DIVERGENCE_NORM:
             diverged = True

@@ -29,6 +29,10 @@ INFEASIBLE = "infeasible"
 INACCURATE = "inaccurate"
 SOLVER_ERROR = "solver_error"
 
+# The raw-data Farkas gate never runs looser than at the default tolerance,
+# so a loose solver tolerance cannot pass a near-certificate as infeasibility.
+_FARKAS_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -129,7 +133,7 @@ def solve(system: LMISystem, options: SolveOptions | None = None) -> SDPSolution
     theta, objective, farkas, margins = res.y, None, None, {}
     if res.status == "infeasible":
         farkas = _verify_farkas(_oriented_blocks(system, with_margins=False),
-                                res.Z, scales, options.tol)
+                                res.Z, scales, min(options.tol, _FARKAS_TOL))
         status = INFEASIBLE if farkas is not None else INACCURATE
     elif res.status == "max_iter":
         status = INACCURATE

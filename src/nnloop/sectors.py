@@ -9,16 +9,17 @@ neuron the incremental chord set anchored at its stationary input,
 is then enclosed as tightly as possible:
 
 * relu: exact closed form from the sign pattern of the box and the anchor;
-* tanh: endpoint chords and phi'(v_*) are exact candidates, interior chord
-  extrema are located on a 1024-point grid and polished by golden-section
-  refinement, and the result is widened by 1e-12 for soundness;
-* linear: the slope is identically one.
+* tanh: closed form from the endpoint chords, phi'(v_*) and the chord at the
+  one tangent point, a bisected root (see ``_tanh_sector``), widened by 1e-12
+  to cover the floating-point evaluation error;
+* identity: the slope is identically one.
 
 Enclosures are monotone under box growth: enlarging d never tightens a sector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .network import Activation, FeedForwardNN, LayerTrace
 from .plant import _frozen
 
 _WIDEN = 1e-12
-_GRID = 1024
+_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,11 +130,11 @@ def local_sectors(nn: FeedForwardNN, box: BoundBox, v_star) -> SectorBounds:
 
 
 def _sector_1d(act: Activation, lo: float, hi: float, vs: float):
-    if act.kind == "linear":
-        return 1.0, 1.0
     if act.kind == "relu":
         return _relu_sector(lo, hi, vs)
-    return _tanh_sector(lo, hi, vs)
+    if act.kind == "tanh":
+        return _tanh_sector(lo, hi, vs)
+    return act.alpha, act.beta  # identity: both slopes are one
 
 
 def _relu_sector(lo: float, hi: float, vs: float):
@@ -150,60 +151,56 @@ def _relu_sector(lo: float, hi: float, vs: float):
 
 
 def _tanh_chord(v, vs: float):
-    """Chord slope of tanh anchored at vs, stable for v near vs.
+    """Chord slope (tanh v - tanh vs) / (v - vs), free of cancellation.
 
-    The raw difference quotient loses ~2e-16/|dv| digits to cancellation
-    while the midpoint derivative is off by ~|dv|^2/6; switching at 1e-5
-    balances the two at a worst-case evaluation error around 2e-11.
+    Uses tanh a - tanh b = tanh(a - b)(1 - tanh a tanh b); the ratio
+    tanh(dv)/dv is 1 at dv == 0, where the chord is tanh'(vs).
     """
     v = np.asarray(v, dtype=float)
     dv = v - vs
-    near = np.abs(dv) <= 1e-5 * (1.0 + abs(vs))
-    safe = np.where(near, 1.0, dv)
-    ch = (np.tanh(v) - np.tanh(vs)) / safe
-    mid = 0.5 * (v + vs)
-    dmid = 1.0 - np.tanh(mid) ** 2
-    return np.where(near, dmid, ch)
+    zero = dv == 0.0
+    ratio = np.where(zero, 1.0, np.tanh(dv) / np.where(zero, 1.0, dv))
+    return ratio * (1.0 - np.tanh(v) * np.tanh(vs))
 
 
-def _golden_refine(f, a: float, b: float, maximize: bool, iters: int = 90):
-    """Golden-section search for a locally unimodal extremum of f on [a, b]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    sign = -1.0 if maximize else 1.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = sign * f(x1), sign * f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = sign * f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = sign * f(x2)
-    xm = 0.5 * (a + b)
-    return float(sign * min(f1, f2)), float(f(xm))
+def _tanh_tangent_root(c: float) -> float:
+    """Root r < 0 of h(v) = tanh'(v)(v - c) - (tanh v - tanh c) for c > 0,
+    bisected to width 1e-12 on a doubling bracket [a, 0], h(a) > 0 >= h(0)."""
+    tc = math.tanh(c)
+
+    def h(v):
+        t = math.tanh(v)
+        return (1.0 - t * t) * (v - c) - (t - tc)
+
+    a, b = -1.0, 0.0
+    while h(a) <= 0.0:
+        a *= 2.0
+    while b - a > _ROOT_TOL:
+        m = 0.5 * (a + b)
+        a, b = (m, b) if h(m) > 0.0 else (a, m)
+    return 0.5 * (a + b)
 
 
 def _tanh_sector(lo: float, hi: float, vs: float):
-    dphi_vs = 1.0 - np.tanh(vs) ** 2
-    cands = [float(_tanh_chord(lo, vs)), float(_tanh_chord(hi, vs)), float(dphi_vs)]
-    grid = np.linspace(lo, hi, _GRID)
-    chords = _tanh_chord(grid, vs)
+    """Range of the tanh chord slope s anchored at vs over [lo, hi], widened.
 
-    def chord(v):
-        return float(_tanh_chord(v, vs))
-
-    k_min = int(np.argmin(chords))
-    k_max = int(np.argmax(chords))
-    lo_min = grid[max(k_min - 1, 0)]
-    hi_min = grid[min(k_min + 1, _GRID - 1)]
-    lo_max = grid[max(k_max - 1, 0)]
-    hi_max = grid[min(k_max + 1, _GRID - 1)]
-    _, ref_min = _golden_refine(chord, lo_min, hi_min, maximize=False)
-    _, ref_max = _golden_refine(chord, lo_max, hi_max, maximize=True)
-
-    alpha = min(min(cands), float(chords[k_min]), ref_min) - _WIDEN
-    beta = max(max(cands), float(chords[k_max]), ref_max) + _WIDEN
-    return max(alpha, 0.0), min(beta, 1.0)
+    tanh is odd, so mirror to the anchor c = |vs| >= 0 and let
+    h(v) = tanh'(v)(v - c) - (tanh v - tanh c); then s' = h/(v - c)^2 and
+    h' = tanh''(v)(v - c), where tanh'' has the sign of -v.  For c > 0,
+    h' > 0 on (0, c), h(c) = 0 and h' < 0 beyond, so s' < 0 for v > 0 (at
+    v = c, s' = tanh''(c)/2); on v < 0, h falls from 1 + tanh c to
+    tanh c - c < 0, so it has exactly one root r there.  For c = 0, h' <= 0
+    and h(0) = 0, so r = 0.  Hence s rises up to the tangent point v_t (r
+    mirrored back, of the sign opposite to vs) and falls after it: alpha is
+    the smaller endpoint chord, and beta the largest of the endpoint chords,
+    tanh'(vs) and, if v_t lies in the box, the chord at v_t.  A root error d
+    moves that chord by O(d^2), as s'(v_t) = 0, and chords are exact to
+    ~2e-16, so the 1e-12 widening keeps the enclosure sound.
+    """
+    ends = _tanh_chord(np.array([lo, hi]), vs)
+    beta = max(float(ends.max()), 1.0 - math.tanh(vs) ** 2)
+    if vs != 0.0:
+        v_t = math.copysign(_tanh_tangent_root(abs(vs)), -vs)
+        if lo <= v_t <= hi:
+            beta = max(beta, float(_tanh_chord(v_t, vs)))
+    return max(float(ends.min()) - _WIDEN, 0.0), min(beta + _WIDEN, 1.0)

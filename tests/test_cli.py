@@ -189,6 +189,42 @@ def test_simulate_governed_with_svg(tmp_path):
     assert len(polylines) >= 2  # ellipse slices plus the trajectory
 
 
+@pytest.fixture(scope="module")
+def range_report(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("range"))
+    code = main(["verify", "--pendulum", PENDULUM_FLAG,
+                 "--nn", example_nn_path(), "--theorem", "local-range",
+                 "--rnom", "0", "--d", str(PENDULUM_D), "--out", out])
+    assert code == 0
+    return f"{out}/verify_report.json"
+
+
+BAD_NUMERIC_INPUT = [
+    (["verify", "--theorem", "global", "--tol", "nan"], "--tol"),
+    (["verify", "--theorem", "global", "--tol=-1e-8"], "--tol"),
+    (["verify", "--theorem", "global", "--tol", "0"], "--tol"),
+    (["verify", "--theorem", "local-fixed", "--d", "0.345", "--r", "nan"], "finite"),
+    (["bounds", "--d", "0.345", "--r", "nan"], "finite"),
+    (["simulate", "--r", "0", "--steps", "0"], "--steps"),
+    (["simulate", "--r", "0", "--steps=-3"], "--steps"),
+    (["simulate", "--r", "nan"], "finite"),
+    (["simulate", "--r", "0", "--x0", "nan,0,0"], "finite"),
+    (["roa-plot", "--dims", "0,7"], "--dims"),
+    (["roa-plot", "--dims", "0"], "--dims"),
+    (["roa-plot", "--dims", "1,1"], "--dims"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_NUMERIC_INPUT,
+                         ids=[" ".join(argv) for argv, _ in BAD_NUMERIC_INPUT])
+def test_bad_numeric_input_exit_three(tmp_path, capsys, range_report, argv, message):
+    extra = ["--report", range_report] if argv[0] == "roa-plot" else []
+    code = main(argv + extra + ["--pendulum", PENDULUM_FLAG,
+                                "--nn", example_nn_path(), "--out", str(tmp_path)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_requires_reference(tmp_path):
     code = main(["simulate", "--pendulum", PENDULUM_FLAG,
                  "--nn", example_nn_path(), "--kxi", "1.0",

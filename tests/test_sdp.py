@@ -154,6 +154,26 @@ def test_solve_options_tolerance():
     assert sol.status == "feasible"
 
 
+def test_loose_tol_does_not_loosen_farkas_gate():
+    # A feasible loop (global margin about +0.07) must not be reported
+    # infeasible because --tol is loose: the Farkas re-check on the raw data
+    # runs at the default tolerance however large tol is.
+    from nnloop.cli import run_verify
+
+    plant = nl.Plant(A=[[0.5]], B=[[1.0]], C=[[1.0]])
+    nn = nl.FeedForwardNN(
+        Hx0=np.eye(1), Hr0=np.zeros((1, 1)),
+        layers=((np.array([[0.3]]), np.zeros(1)),),
+        Wl=np.zeros((1, 1)), bl=np.zeros(1),
+        activation=nl.Activation.tanh(),
+    )
+    rep = run_verify(plant, nn, 0.1, "global")
+    assert rep["status"] == "feasible"
+    assert min(rep["margins"].values()) > 0.05
+    loose = run_verify(plant, nn, 0.1, "global", options=nl.SolveOptions(tol=0.1))
+    assert loose["status"] != "infeasible"
+
+
 def test_ipm_simple_bound_problem():
     # minimize y subject to y >= 1 (one 1x1 block), solved to tolerance
     blk = ConeBlock("b", -np.eye(1), np.ones((1, 1, 1)))

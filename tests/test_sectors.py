@@ -202,3 +202,44 @@ def test_global_sectors_helper():
     assert np.all(secs.alpha_phi == 0.0)
     assert np.all(secs.beta_phi == 1.0)
     assert secs.n == 7
+
+
+def sinh_chord(v, vs):
+    """Anchored tanh chord from sinh(dv) / (dv cosh v cosh vs), an identity
+    independent of the implementation's tanh-difference form (dv != 0)."""
+    dv = v - vs
+    return np.sinh(dv) / (dv * np.cosh(v) * np.cosh(vs))
+
+
+def test_tanh_sector_contains_endpoint_chords_of_narrow_boxes():
+    from nnloop.sectors import _tanh_chord, _tanh_sector
+
+    rng = np.random.default_rng(11)
+    for _ in range(4000):
+        center = rng.uniform(-3.0, 3.0)
+        half = 10.0 ** rng.uniform(-6.0, -3.0)
+        lo, hi = center - half, center + half
+        vs = rng.uniform(lo, hi)
+        a, b = _tanh_sector(lo, hi, vs)
+        for v in (lo, hi):
+            exact = sinh_chord(v, vs)
+            assert abs(float(_tanh_chord(v, vs)) - exact) <= 1e-15
+            assert a <= exact <= b
+
+
+def test_tanh_tangent_point_splits_chord_monotonicity():
+    from nnloop.sectors import _tanh_chord, _tanh_tangent_root
+
+    rng = np.random.default_rng(12)
+    draws = np.concatenate([rng.uniform(-5.0, 5.0, 60),
+                            rng.choice([-1.0, 1.0], 20) * 10.0 ** rng.uniform(-3, -1, 20)])
+    for vs in draws:
+        v_t = math.copysign(_tanh_tangent_root(abs(vs)), -vs)
+        # the chord from vs touches tanh at v_t, on the other side of zero
+        h = (1.0 - math.tanh(v_t) ** 2) * (v_t - vs) - (math.tanh(v_t) - math.tanh(vs))
+        assert abs(h) <= 1e-10
+        assert v_t * vs < 0.0
+        left = v_t - np.linspace(6.0, 0.0, 601)
+        right = v_t + np.linspace(0.0, 6.0, 601)
+        assert np.all(np.diff(_tanh_chord(left, vs)) >= -1e-15)
+        assert np.all(np.diff(_tanh_chord(right, vs)) <= 1e-15)
