@@ -1,22 +1,34 @@
 """Closed-loop simulation and the reference governor.
 
+There is one simulation loop, shared by the plain and the governed run.  The
+reference schedule is turned into a (T, n_r) array before it starts, and each
+step then costs one trace-free network pass (:func:`network.evaluate`) and a
+few small matrix products; outputs and tracking errors are computed from the
+stored states after the loop.
+
 The governor replaces the desired reference by the nearest surrogate for
 which the pair (current state, surrogate) stays inside the certified joint
 set.  Since the steady state depends on the network nonlinearly, the scalar
 case is solved globally by bracketing on a grid over the admissible interval
-followed by bisection onto the feasibility boundary; the multi-reference case
-uses multi-start projected descent.
+followed by bisection onto the feasibility boundary; the grid, its slice
+centers and reference terms are built once per joint set and grid size
+(:meth:`JointEllipsoid.grid_quads`).  The multi-reference case uses
+multi-start projected descent.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GovernorInfeasible
-from .network import FeedForwardNN, forward
+from .errors import BadSchedule, DimensionMismatch, GovernorInfeasible
+# ``forward`` is imported so that ``closed_loop.forward`` remains a name that
+# perfbench/tracing.py can wrap; the loop itself makes trace-free passes.
+from .network import FeedForwardNN, evaluate, forward  # noqa: F401
 from .plant import AugmentedPlant, _frozen
 from .roa import JointEllipsoid, admissible_references
 
@@ -65,70 +77,139 @@ class GovernorConfig:
 
 
 def _transition(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r):
-    """One network pass: plant input u = k_xi xi + kappa(x, r) and xtil+."""
-    xtil = np.asarray(xtil, dtype=float)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    u_nn = forward(nn, xtil[: aug.n_x], r).u
-    u = aug.k_xi @ xtil[aug.n_x:] + u_nn
+    """One network pass: plant input u = k_xi xi + kappa(x, r) and xtil+.
+
+    xtil and r must be float arrays of shapes (n_xtil,) and (n_r,).
+    """
+    n_x = aug.n_x
+    u_nn = evaluate(nn, xtil[:n_x], r)
+    u = aug.k_xi @ xtil[n_x:] + u_nn
     return u, aug.Atil @ xtil + aug.Btil @ u_nn + aug.Br @ r
+
+
+def _check_dims(aug: AugmentedPlant, nn: FeedForwardNN, xtil) -> None:
+    if (nn.n_x, nn.n_r, nn.n_u) != (aug.n_x, aug.n_r, aug.k_xi.shape[0]):
+        raise DimensionMismatch("network and plant dimensions disagree")
+    if xtil.shape != (aug.n_xtil,):
+        raise DimensionMismatch(f"xtil must have shape ({aug.n_xtil},)")
 
 
 def step(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r) -> np.ndarray:
     """One transition xtil+ = Atil xtil + Btil kappa(x, r) + Br r."""
+    xtil = np.asarray(xtil, dtype=float)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    _check_dims(aug, nn, xtil)
+    if r.shape != (aug.n_r,):
+        raise DimensionMismatch(f"r must have shape ({aug.n_r},)")
     return _transition(aug, nn, xtil, r)[1]
+
+
+def _parse_schedule(schedule, n_r: int):
+    """Segment starts (S,) and references (S, n_r) of a reference schedule.
+
+    A schedule is either a constant reference (scalar or vector) or a
+    non-empty list of [k_start, r] pairs whose integer k_start >= 0 increase
+    strictly.  A reference with one entry is broadcast to n_r; every entry
+    must be finite.  Raises BadSchedule (a ValueError) naming the problem.
+    """
+    if isinstance(schedule, (list, tuple)) and not schedule:
+        raise BadSchedule("reference schedule is empty")
+    constant = not (isinstance(schedule, (list, tuple))
+                    and isinstance(schedule[0], (list, tuple)))
+    pairs = [(0, schedule)] if constant else schedule
+    starts, refs = [], []
+    for i, pair in enumerate(pairs):
+        where = "reference schedule" if constant else \
+            f"reference schedule entry {i}"
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise BadSchedule(f"{where} must be a [k_start, r] pair, got {pair!r}")
+        k_start, r = pair
+        if isinstance(k_start, bool) or not isinstance(k_start, numbers.Integral):
+            raise BadSchedule(f"{where}: k_start must be an integer, got {k_start!r}")
+        if k_start < 0:
+            raise BadSchedule(f"{where}: k_start must be >= 0, got {k_start}")
+        if starts and k_start <= starts[-1]:
+            raise BadSchedule(f"{where}: k_start must increase, got {k_start} "
+                              f"after {starts[-1]}")
+        try:
+            r = np.atleast_1d(np.asarray(r, dtype=float))
+        except (TypeError, ValueError):
+            raise BadSchedule(f"{where}: reference {r!r} is not numeric") from None
+        if r.ndim != 1 or r.shape[0] not in (1, n_r):
+            raise BadSchedule(f"{where}: reference must have {n_r} entries, "
+                              f"got shape {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise BadSchedule(f"{where}: reference entries must be finite")
+        starts.append(int(k_start))
+        refs.append(np.broadcast_to(r, (n_r,)))
+    return np.array(starts), np.array(refs)
+
+
+def _segments(starts: np.ndarray, k) -> np.ndarray:
+    """Index of the segment in force at step(s) k; the first segment also
+    covers the steps before its start."""
+    return np.maximum(np.searchsorted(starts, k, side="right") - 1, 0)
 
 
 def schedule_at(schedule, k: int, n_r: int) -> np.ndarray:
     """Evaluate a piecewise-constant reference schedule at step k.
 
     A schedule is either a constant reference vector/scalar or a list of
-    (k_start, r) pairs sorted by k_start.
+    (k_start, r) pairs with strictly increasing k_start; a malformed one
+    raises BadSchedule, a ValueError.
     """
-    if isinstance(schedule, (list, tuple)) and schedule and \
-            isinstance(schedule[0], (list, tuple)):
-        current = np.atleast_1d(np.asarray(schedule[0][1], dtype=float))
-        for k_start, r in schedule:
-            if k >= k_start:
-                current = np.atleast_1d(np.asarray(r, dtype=float))
-            else:
-                break
-        return np.broadcast_to(current, (n_r,)).astype(float)
-    return np.broadcast_to(np.atleast_1d(np.asarray(schedule, dtype=float)),
-                           (n_r,)).astype(float)
+    starts, refs = _parse_schedule(schedule, n_r)
+    return refs[_segments(starts, k)]
 
 
-def _run(aug, nn, xtil0, T, ref_at, conv_tol):
-    n_r = aug.n_r
-    states = [np.asarray(xtil0, dtype=float)]
-    inputs, outputs, applied, desired = [], [], [], []
-    diverged = False
-    xtil = states[0]
+def _schedule_array(schedule, T: int, n_r: int) -> np.ndarray:
+    """The (T, n_r) references of steps 0..T-1."""
+    starts, refs = _parse_schedule(schedule, n_r)
+    return refs[_segments(starts, np.arange(T))]
+
+
+def _run(aug, nn, xtil0, desired, governor, conv_tol):
+    """The closed loop under the (T, n_r) desired references.
+
+    ``governor(xtil, r)`` gives the reference applied at a state, or is None
+    for a run that applies the desired references unchanged.
+    """
+    T = desired.shape[0]
+    xtil = np.asarray(xtil0, dtype=float)
+    _check_dims(aug, nn, xtil)
+    states = np.empty((T + 1, aug.n_xtil))
+    inputs = np.empty((T, aug.k_xi.shape[0]))
+    applied = desired if governor is None else np.empty_like(desired)
+    states[0] = xtil
+    n_done, diverged = T, False
     for k in range(T):
-        r_des, r_app = ref_at(k, xtil)
-        outputs.append(aug.Ctil @ xtil)
-        u, xtil = _transition(aug, nn, xtil, r_app)
-        inputs.append(u)
-        applied.append(r_app)
-        desired.append(r_des)
-        states.append(xtil)
-        if np.linalg.norm(xtil) > DIVERGENCE_NORM:
-            diverged = True
+        r = desired[k] if governor is None else governor(xtil, desired[k])
+        u, xtil = _transition(aug, nn, xtil, r)
+        inputs[k] = u
+        states[k + 1] = xtil
+        if governor is not None:
+            applied[k] = r
+        # sqrt(x . x) is the value np.linalg.norm returns for a vector
+        if math.sqrt(xtil.dot(xtil)) > DIVERGENCE_NORM:
+            n_done, diverged = k + 1, True
             break
-    outputs.append(aug.Ctil @ states[-1])
-    errs = [np.linalg.norm(y - r) for y, r in zip(outputs[:-1], applied)]
-    n_done = len(inputs)
+    states = states[: n_done + 1]
+    applied = applied[:n_done]
+    outputs = states @ aug.Ctil.T
+    tail = slice(n_done - CONVERGENCE_WINDOW, n_done)
     converged = (
         not diverged
         and n_done >= CONVERGENCE_WINDOW
-        and all(e < conv_tol for e in errs[-CONVERGENCE_WINDOW:])
+        and bool(np.all(np.linalg.norm(outputs[tail] - applied[tail], axis=1)
+                        < conv_tol))
     )
     return Trajectory(
-        states=np.array(states),
-        inputs=np.array(inputs).reshape(n_done, -1),
-        outputs=np.array(outputs).reshape(n_done + 1, n_r),
-        applied_refs=np.array(applied).reshape(n_done, n_r),
-        desired_refs=np.array(desired).reshape(n_done, n_r),
-        converged=bool(converged),
+        states=states,
+        inputs=inputs[:n_done],
+        outputs=outputs,
+        applied_refs=applied,
+        desired_refs=desired[:n_done],
+        converged=converged,
         diverged=diverged,
     )
 
@@ -142,13 +223,8 @@ def simulate(aug: AugmentedPlant, nn: FeedForwardNN, xtil0, ref_schedule,
     """
     if T < 1:
         raise ValueError("T must be at least 1")
-    n_r = aug.n_r
-
-    def ref_at(k, _xtil):
-        r = schedule_at(ref_schedule, k, n_r)
-        return r, r
-
-    return _run(aug, nn, xtil0, T, ref_at, conv_tol)
+    return _run(aug, nn, xtil0, _schedule_array(ref_schedule, T, aug.n_r),
+                None, conv_tol)
 
 
 def _closest_feasible_1d(grid, mask, feasible, target: float, iters: int):
@@ -170,6 +246,10 @@ def _closest_feasible_1d(grid, mask, feasible, target: float, iters: int):
     a, b = p, goal
     for _ in range(iters):
         mid = 0.5 * (a + b)
+        # Once the midpoint is an end of the bracket, no later iteration can
+        # change a: a only takes feasible midpoints, b was tested infeasible.
+        if mid == a or mid == b:
+            break
         if feasible(mid):
             a = mid
         else:
@@ -193,11 +273,9 @@ def govern(J: JointEllipsoid, xtil, r_desired, cfg: GovernorConfig | None = None
         return r_desired
 
     if J.n_r == 1:
-        lo, hi = admissible_references(J).interval
-        grid = np.linspace(lo, hi, cfg.grid_points)
-        mask = J.joint_quad_many(xtil, grid[:, None]) <= 1.0
+        grid, quads = J.grid_quads(xtil, cfg.grid_points)
         rhat = _closest_feasible_1d(
-            grid, mask, lambda r: g(np.array([r])) <= 1.0,
+            grid, quads <= 1.0, lambda r: g(np.array([r])) <= 1.0,
             float(r_desired[0]), cfg.refine_iters)
         if rhat is None:
             raise GovernorInfeasible("state lies outside every reference slice")
@@ -280,13 +358,8 @@ def simulate_with_governor(aug: AugmentedPlant, nn: FeedForwardNN,
     if T < 1:
         raise ValueError("T must be at least 1")
     cfg = cfg or GovernorConfig()
-    n_r = aug.n_r
-
-    def ref_at(k, xtil):
-        r_des = schedule_at(r_desired, k, n_r)
-        return r_des, govern(J, xtil, r_des, cfg)
-
-    return _run(aug, nn, xtil0, T, ref_at, conv_tol)
+    return _run(aug, nn, xtil0, _schedule_array(r_desired, T, aug.n_r),
+                lambda xtil, r: govern(J, xtil, r, cfg), conv_tol)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -299,12 +372,9 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
               + [f"u_{i + 1}" for i in range(n_u)]
               + [f"y_{i + 1}" for i in range(n_r)]
               + [f"rhat_{i + 1}" for i in range(n_r)])
+    table = np.hstack([traj.states[:-1], traj.inputs, traj.outputs[:-1],
+                       traj.applied_refs]).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(traj.steps):
-            row = ([k] + [repr(float(v)) for v in traj.states[k]]
-                   + [repr(float(v)) for v in traj.inputs[k]]
-                   + [repr(float(v)) for v in traj.outputs[k]]
-                   + [repr(float(v)) for v in traj.applied_refs[k]])
-            writer.writerow(row)
+        writer.writerows([k, *map(repr, row)] for k, row in enumerate(table))

@@ -31,3 +31,11 @@ class StarOutsideBox(NNLoopError):
 
 class GovernorInfeasible(NNLoopError):
     """No admissible surrogate reference exists for the current state."""
+
+
+class BadSchedule(NNLoopError, ValueError):
+    """A reference schedule is empty or malformed."""
+
+
+class UnattainableTolerance(NNLoopError):
+    """A solver tolerance lies below what double precision can reach."""

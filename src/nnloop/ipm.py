@@ -43,9 +43,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
+from .errors import UnattainableTolerance
+
 _STEP = 0.99      # fraction of the step to the cone boundary
 _EXPON = 3        # Mehrotra centering exponent: sigma = (1 - alpha_aff)^3
 _STALL = 1e-8     # a step shorter than this makes no progress
+# Below this the interior shift tol lies under the residuals that iterates in
+# double precision reach (about 1e-11 on the pendulum problems), so no iterate
+# can pass both the tolerances and the Cholesky test.
+MIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,10 @@ def _max_step(lam: np.ndarray, D: np.ndarray) -> float:
 
 def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
     """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
+    if tol < MIN_TOL:
+        raise UnattainableTolerance(
+            f"tol below {MIN_TOL:g} is not attainable in double precision "
+            f"(got {tol:g})")
     c = np.asarray(c, dtype=float)
     m = c.shape[0]
     G0 = [blk.G0 - tol * np.eye(blk.order) for blk in blocks]

@@ -170,6 +170,19 @@ def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
     return LayerTrace(w0=w0, v=tuple(vs), w=tuple(ws), u=u)
 
 
+def evaluate(nn: FeedForwardNN, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Control output kappa(x, r) without a trace.
+
+    The arithmetic is that of :func:`forward` step for step, so the result is
+    bit-identical to ``forward(nn, x, r).u``.  Nothing is checked or
+    converted: x and r must be float arrays of shapes (n_x,) and (n_r,).
+    """
+    w = nn.Hx0 @ x + nn.Hr0 @ r
+    for W, b in nn.layers:
+        w = nn.activation(W @ w + b)
+    return nn.Wl @ w + nn.bl
+
+
 def steady_forward(nn: FeedForwardNN, x_star, r) -> LayerTrace:
     """Stationary trace (v_*, w_*): a forward pass at the steady state."""
     return forward(nn, x_star, r)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -83,6 +83,10 @@ class JointEllipsoid:
     r_nom: np.ndarray
     xtil_star: Callable
     xtil_star_batch: Callable | None = None
+    # n_points -> (refs, centers, ref_quads) of grid_quads; the set is
+    # immutable, so a grid built once stays valid.
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         P = _frozen(self.P)
@@ -113,14 +117,39 @@ class JointEllipsoid:
     def joint_quad_many(self, xtil, R) -> np.ndarray:
         """Joint quadratic for one state against a stack of references (N, n_r)."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
+        return self._stacked_quad(xtil, self._centers(R), self._ref_quads(R))
+
+    def grid_quads(self, xtil, n_points: int) -> tuple:
+        """(refs, quads): n_points references evenly spaced over the
+        admissible interval (n_r = 1) and the joint quadratic of xtil at
+        each, equal to ``joint_quad_many(xtil, refs[:, None])``.
+
+        The references, their centers and reference terms are computed on the
+        first call for each n_points and kept, so later calls cost one
+        quadratic form per reference.
+        """
+        grid = self._grids.get(n_points)
+        if grid is None:
+            lo, hi = admissible_references(self).interval
+            refs = np.linspace(lo, hi, n_points)
+            R = refs[:, None]
+            grid = (refs, self._centers(R), self._ref_quads(R))
+            self._grids[n_points] = grid
+        refs, centers, ref_quads = grid
+        return refs, self._stacked_quad(xtil, centers, ref_quads)
+
+    def _centers(self, R) -> np.ndarray:
         if self.xtil_star_batch is not None:
-            centers = self.xtil_star_batch(R)
-        else:
-            centers = np.array([self.xtil_star(r) for r in R])
-        E = np.asarray(xtil, dtype=float)[None, :] - centers
+            return self.xtil_star_batch(R)
+        return np.array([self.xtil_star(r) for r in R])
+
+    def _ref_quads(self, R) -> np.ndarray:
         dr = R - self.r_nom[None, :]
-        return np.einsum("ni,ij,nj->n", E, self.P, E) + \
-            np.einsum("ni,ij,nj->n", dr, self.Q, dr)
+        return np.einsum("ni,ij,nj->n", dr, self.Q, dr)
+
+    def _stacked_quad(self, xtil, centers, ref_quads) -> np.ndarray:
+        E = np.asarray(xtil, dtype=float)[None, :] - centers
+        return np.einsum("ni,ij,nj->n", E, self.P, E) + ref_quads
 
 
 def joint_contains(J: JointEllipsoid, xtil, r) -> Membership:
@@ -163,22 +192,22 @@ def admissible_references(J: JointEllipsoid) -> AdmissibleRefs:
 def joint_ellipsoid_for(plant, nn, k_xi, P, Q, r_nom) -> JointEllipsoid:
     """Joint set whose slice centers come from the true steady-state map.
 
-    The linear part of the map is solved once; per-reference evaluation then
-    costs one network pass, and reference stacks are evaluated in a single
-    batched pass.
+    The linear part of the map is solved and k_xi inverted once; per-reference
+    evaluation then costs one trace-free network pass, and reference stacks
+    are evaluated in a single batched pass.
     """
-    from .network import forward
+    from .network import evaluate
     from .plant import steady_state_map  # local import to avoid a module cycle
 
     ssmap = steady_state_map(plant)
     k_xi_mat = np.atleast_2d(np.asarray(k_xi, dtype=float))
+    k_xi_inv = np.linalg.inv(k_xi_mat)
     M, M_u = ssmap.M, ssmap.M_u
 
     def xtil_star(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         x_star = M @ r
-        u_nn = forward(nn, x_star, r).u
-        xi_star = np.linalg.solve(k_xi_mat, M_u @ r - u_nn)
+        xi_star = k_xi_inv @ (M_u @ r - evaluate(nn, x_star, r))
         return np.concatenate([x_star, xi_star])
 
     def xtil_star_batch(R):

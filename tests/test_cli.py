@@ -203,6 +203,7 @@ BAD_NUMERIC_INPUT = [
     (["verify", "--theorem", "global", "--tol", "nan"], "--tol"),
     (["verify", "--theorem", "global", "--tol=-1e-8"], "--tol"),
     (["verify", "--theorem", "global", "--tol", "0"], "--tol"),
+    (["verify", "--theorem", "global", "--tol", "1e-14"], "below 1e-12"),
     (["verify", "--theorem", "local-fixed", "--d", "0.345", "--r", "nan"], "finite"),
     (["bounds", "--d", "0.345", "--r", "nan"], "finite"),
     (["simulate", "--r", "0", "--steps", "0"], "--steps"),
@@ -223,6 +224,32 @@ def test_bad_numeric_input_exit_three(tmp_path, capsys, range_report, argv, mess
                                 "--nn", example_nn_path(), "--out", str(tmp_path)])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+BAD_REF_SCHEDULES = [
+    ('{"a": 1}', "not numeric"),
+    ("[[0]]", "pair"),
+    ("[]", "empty"),
+    ('[[0, "x"]]', "not numeric"),
+    ("[[0, [0.1, 0.2]]]", "1 entries"),
+    ("[[5, 0.1], [0, 0.2]]", "increase"),
+    ("[[-2, 0.1]]", ">= 0"),
+    ("[[1.5, 0.1]]", "integer"),
+    ("[[0, NaN]]", "finite"),
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_REF_SCHEDULES,
+                         ids=[text for text, _ in BAD_REF_SCHEDULES])
+def test_bad_ref_schedule_exit_three(tmp_path, capsys, text, message):
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(text)
+    code = main(["simulate", "--pendulum", PENDULUM_FLAG,
+                 "--nn", example_nn_path(), "--ref-schedule", str(sched_path),
+                 "--steps", "20", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "reference schedule" in err and message in err
 
 
 def test_simulate_requires_reference(tmp_path):

@@ -252,3 +252,172 @@ def test_governor_config_validation():
         nl.GovernorConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         nl.GovernorConfig(mode="hybrid")
+
+
+# ---------------------------------------------------------------- exact oracle
+#
+# The loop as first written: a traced forward pass per step, the schedule
+# looked up at every step, and a governor that rebuilds its grid and always
+# bisects refine_iters times.  The lean loop must reproduce it bit for bit.
+
+def _full_bisection(grid, mask, feasible, target, iters):
+    cand = grid[mask]
+    dist = np.abs(cand - target)
+    p = float(np.min(cand[dist == float(np.min(dist))]))
+    goal = float(np.clip(target, grid[0], grid[-1]))
+    if feasible(goal) and abs(goal - target) <= abs(p - target):
+        return goal
+    a, b = p, goal
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        if feasible(mid):
+            a = mid
+        else:
+            b = mid
+    return a
+
+
+def _reference_govern(J, xtil, r_des):
+    cfg = nl.GovernorConfig()
+    if J.joint_quad(xtil, r_des) <= 1.0 + cfg.tolerance:
+        return r_des
+    lo, hi = nl.admissible_references(J).interval
+    grid = np.linspace(lo, hi, cfg.grid_points)
+    mask = J.joint_quad_many(xtil, grid[:, None]) <= 1.0
+    assert mask.any()
+    return np.array([_full_bisection(
+        grid, mask, lambda r: J.joint_quad(xtil, np.array([r])) <= 1.0,
+        float(r_des[0]), cfg.refine_iters)])
+
+
+def _reference_run(aug, nn, xtil0, schedule, T, J=None, conv_tol=1e-6):
+    xtil = np.asarray(xtil0, dtype=float)
+    states, inputs, outputs, applied, desired = [xtil], [], [], [], []
+    diverged = False
+    for k in range(T):
+        r_des = cl.schedule_at(schedule, k, aug.n_r)
+        r = r_des if J is None else _reference_govern(J, xtil, r_des)
+        outputs.append(aug.Ctil @ xtil)
+        u_nn = nl.forward(nn, xtil[:aug.n_x], r).u
+        inputs.append(aug.k_xi @ xtil[aug.n_x:] + u_nn)
+        xtil = aug.Atil @ xtil + aug.Btil @ u_nn + aug.Br @ r
+        states.append(xtil)
+        applied.append(r)
+        desired.append(r_des)
+        if np.linalg.norm(xtil) > cl.DIVERGENCE_NORM:
+            diverged = True
+            break
+    outputs.append(aug.Ctil @ xtil)
+    errs = [np.linalg.norm(y - r) for y, r in zip(outputs[:-1], applied)]
+    converged = (not diverged and len(inputs) >= cl.CONVERGENCE_WINDOW
+                 and all(e < conv_tol for e in errs[-cl.CONVERGENCE_WINDOW:]))
+    return (np.array(states), np.array(inputs), np.array(outputs),
+            np.array(applied), np.array(desired), converged, diverged)
+
+
+def _assert_same_run(traj, ref):
+    states, inputs, outputs, applied, desired, converged, diverged = ref
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.inputs, inputs)
+    assert np.array_equal(traj.outputs, outputs)
+    assert np.array_equal(traj.applied_refs, applied)
+    assert np.array_equal(traj.desired_refs, desired)
+    assert (traj.converged, traj.diverged) == (converged, diverged)
+
+
+def test_simulate_matches_reference_loop(pendulum, pendulum_aug):
+    _plant, nn, _k = pendulum
+    sched = [(0, 0.05), (200, -0.1)]
+    x0 = np.array([0.1, 0.0, 0.0])
+    traj = nl.simulate(pendulum_aug, nn, x0, sched, 400)
+    _assert_same_run(traj, _reference_run(pendulum_aug, nn, x0, sched, 400))
+    assert traj.converged
+
+
+def test_governed_simulation_matches_reference_loop(pendulum, pendulum_aug,
+                                                    joint_set):
+    _plant, nn, _k = pendulum
+    sched = [[0, -1.0], [1500, 0.1]]
+    traj = nl.simulate_with_governor(pendulum_aug, nn, joint_set, np.zeros(3),
+                                     sched, 1600)
+    _assert_same_run(traj, _reference_run(pendulum_aug, nn, np.zeros(3),
+                                          sched, 1600, J=joint_set))
+    assert traj.applied_refs[1499][0] != -1.0
+    assert traj.applied_refs[-1][0] == 0.1
+
+
+def test_diverging_run_matches_reference_loop(pendulum, pendulum_aug):
+    _plant, nn, _k = pendulum
+    traj = nl.simulate(pendulum_aug, nn, np.zeros(3), np.array([-3.0]), 30000)
+    ref = _reference_run(pendulum_aug, nn, np.zeros(3), np.array([-3.0]), 30000)
+    _assert_same_run(traj, ref)
+    assert traj.diverged and traj.steps == len(ref[1]) < 30000
+
+
+def test_grid_quads_match_joint_quad_many(joint_set):
+    lo, hi = nl.admissible_references(joint_set).interval
+    E0 = nl.slice_at(joint_set, np.zeros(1))
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        xt = E0.point_at(rng.normal(size=3), radius=rng.uniform(0.0, 1.5))
+        grid, quads = joint_set.grid_quads(xt, 256)
+        assert np.array_equal(grid, np.linspace(lo, hi, 256))
+        many = joint_set.joint_quad_many(xt, grid[:, None])
+        assert np.array_equal(quads, many)
+        assert np.array_equal(quads <= 1.0, many <= 1.0)
+        single = [joint_set.joint_quad(xt, np.array([g])) for g in grid]
+        assert np.allclose(quads, single, rtol=1e-12, atol=1e-12)
+
+
+def test_closest_feasible_early_stop_matches_full_bisection():
+    from nnloop.closed_loop import _closest_feasible_1d
+
+    rng = np.random.default_rng(12)
+    grid = np.linspace(-1.0, 1.0, 33)
+    for _ in range(200):
+        t = float(rng.uniform(-0.9, 0.9))
+        target = float(rng.uniform(-3.0, 3.0))
+        if rng.random() < 0.5:
+            def feasible(r, t=t):
+                return r <= t
+        else:
+            def feasible(r, t=t):
+                return r >= t
+        mask = np.array([feasible(g) for g in grid])
+        got = _closest_feasible_1d(grid, mask, feasible, target, iters=60)
+        want = _full_bisection(grid, mask, feasible, target, 60)
+        assert got == want
+
+    def wavy(r):  # not monotone between grid points
+        return np.sin(40.0 * r) > 0.3
+
+    mask = np.array([wavy(g) for g in grid])
+    for target in (-2.0, -0.37, 0.0, 0.51, 2.0):
+        got = _closest_feasible_1d(grid, mask, wavy, target, iters=60)
+        assert got == _full_bisection(grid, mask, wavy, target, 60)
+
+
+BAD_SCHEDULES = [
+    ({"a": 1}, "not numeric"),
+    ([[0]], "pair"),
+    ([], "empty"),
+    ([[0, "x"]], "not numeric"),
+    ([[0, [0.1, 0.2]]], "1 entries"),
+    ([[5, 0.1], [0, 0.2]], "increase"),
+    ([[0, 0.1], [0, 0.2]], "increase"),
+    ([[-1, 0.1]], ">= 0"),
+    ([[0.5, 0.1]], "integer"),
+    ([[0, float("nan")]], "finite"),
+    ([[0, 0.1], [3, float("inf")]], "finite"),
+]
+
+
+@pytest.mark.parametrize("schedule,message", BAD_SCHEDULES,
+                         ids=[repr(s) for s, _ in BAD_SCHEDULES])
+def test_bad_schedule_raises_value_error(pendulum, pendulum_aug, schedule,
+                                         message):
+    _plant, nn, _k = pendulum
+    with pytest.raises(ValueError, match=message):
+        nl.simulate(pendulum_aug, nn, np.zeros(3), schedule, 10)
+    with pytest.raises(ValueError, match=message):
+        cl.schedule_at(schedule, 0, 1)
