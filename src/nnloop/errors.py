@@ -22,7 +22,8 @@ class NonPositiveD(NNLoopError):
 
 
 class NonPositiveGamma(NNLoopError):
-    """The trace(Q) weight of the local-range objective is zero or negative."""
+    """The trace(Q) weight of the local-range objective is not a finite
+    positive number."""
 
 
 class StarOutsideBox(NNLoopError):

@@ -24,16 +24,19 @@ Each iteration computes the Nesterov-Todd scaling R_b with
 R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
 H_ij = sum_b <Ghat_{b,i}, Ghat_{b,j}> of the scaled coefficients
 Ghat = R^-1 G R^-T, factors it once, and solves the Mehrotra predictor and
-corrector with that factor (the tau column costs one extra back-solve).
+corrector with that factor (the tau column costs one extra back-solve).  As
+in SDPT3 and ``conelp``, the blocks are grouped by order at entry: R, R^-1,
+lambda, S, Z, the residuals and Ghat are stacked (g, k, k) or (g, m, k, k)
+arrays, so each of these steps makes one numpy call per order, not per block.
 
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
 the returned y passes an independent eigenvalue check without a re-solve.
 The run stops at the first iterate that meets the tolerances and whose blocks,
 as given, pass a Cholesky factorization (for c = 0 any such iterate is
-optimal).  When the iterates stall short of the tolerances, the lowest-
-objective iterate that passed is returned instead of running on into a
-numerical breakdown.
+optimal).  When the iterates stall short of the tolerances, or a
+factorization fails or overflows, the lowest-objective iterate that passed
+is returned instead of running on into a numerical breakdown.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import UnattainableTolerance
 
@@ -71,7 +74,7 @@ class ConeBlock:
 class IPMResult:
     status: str              # "optimal" | "infeasible" | "stalled" | "max_iter"
     y: np.ndarray | None     # best iterate whose blocks pass Cholesky, if any
-    Z: list = field(default_factory=list)  # trace-normalized infeasibility ray
+    Z: list = field(default_factory=list)  # trace-normalized ray, one per block
     objective: float = np.nan
     rel_gap: float = np.nan
     pres: float = np.nan
@@ -79,39 +82,141 @@ class IPMResult:
     iterations: int = 0
 
 
-def _check_farkas(raw_blocks, X, tol):
-    m = raw_blocks[0].coeffs.shape[0] if raw_blocks else 0
-    resid = np.zeros(m)
-    viol = 0.0
-    for blk, Xb in zip(raw_blocks, X):
-        resid += blk.coeffs.reshape(m, -1) @ Xb.ravel()
-        viol += float(np.vdot(blk.G0, Xb))
-    col_scale = np.array([
-        1.0 + max(float(np.max(np.abs(blk.coeffs[i]))) for blk in raw_blocks)
-        for i in range(m)
-    ])
-    res_rel = float(np.max(np.abs(resid) / col_scale)) if m else 0.0
-    g0_scale = 1.0 + max(float(np.max(np.abs(blk.G0))) for blk in raw_blocks)
+class _Group:
+    """The caller's blocks of one order k, stacked: G0 (g, k, k), coefficients
+    C (g, m, k, k) and their flattening F (m, g k k) with F @ X.ravel() =
+    (sum_b <C_{b,i}, X_b>)_i for a stack X."""
+
+    def __init__(self, blocks, pos):
+        self.pos = pos
+        self.G0 = np.stack([blocks[i].G0 for i in pos])
+        self.C = np.stack([blocks[i].coeffs for i in pos])
+        self.F = self.C.transpose(1, 0, 2, 3).reshape(self.C.shape[1], -1)
+
+
+def _group(blocks):
+    """Blocks grouped by order, in order of first appearance."""
+    return [_Group(blocks, [i for i, blk in enumerate(blocks) if blk.order == k])
+            for k in dict.fromkeys(blk.order for blk in blocks)]
+
+
+def _unstack(groups, Xs):
+    """One matrix per block of the stacks Xs, in the caller's block order."""
+    by_pos = {i: Xb for grp, Xg in zip(groups, Xs) for i, Xb in zip(grp.pos, Xg)}
+    return [by_pos[i] for i in range(len(by_pos))]
+
+
+def _farkas_scales(groups):
+    """Per-variable column scales and the G0 scale of the Farkas test."""
+    col = np.max([np.abs(grp.F).max(axis=1) for grp in groups], axis=0)
+    return 1.0 + col, 1.0 + max(float(np.max(np.abs(grp.G0))) for grp in groups)
+
+
+def _farkas_test(groups, scales, Xs, tol):
+    """Relative equality residual and <G0, X> of the stacked X, and whether
+    they pass as a Farkas certificate at tolerance tol."""
+    col_scale, g0_scale = scales
+    resid = sum(grp.F @ Xg.ravel() for grp, Xg in zip(groups, Xs))
+    viol = sum(float(np.vdot(grp.G0, Xg)) for grp, Xg in zip(groups, Xs))
+    res_rel = float(np.max(np.abs(resid) / col_scale)) if col_scale.size else 0.0
     eq_tol = max(1e3 * tol, 1e-6)
-    if res_rel <= eq_tol and viol <= eq_tol * g0_scale:
+    return res_rel, viol, res_rel <= eq_tol and viol <= eq_tol * g0_scale
+
+
+def _check_farkas(raw_blocks, X, tol):
+    """Farkas test of X, one matrix per block: its residuals if it passes."""
+    groups = _group(raw_blocks)
+    Xs = [np.stack([X[i] for i in grp.pos]) for grp in groups]
+    res_rel, viol, ok = _farkas_test(groups, _farkas_scales(groups), Xs, tol)
+    if ok:
         return {"X": X, "equality_residual": res_rel, "violation": viol}
     return None
 
 
-def _positive_definite(blocks, y) -> bool:
-    for blk in blocks:
-        try:
-            np.linalg.cholesky(blk.G0 + np.tensordot(y, blk.coeffs, axes=1))
-        except np.linalg.LinAlgError:
-            return False
-    return True
+def _positive_definite(groups, y) -> bool:
+    try:
+        for grp in groups:
+            np.linalg.cholesky(grp.G0 + (y @ grp.F).reshape(grp.G0.shape))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(y)))  # Cholesky passes NaN through
 
 
-def _max_step(lam: np.ndarray, D: np.ndarray) -> float:
-    """Largest a with diag(lam) + a D PSD."""
-    r = 1.0 / np.sqrt(lam)
-    w = np.linalg.eigvalsh(D * np.outer(r, r))[0]
-    return np.inf if w >= 0.0 else -1.0 / w
+def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
+    """Mehrotra predictor-corrector step from the NT-scaled point: the new R,
+    Rinv, lam and dy, dtau, dkappa, alpha, or None if the step is too short."""
+    # Schur matrix of the NT-scaled coefficients Ghat = R^-1 G R^-T, factored
+    # once; each group's Ghat is flattened to (m, g k k) like its F.
+    Gh = [np.matmul(np.matmul(Ri[:, None], grp.C), Ri.swapaxes(1, 2)[:, None])
+          .transpose(1, 0, 2, 3).reshape(len(c), -1) for Ri, grp in zip(Rinv, groups)]
+    G0h = [(Ri @ Gg @ Ri.swapaxes(1, 2)).ravel() for Ri, Gg in zip(Rinv, G0)]
+    rzh = [(Ri @ r @ Ri.swapaxes(1, 2)).ravel() for Ri, r in zip(Rinv, rz)]
+    H = sum(G @ G.T for G in Gh)
+    g = sum(G @ G0g for G, G0g in zip(Gh, G0h))
+    g00 = sum(float(G0g @ G0g) for G0g in G0h)
+    fac = cho_factor(H, lower=True)
+    q = cho_solve(fac, c + g)
+    denom = float((c - g) @ q) + g00 + kappa / tau
+
+    def direction(eta, rc, rtk):
+        """Newton direction for residual reduction eta and scaled
+        complementarity right-hand sides rc (blocks) and rtk (tau kappa)."""
+        t = [rcg.ravel() + eta * r for rcg, r in zip(rc, rzh)]
+        f = sum(G @ tg for G, tg in zip(Gh, t)) + eta * rx
+        h = -eta * rt - rtk / tau - sum(float(G0g @ tg) for G0g, tg in zip(G0h, t))
+        p = cho_solve(fac, f)
+        dtau = (float((c - g) @ p) - h) / denom
+        dy = p - q * dtau
+        dz = [(tg - G0g * dtau - dy @ G).reshape(rcg.shape)
+              for tg, G0g, G, rcg in zip(t, G0h, Gh, rc)]
+        dz = [0.5 * (D + D.swapaxes(1, 2)) for D in dz]
+        ds = [rcg - D for rcg, D in zip(rc, dz)]
+        dkappa = (rtk - kappa * dtau) / tau
+        return dy, ds, dz, dtau, dkappa
+
+    # diag(lam) + a D stays PSD up to a = -1 / min eig(D / sqrt(lam lam')).
+    scale = [np.sqrt(lg[:, :, None] * lg[:, None, :]) for lg in lam]
+
+    def step_length(d):
+        """Largest a keeping diag(lam) + a (ds, dz) PSD and tau, kappa >= 0."""
+        _, ds, dz, dtau, dkappa = d
+        w = min(np.linalg.eigvalsh(np.concatenate([dsg / sc, dzg / sc]))[:, 0].min()
+                for sc, dsg, dzg in zip(scale, ds, dz))
+        a = np.inf if w >= 0.0 else -1.0 / w
+        if dtau < 0.0:
+            a = min(a, -tau / dtau)
+        if dkappa < 0.0:
+            a = min(a, -kappa / dkappa)
+        return a
+
+    # Predictor (affine scaling), then the Mehrotra combined step.
+    diag = [eye * lg[:, None, :] for eye, lg in zip(eyes, lam)]
+    aff = direction(1.0, [-D for D in diag], -tau * kappa)
+    sigma = (1.0 - min(1.0, step_length(aff))) ** _EXPON
+    rc = []
+    for eye, lg, D, dsa, dza in zip(eyes, lam, diag, aff[1], aff[2]):
+        M = sigma * mu * eye - D * D - 0.5 * (dsa @ dza + dza @ dsa)
+        rc.append(2.0 * M / (lg[:, :, None] + lg[:, None, :]))
+    d = direction(1.0 - sigma, rc, sigma * mu - tau * kappa - aff[3] * aff[4])
+    alpha = min(1.0, _STEP * step_length(d))
+    if alpha < _STALL:
+        return None
+
+    # NT update, as in conelp: with L1 L1' = diag(lam) + alpha ds,
+    # L2 L2' = diag(lam) + alpha dz and L2' L1 = U diag(lam_new) V', the new
+    # scalings are R L1 V diag(lam_new)^-1/2 and diag(lam_new)^-1/2 U' L2' R^-1,
+    # so the new S and Z follow from L1 and L2 alone.
+    dy, ds, dz, dtau, dkappa = d
+    R_new, Rinv_new, lam_new = [], [], []
+    for Rg, Ri, D, dsg, dzg in zip(R, Rinv, diag, ds, dz):
+        L = np.linalg.cholesky(np.concatenate([D + alpha * dsg, D + alpha * dzg]))
+        L1, L2 = L[:len(D)], L[len(D):]
+        U, lg, Vt = np.linalg.svd(L2.swapaxes(1, 2) @ L1)
+        root = np.sqrt(lg)
+        R_new.append((Rg @ L1 @ Vt.swapaxes(1, 2)) / root[:, None, :])
+        Rinv_new.append((U.swapaxes(1, 2) @ L2.swapaxes(1, 2) @ Ri) / root[:, :, None])
+        lam_new.append(lg)
+    return R_new, Rinv_new, lam_new, dy, dtau, dkappa, alpha
 
 
 def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
@@ -121,32 +226,33 @@ def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
             f"tol below {MIN_TOL:g} is not attainable in double precision "
             f"(got {tol:g})")
     c = np.asarray(c, dtype=float)
-    m = c.shape[0]
-    G0 = [blk.G0 - tol * np.eye(blk.order) for blk in blocks]
-    flats = [blk.coeffs.reshape(m, -1) for blk in blocks]
+    groups = _group(blocks)
+    shapes = [grp.G0.shape for grp in groups]
+    eyes = [np.eye(shape[1]) for shape in shapes]
+    G0 = [grp.G0 - tol * eye for grp, eye in zip(groups, eyes)]
+    farkas_scales = _farkas_scales(groups)
     nu = sum(blk.order for blk in blocks) + 1
     res_x0 = max(1.0, float(np.linalg.norm(c)))
     res_z0 = max(1.0, float(np.sqrt(sum(np.sum(G * G) for G in G0))))
     feasibility = not np.any(c)
 
-    y = np.zeros(m)
+    y = np.zeros(len(c))
     tau = kappa = 1.0
-    R = [np.eye(blk.order) for blk in blocks]
-    Rinv = [np.eye(blk.order) for blk in blocks]
-    lam = [np.ones(blk.order) for blk in blocks]
+    R = [np.broadcast_to(eye, shape).copy() for eye, shape in zip(eyes, shapes)]
+    Rinv = [Rg.copy() for Rg in R]
+    lam = [np.ones(shape[:2]) for shape in shapes]
     best = None      # IPMResult of the lowest-objective iterate passing Cholesky
     least_res = np.inf
     status = "max_iter"
 
     for it in range(max_iter + 1):
-        S = [(Rb * lb) @ Rb.T for Rb, lb in zip(R, lam)]
-        Z = [(Ri.T * lb) @ Ri for Ri, lb in zip(Rinv, lam)]
-        rx = sum(fl @ Zb.ravel() for fl, Zb in zip(flats, Z)) - c * tau
-        rz = [Sb - Gb * tau - np.tensordot(y, blk.coeffs, axes=1)
-              for Sb, Gb, blk in zip(S, G0, blocks)]
-        g0z = sum(float(np.vdot(Gb, Zb)) for Gb, Zb in zip(G0, Z))
-        rt = kappa + float(c @ y) + g0z
-        sz = sum(float(lb @ lb) for lb in lam)
+        S = [(Rg * lg[:, None, :]) @ Rg.swapaxes(1, 2) for Rg, lg in zip(R, lam)]
+        Z = [(Ri.swapaxes(1, 2) * lg[:, None, :]) @ Ri for Ri, lg in zip(Rinv, lam)]
+        rx = sum(grp.F @ Zg.ravel() for grp, Zg in zip(groups, Z)) - c * tau
+        rz = [Sg - Gg * tau - (y @ grp.F).reshape(Sg.shape)
+              for Sg, Gg, grp in zip(S, G0, groups)]
+        rt = kappa + float(c @ y) + sum(float(np.vdot(Gg, Zg)) for Gg, Zg in zip(G0, Z))
+        sz = sum(float(np.vdot(lg, lg)) for lg in lam)
         mu = (sz + tau * kappa) / nu
 
         p_res = float(np.sqrt(sum(np.sum(r * r) for r in rz))) / res_z0
@@ -155,7 +261,7 @@ def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
         obj = float(c @ y_hat)
         now = IPMResult("optimal", y_hat, [], obj, sz / tau**2 / max(1.0, abs(obj)),
                         p_res / tau, d_res / tau, it)
-        if _positive_definite(blocks, y_hat):
+        if _positive_definite(groups, y_hat):
             if feasibility or max(now.pres, now.dres, now.rel_gap) <= tol:
                 return now
             if best is None or now.objective <= best.objective:
@@ -163,95 +269,33 @@ def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
         # A ray is accepted once its equality residual is down to tol, the
         # accuracy asked of every other residual; the 1e3 slack of the check
         # is left for the caller undoing its per-block scaling.
-        if sum(float(np.vdot(blk.G0, Zb)) for blk, Zb in zip(blocks, Z)) < 0.0:
-            tr = sum(float(np.trace(Zb)) for Zb in Z)
-            ray = [Zb / tr for Zb in Z]
-            cert = _check_farkas(blocks, ray, tol)
-            if cert is not None and cert["equality_residual"] <= tol:
-                return IPMResult("infeasible", None, ray, now.objective,
-                                 now.rel_gap, now.pres, now.dres, it)
+        if sum(float(np.vdot(grp.G0, Zg)) for grp, Zg in zip(groups, Z)) < 0.0:
+            tr = sum(float(np.trace(Zg, axis1=1, axis2=2).sum()) for Zg in Z)
+            ray = [Zg / tr for Zg in Z]
+            res_rel, _, ok = _farkas_test(groups, farkas_scales, ray, tol)
+            if ok and res_rel <= tol:
+                return IPMResult("infeasible", None, _unstack(groups, ray),
+                                 now.objective, now.rel_gap, now.pres, now.dres, it)
         # Homogeneous residuals shrink by 1 - alpha * eta every step in exact
-        # arithmetic; a tenfold rise means rounding has taken over.
+        # arithmetic; a tenfold rise means rounding has taken over.  A rise
+        # that stays within tol is rounding noise the stopping test accepts.
         least_res = min(least_res, max(p_res, d_res))
-        if max(p_res, d_res) > 10.0 * least_res:
+        if max(p_res, d_res) > max(10.0 * least_res, tol):
             status = "stalled"
             break
         if it == max_iter:
             break
 
-        # Schur matrix of the NT-scaled coefficients, factored once.
-        Gh = [np.matmul(np.matmul(Ri[None], blk.coeffs), Ri.T[None]).reshape(m, -1)
-              for Ri, blk in zip(Rinv, blocks)]
-        G0h = [(Ri @ Gb @ Ri.T).ravel() for Ri, Gb in zip(Rinv, G0)]
-        rzh = [(Ri @ r @ Ri.T).ravel() for Ri, r in zip(Rinv, rz)]
-        H = sum(G @ G.T for G in Gh)
-        g = sum(G @ G0b for G, G0b in zip(Gh, G0h))
-        g00 = sum(float(G0b @ G0b) for G0b in G0h)
+        # A failed factorization or data overflowed to inf/nan is a stall.
         try:
-            fac = cho_factor(H, lower=True)
-        except LinAlgError:
+            step = _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa,
+                                rx, rz, rt, mu)
+        except (np.linalg.LinAlgError, ValueError):
+            step = None
+        if step is None:
             status = "stalled"
             break
-        q = cho_solve(fac, c + g)
-        denom = float((c - g) @ q) + g00 + kappa / tau
-
-        def direction(eta, rc, rtk):
-            """Newton direction for residual reduction eta and scaled
-            complementarity right-hand sides rc (blocks) and rtk (tau kappa)."""
-            t = [rcb.ravel() + eta * r for rcb, r in zip(rc, rzh)]
-            f = sum(G @ tb for G, tb in zip(Gh, t)) + eta * rx
-            h = -eta * rt - rtk / tau - sum(float(G0b @ tb) for G0b, tb in zip(G0h, t))
-            p = cho_solve(fac, f)
-            dtau = (float((c - g) @ p) - h) / denom
-            dy = p - q * dtau
-            dz = [(tb - G0b * dtau - dy @ G).reshape(lb.size, lb.size)
-                  for tb, G0b, G, lb in zip(t, G0h, Gh, lam)]
-            dz = [0.5 * (D + D.T) for D in dz]
-            ds = [rcb - D for rcb, D in zip(rc, dz)]
-            dkappa = (rtk - kappa * dtau) / tau
-            return dy, ds, dz, dtau, dkappa
-
-        def step_length(d):
-            _, ds, dz, dtau, dkappa = d
-            a = np.inf
-            for lb, dsb, dzb in zip(lam, ds, dz):
-                a = min(a, _max_step(lb, dsb), _max_step(lb, dzb))
-            if dtau < 0.0:
-                a = min(a, -tau / dtau)
-            if dkappa < 0.0:
-                a = min(a, -kappa / dkappa)
-            return a
-
-        # Predictor (affine scaling), then the Mehrotra combined step.
-        aff = direction(1.0, [-np.diag(lb) for lb in lam], -tau * kappa)
-        sigma = (1.0 - min(1.0, step_length(aff))) ** _EXPON
-        rc = []
-        for lb, dsa, dza in zip(lam, aff[1], aff[2]):
-            M = -np.diag(lb * lb) + sigma * mu * np.eye(lb.size) \
-                - 0.5 * (dsa @ dza + dza @ dsa)
-            rc.append(2.0 * M / np.add.outer(lb, lb))
-        d = direction(1.0 - sigma, rc,
-                      sigma * mu - tau * kappa - aff[3] * aff[4])
-        alpha = min(1.0, _STEP * step_length(d))
-        if alpha < _STALL:
-            status = "stalled"
-            break
-
-        dy, ds, dz, dtau, dkappa = d
-        try:
-            new = []
-            for Rb, Ri, lb, dsb, dzb in zip(R, Rinv, lam, ds, dz):
-                L1 = np.linalg.cholesky(np.diag(lb) + alpha * dsb)
-                L2 = np.linalg.cholesky(np.diag(lb) + alpha * dzb)
-                _, lnew, Vt = np.linalg.svd(L2.T @ L1)
-                root = np.sqrt(lnew)
-                new.append(((Rb @ L1 @ Vt.T) / root,
-                            (Vt @ solve_triangular(L1, Ri, lower=True))
-                            * root[:, None], lnew))
-        except np.linalg.LinAlgError:
-            status = "stalled"
-            break
-        R, Rinv, lam = (list(v) for v in zip(*new))
+        R, Rinv, lam, dy, dtau, dkappa, alpha = step
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa

@@ -371,10 +371,10 @@ def build_local_range(aug: AugmentedPlant, sel: Selectors,
     """Reference-range LMI: adds Q > 0 over the reference deviation and joint
     containment rows [d_j^2, [N0_1, S]_j; *, blkdiag(P, Q)] >= 0.
 
-    ``gamma`` weighs trace(Q) in the objective; it must be positive, since
-    otherwise the objective is unbounded below in Q."""
-    if not gamma > 0.0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
+    ``gamma`` weighs trace(Q) in the objective; it must be finite, and
+    positive, since otherwise the objective is unbounded below in Q."""
+    if not 0.0 < gamma < np.inf:
+        raise NonPositiveGamma(f"gamma must be finite and positive, got {gamma!r}")
     n_xtil = aug.n_xtil
     n_r = aug.n_r
     n = sel.N1lm1.shape[0]

@@ -95,7 +95,19 @@ def test_verify_local_range_nonpositive_gamma_exit_three(tmp_path, capsys, gamma
                  "--rnom", "0", "--d", str(PENDULUM_D), "--gamma", gamma,
                  "--out", str(tmp_path)])
     assert code == 3
-    assert "gamma must be positive" in capsys.readouterr().err
+    assert "gamma must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["1e160", "1e300"])
+def test_verify_overflowing_objective_is_not_infeasible(tmp_path, capsys, gamma):
+    # norm(c) overflows: the solver ends the run as stalled instead of letting
+    # a LinAlgError escape, which the shell would see as exit 1 (infeasible).
+    code = main(["verify", "--pendulum", PENDULUM_FLAG,
+                 "--nn", example_nn_path(), "--theorem", "local-range",
+                 "--rnom", "0", "--d", str(PENDULUM_D), "--gamma", gamma,
+                 "--out", str(tmp_path)])
+    assert code != 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_bounds_report_values(tmp_path):
@@ -205,6 +217,8 @@ BAD_NUMERIC_INPUT = [
     (["verify", "--theorem", "global", "--tol", "0"], "--tol"),
     (["verify", "--theorem", "global", "--tol", "1e-14"], "below 1e-12"),
     (["verify", "--theorem", "local-fixed", "--d", "0.345", "--r", "nan"], "finite"),
+    (["verify", "--theorem", "local-range", "--d", "0.345", "--gamma", "inf"],
+     "gamma must be finite and positive"),
     (["bounds", "--d", "0.345", "--r", "nan"], "finite"),
     (["simulate", "--r", "0", "--steps", "0"], "--steps"),
     (["simulate", "--r", "0", "--steps=-3"], "--steps"),

@@ -241,7 +241,7 @@ def test_objective_trace_weights(pendulum, pendulum_aug, d_ship):
     assert system.objective @ theta == pytest.approx(np.trace(Pm) + 2.5 * 1.7)
 
 
-@pytest.mark.parametrize("gamma", [-1.0, 0.0])
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, np.inf, np.nan])
 def test_local_range_rejects_nonpositive_gamma(pendulum, pendulum_aug, d_ship,
                                                gamma):
     plant, nn, k_xi = pendulum

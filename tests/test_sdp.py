@@ -6,7 +6,7 @@ import pytest
 
 import nnloop as nl
 from nnloop import sdp
-from nnloop.ipm import ConeBlock, solve_conic
+from nnloop.ipm import ConeBlock, _check_farkas, solve_conic
 from nnloop.lmi import LMIBlock, LMISystem, VarSpec, build_selectors
 
 
@@ -180,6 +180,80 @@ def test_ipm_simple_bound_problem():
     res = solve_conic([blk], np.ones(1), tol=1e-9)
     assert res.status == "optimal"
     assert res.y[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def _sym(rng, k):
+    A = rng.normal(size=(k, k))
+    return A + A.T
+
+
+def _bounded_blocks(rng, orders, m):
+    """Blocks I + sum_i y_i C_i with random symmetric C_i: y = 0 is strictly
+    feasible, and with c_i = sum_b tr C_{b,i} so is Z = I, so the minimum is
+    attained."""
+    return [ConeBlock(f"b{j}", np.eye(k), np.stack([_sym(rng, k) for _ in range(m)]))
+            for j, k in enumerate(orders)]
+
+
+def _block_diag(name, a, b):
+    ka, kb = a.order, b.order
+
+    def join(A, B):
+        return np.block([[A, np.zeros((ka, kb))], [np.zeros((kb, ka)), B]])
+
+    return ConeBlock(name, join(a.G0, b.G0),
+                     np.stack([join(A, B) for A, B in zip(a.coeffs, b.coeffs)]))
+
+
+def test_solve_conic_invariant_to_block_order_and_splitting():
+    # Blocks are stacked by order inside the solver; neither the order of the
+    # caller's list nor splitting a block-diagonal block into its diagonal
+    # blocks (same iterates in exact arithmetic) may change the run.
+    rng = np.random.default_rng(3)
+    m = 4
+    blocks = _bounded_blocks(rng, [3, 2, 3, 2, 4, 1], m)
+    c = sum(np.einsum("ijj->i", blk.coeffs) for blk in blocks)
+    ref = solve_conic(blocks, c)
+    assert ref.status == "optimal"
+
+    perm = [4, 1, 5, 3, 0, 2]
+    permuted = solve_conic([blocks[i] for i in perm], c)
+    joined = [blocks[0], blocks[1], _block_diag("d", blocks[2], blocks[3]),
+              blocks[4], blocks[5]]
+    merged = solve_conic(joined, c)
+    for res in (permuted, merged):
+        assert res.status == ref.status
+        assert res.iterations == ref.iterations
+        assert np.max(np.abs(res.y - ref.y)) <= 1e-9
+
+
+def test_solve_conic_ray_in_caller_order(pendulum, pendulum_aug):
+    plant, nn, k_xi = pendulum
+    sel = build_selectors(nn, pendulum_aug.n_xtil)
+    system = nl.build_global(pendulum_aug, sel, nn.activation.alpha,
+                             nn.activation.beta)
+    blocks, _ = sdp._solver_blocks(system)
+    c = np.zeros(system.n_scalars)
+    tol = 1e-8
+
+    def ray(given):
+        res = solve_conic(given, c, tol=tol)
+        assert res.status == "infeasible"
+        assert [Zb.shape for Zb in res.Z] == [(blk.order,) * 2 for blk in given]
+        cert = _check_farkas(given, res.Z, tol)
+        assert cert is not None
+        assert cert["equality_residual"] <= tol
+        return res
+
+    ref = ray(blocks)
+    for perm in ([2, 0, 1], [1, 2, 0]):
+        res = ray([blocks[i] for i in perm])
+        assert res.iterations == ref.iterations
+        for Zb, i in zip(res.Z, perm):
+            assert np.max(np.abs(Zb - ref.Z[i])) <= 1e-9
+    # A repeated order-3 block after the order-10 one interleaves the order
+    # groups, so the stacked ray must be put back into the caller's order.
+    ray(blocks + [blocks[1]])
 
 
 def test_desk_scale_capability():
