@@ -127,8 +127,7 @@ def _local_sector_pipeline(plant, nn, k_xi, r_anchor, d):
 
 
 def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
-               gamma: float = 1.0, options: sdp.SolveOptions | None = None,
-               minimize_trace: bool = True) -> dict:
+               gamma: float = 1.0, options: sdp.SolveOptions | None = None) -> dict:
     """Full verification pipeline; returns a JSON-ready report dict."""
     t_start = time.perf_counter()
     options = options or sdp.SolveOptions()
@@ -154,7 +153,7 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
             raise NonPositiveD("local theorems require a box half-width d")
         anchor = np.zeros(plant.n_r) if r is None else np.atleast_1d(r).astype(float)
         _, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
-        system = lmi.build_local_fixed(aug, sel, secs, d, minimize_trace=minimize_trace)
+        system = lmi.build_local_fixed(aug, sel, secs, d)
         report["r"] = anchor.tolist()
     elif theorem == "local-range":
         if d is None:
@@ -230,14 +229,36 @@ def cmd_verify(args) -> int:
     return _STATUS_EXIT[report["status"]]
 
 
+def _report_array(report: dict, key: str, shape: tuple) -> np.ndarray:
+    """Field ``key`` of a verification report as a finite array of ``shape``."""
+    try:
+        arr = np.array(report[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"report {key} is not numeric") from exc
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise CliError(f"report {key} must be finite with shape {shape}, "
+                       f"got shape {arr.shape}")
+    return arr
+
+
+def _report_matrix(report: dict, key: str, n: int) -> np.ndarray:
+    """Matrix ``key`` of a verification report, checked to be a symmetric
+    positive definite n x n matrix (an inaccurate run's P need not be)."""
+    mat = _report_array(report, key, (n, n))
+    if not (np.max(np.abs(mat - mat.T)) <= 1e-10 * (1.0 + np.max(np.abs(mat)))
+            and np.linalg.eigvalsh(mat)[0] > 0.0):
+        raise CliError(f"report {key} is not symmetric positive definite")
+    return mat
+
+
 def _joint_from_report(report: dict, plant, nn, k_xi):
     if report.get("Q") is None or report.get("P") is None:
         raise CliError("report does not contain a local-range (P, Q) pair")
-    r_nom = np.array(report["r_nom"], dtype=float)
+    r_nom = _report_array(report, "r_nom", (plant.n_r,))
     return roa.joint_ellipsoid_for(
         plant, nn, k_xi,
-        np.array(report["P"], dtype=float),
-        np.array(report["Q"], dtype=float),
+        _report_matrix(report, "P", plant.n_x + plant.n_r),
+        _report_matrix(report, "Q", plant.n_r),
         r_nom,
     )
 
@@ -335,7 +356,7 @@ def cmd_roa_plot(args) -> int:
         report = json.load(fh)
     if report.get("P") is None:
         raise CliError("report has no P matrix (was the run feasible?)")
-    P = np.array(report["P"], dtype=float)
+    P = _report_matrix(report, "P", plant.n_x + plant.n_r)
     dims = _parse_dims(args.dims, P.shape[0])
     curves = []
     if report.get("Q") is not None:
@@ -348,7 +369,8 @@ def cmd_roa_plot(args) -> int:
             if E is not None and E.level > 0.0:
                 curves.append((roa.boundary_polyline(E, dims), "#c62828"))
     else:
-        anchor = np.array(report.get("r") or [0.0] * plant.n_r, dtype=float)
+        anchor = (_report_array(report, "r", (plant.n_r,)) if report.get("r")
+                  else np.zeros(plant.n_r))
         ss = steady_state(plant, nn, k_xi, anchor)
         E = roa.Ellipsoid(center=ss.xtil_star, shape=P)
         curves.append((roa.boundary_polyline(E, dims), "#1565c0"))

@@ -63,7 +63,6 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class GovernorConfig:
-    mode: str = "full"              # "full" | "output-error"
     tolerance: float = 1e-9
     grid_points: int = 256
     refine_iters: int = 60
@@ -72,8 +71,6 @@ class GovernorConfig:
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
-        if self.mode not in ("full", "output-error"):
-            raise ValueError("mode must be 'full' or 'output-error'")
 
 
 def _transition(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r):
@@ -263,9 +260,6 @@ def govern(J: JointEllipsoid, xtil, r_desired, cfg: GovernorConfig | None = None
     xtil = np.asarray(xtil, dtype=float)
     r_desired = np.atleast_1d(np.asarray(r_desired, dtype=float))
 
-    if cfg.mode == "output-error":
-        return _govern_output_error(J, xtil, r_desired, cfg)
-
     def g(r):
         return J.joint_quad(xtil, r)
 
@@ -281,42 +275,6 @@ def govern(J: JointEllipsoid, xtil, r_desired, cfg: GovernorConfig | None = None
             raise GovernorInfeasible("state lies outside every reference slice")
         return np.array([rhat])
     return _govern_descent(J, xtil, r_desired, cfg)
-
-
-def _govern_output_error(J, xtil, r_desired, cfg):
-    """P-only governor for output-error feedback, where xtil_*(r) is affine.
-
-    The constraint is then a convex quadratic in rhat; the scalar case is
-    solved in closed form from its roots.
-    """
-    n_r = J.n_r
-    base = J.xtil_star(np.zeros(n_r))
-    cols = [J.xtil_star(np.eye(n_r)[:, k]) - base for k in range(n_r)]
-    Bmap = np.array(cols).T
-    probe = J.r_nom + 0.5
-    lin_err = np.linalg.norm(J.xtil_star(probe) - (base + Bmap @ probe))
-    if lin_err > 1e-8 * (1.0 + np.linalg.norm(base)):
-        raise ValueError("output-error governor requires an affine steady map")
-    if n_r != 1:
-        raise NotImplementedError("output-error mode is implemented for n_r = 1")
-    P = J.P
-    e0 = xtil - base
-    b = Bmap[:, 0]
-    # (e0 - b r)' P (e0 - b r) <= 1
-    a2 = float(b @ P @ b)
-    a1 = -2.0 * float(b @ P @ e0)
-    a0 = float(e0 @ P @ e0) - 1.0
-    r = float(r_desired[0])
-    if a2 <= 0.0:
-        if a0 + a1 * r + a2 * r * r <= cfg.tolerance:
-            return r_desired
-        raise GovernorInfeasible("degenerate steady map direction")
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        raise GovernorInfeasible("state lies outside every reference slice")
-    lo = (-a1 - np.sqrt(disc)) / (2.0 * a2)
-    hi = (-a1 + np.sqrt(disc)) / (2.0 * a2)
-    return np.array([min(max(r, lo), hi)])
 
 
 def _govern_descent(J, xtil, r_desired, cfg):

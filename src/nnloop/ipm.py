@@ -10,8 +10,10 @@ Solves the pair
 
 (">=" in the PSD order) through their homogeneous self-dual embedding (Ye,
 Todd and Mizuno 1994), in the layout of CVXOPT's ``conelp`` (Vandenberghe
-2010).  One run from the infeasible start y = 0, S = Z = I, tau = kappa = 1
-ends in either
+2010).  Block b is read only from the ``G0`` (k, k), ``coeffs`` (m, k, k)
+and ``order`` of a :class:`nnloop.lmi.LMIBlock`; its margin ``delta`` is
+not read, so callers move it into G0.  One run from the infeasible start
+y = 0, S = Z = I, tau = kappa = 1 ends in either
 
 * an optimum: y/tau is primal feasible, Z/tau dual feasible and the gap is
   small, or
@@ -55,19 +57,6 @@ _STALL = 1e-8     # a step shorter than this makes no progress
 # double precision reach (about 1e-11 on the pendulum problems), so no iterate
 # can pass both the tolerances and the Cholesky test.
 MIN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ConeBlock:
-    """One affine-PSD constraint G0 + sum_i y_i coeffs[i] >= 0."""
-
-    name: str
-    G0: np.ndarray           # (k, k)
-    coeffs: np.ndarray       # (m, k, k)
-
-    @property
-    def order(self) -> int:
-        return self.G0.shape[0]
 
 
 @dataclass

@@ -11,9 +11,25 @@ so that one quadratic form in ``z`` combines the Lyapunov difference of the
 augmented plant with the incremental sector multiplier of every neuron.
 
 An :class:`LMISystem` is a solver-agnostic bundle: matrix-valued decision
-variables (symmetric or diagonal), affine matrix blocks tagged with the
-inequality sense, margins that realize strictness numerically, and an
-optional linear objective.
+variables (symmetric or diagonal), affine matrix blocks and an optional
+linear objective.  Every block is written in one orientation,
+
+    G0 + sum_i theta_i coeffs[i]  >=  delta I      (PSD order),
+
+where theta stacks the scalar components of the variables (see
+:meth:`VarSpec.basis`) and delta > 0 is the margin that realizes a strict
+inequality numerically.  Each coefficient is built in closed form from the
+basis matrices E of the variables:
+
+* stability, the negated theorem matrix: its P part is N'EN - M'EM with
+  M = [Atil Btil] R_V and N = R_V[:n_xtil]; the part of Lambda_i is
+  2 a_i b_i p_i p_i' - (a_i + b_i)(p_i q_i' + q_i p_i') + 2 q_i q_i' for
+  the sector [a_i, b_i] and the rows p_i = R_phi[i], q_i = R_phi[n + i];
+* P_pd, Q_pd and Lambda_nn: the basis of P, Q or Lambda itself;
+* roa_row_j: [[1, row_j / d_j], [row_j' / d_j, blkdiag(P, Q)]] >= 0, the
+  containment row [[d_j^2, row_j], [row_j', blkdiag(P, Q)]] >= 0 after the
+  congruence diag(1/d_j, I), which keeps the P entries of order one however
+  large the box half-width d_j.
 """
 
 from __future__ import annotations
@@ -22,16 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveGamma
+from .errors import DimensionMismatch, NonPositiveD, NonPositiveGamma
 from .network import FeedForwardNN
 from .plant import AugmentedPlant, SteadyStateMap, _frozen
 from .sectors import SectorBounds
 
-# Strictness margin scale: strict blocks are shifted by delta * identity with
-# delta = MARGIN_COEFF * (1 + max|constant part|).
+# Strictness margin scale: strict blocks hold G0 + sum_i theta_i coeffs[i]
+# >= delta I with delta = MARGIN_COEFF * (1 + max|G0|).
 MARGIN_COEFF = 1e-7
-
-SENSES = ("strict_neg", "strict_pos", "nonneg")
 
 
 @dataclass(frozen=True)
@@ -54,60 +68,52 @@ class VarSpec:
             return self.dim * (self.dim + 1) // 2
         return self.dim
 
-    def basis(self):
-        """Yield the scalar-component basis matrices (upper-triangle order)."""
+    def _entries(self) -> tuple:
+        """Row and column indices of the scalar components: the upper
+        triangle, row by row, or the diagonal."""
         if self.kind == "sym":
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    E = np.zeros((self.dim, self.dim))
-                    E[i, j] = 1.0
-                    E[j, i] = 1.0
-                    yield E
-        else:
-            for i in range(self.dim):
-                E = np.zeros((self.dim, self.dim))
-                E[i, i] = 1.0
-                yield E
+            return np.triu_indices(self.dim)
+        return np.diag_indices(self.dim)
+
+    def basis(self) -> np.ndarray:
+        """(n_scalars, dim, dim) basis matrices of the scalar components:
+        E[k] has ones at entry k of :meth:`_entries` and its mirror."""
+        i, j = self._entries()
+        k = np.arange(self.n_scalars)
+        E = np.zeros((self.n_scalars, self.dim, self.dim))
+        E[k, i, j] = 1.0
+        E[k, j, i] = 1.0
+        return E
 
     def pack(self, mat: np.ndarray) -> np.ndarray:
-        mat = np.asarray(mat, dtype=float)
-        if self.kind == "sym":
-            iu = np.triu_indices(self.dim)
-            return mat[iu]
-        return np.diag(mat).copy()
+        return np.asarray(mat, dtype=float)[self._entries()]
 
     def unpack(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "sym":
-            out = np.zeros((self.dim, self.dim))
-            iu = np.triu_indices(self.dim)
-            out[iu] = theta
-            out = out + np.triu(out, 1).T
-            return out
-        return np.diag(theta)
+        i, j = self._entries()
+        out = np.zeros((self.dim, self.dim))
+        out[i, j] = theta
+        out[j, i] = theta
+        return out
 
 
 @dataclass(frozen=True)
 class LMIBlock:
-    """One affine matrix block F0 + sum_i theta_i coeffs[i] with a sense tag."""
+    """One affine matrix inequality G0 + sum_i theta_i coeffs[i] >= delta I."""
 
     name: str
-    sense: str
-    F0: np.ndarray
+    G0: np.ndarray
     coeffs: np.ndarray   # (n_scalars, k, k)
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.sense not in SENSES:
-            raise ValueError(f"unknown sense {self.sense!r}")
-        object.__setattr__(self, "F0", _frozen(self.F0))
+        object.__setattr__(self, "G0", _frozen(self.G0))
         coeffs = np.array(self.coeffs, dtype=float)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
-        return self.F0.shape[0]
+        return self.G0.shape[0]
 
 
 @dataclass(frozen=True)
@@ -146,38 +152,10 @@ class LMISystem:
         }
 
     def block_value(self, block: LMIBlock, theta: np.ndarray) -> np.ndarray:
-        """Natural-form value of a block (no margin shift applied)."""
-        return block.F0 + np.tensordot(theta, block.coeffs, axes=1)
-
-    def solver_value(self, block: LMIBlock, theta: np.ndarray) -> np.ndarray:
-        """PSD-form value after the sense flip and the strictness margin."""
-        val = self.block_value(block, theta)
-        if block.sense == "strict_neg":
-            return -val - block.delta * np.eye(block.order)
-        if block.sense == "strict_pos":
-            return val - block.delta * np.eye(block.order)
-        return val
-
-    def debug_dump(self) -> dict:
-        """JSON-friendly dump of every block's coefficients per variable."""
-        return {
-            "variables": [
-                {"name": v.name, "kind": v.kind, "dim": v.dim}
-                for v in self.variables
-            ],
-            "objective": None if self.objective is None else self.objective.tolist(),
-            "blocks": [
-                {
-                    "name": b.name,
-                    "sense": b.sense,
-                    "delta": b.delta,
-                    "order": b.order,
-                    "F0": b.F0.tolist(),
-                    "coeffs": [c.tolist() for c in b.coeffs],
-                }
-                for b in self.blocks
-            ],
-        }
+        """G0 + sum_i theta_i coeffs[i] - delta I: positive semidefinite
+        exactly when the block holds at theta, margin included."""
+        return (block.G0 - block.delta * np.eye(block.order)
+                + np.tensordot(theta, block.coeffs, axes=1))
 
 
 @dataclass(frozen=True)
@@ -249,64 +227,76 @@ def ref_sensitivity(nn: FeedForwardNN, ssmap: SteadyStateMap) -> RefSensitivity:
     return RefSensitivity(S=W0 @ (nn.Hx0 @ ssmap.M + nn.Hr0))
 
 
-def _materialize(variables, assemble) -> tuple:
-    """Probe an affine assembly function with basis matrices."""
-    zeros = {v.name: np.zeros((v.dim, v.dim)) for v in variables}
-    F0 = np.asarray(assemble(**zeros), dtype=float)
-    coeffs = []
+def _coeffs(variables, k: int, **parts) -> np.ndarray:
+    """(n_scalars, k, k) coefficients of a block in which each variable v
+    enters through parts[v.name], of shape (v.n_scalars, k, k), or not at all."""
+    return np.concatenate([parts[v.name] if v.name in parts
+                           else np.zeros((v.n_scalars, k, k)) for v in variables])
+
+
+def _block(name: str, coeffs: np.ndarray, G0=None, strict=False) -> LMIBlock:
+    """A block with constant term G0 (zero by default); a strict one gets the
+    margin delta of the MARGIN_COEFF rule."""
+    k = coeffs.shape[1]
+    G0 = np.zeros((k, k)) if G0 is None else G0
+    delta = MARGIN_COEFF * (1.0 + float(np.max(np.abs(G0)))) if strict else 0.0
+    return LMIBlock(name, G0, coeffs, delta)
+
+
+def _congruence(X: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """X' E[k] X for every matrix of the stack E."""
+    return np.einsum("ai,kab,bj->kij", X, E, X)
+
+
+def _core_blocks(aug: AugmentedPlant, sel: Selectors, variables,
+                 alpha_vec: np.ndarray, beta_vec: np.ndarray) -> list:
+    """stability, P_pd, Q_pd (when Q is a variable) and Lambda_nn."""
+    basis = {v.name: v.basis() for v in variables}
+    n = sel.N1lm1.shape[0]
+    M = np.hstack([aug.Atil, aug.Btil]) @ sel.RV
+    N = sel.RV[: aug.n_xtil]
+    p, q = sel.Rphi[:n], sel.Rphi[n:]
+    pq = p[:, :, None] * q[:, None, :]
+    # 2 a_i b_i p_i p_i' - (a_i + b_i)(p_i q_i' + q_i p_i') + 2 q_i q_i'
+    lam = (2.0 * (alpha_vec * beta_vec)[:, None, None] * p[:, :, None] * p[:, None, :]
+           - (alpha_vec + beta_vec)[:, None, None] * (pq + pq.transpose(0, 2, 1))
+           + 2.0 * q[:, :, None] * q[:, None, :])
+    E = basis["P"]
+    blocks = [_block("stability", _coeffs(
+        variables, M.shape[1],
+        P=_congruence(N, E) - _congruence(M, E), Lambda=lam), strict=True)]
+    for name in ("P", "Q"):
+        if name in basis:
+            blocks.append(_block(f"{name}_pd", _coeffs(
+                variables, basis[name].shape[1], **{name: basis[name]}), strict=True))
+    blocks.append(_block("Lambda_nn", _coeffs(variables, n, Lambda=basis["Lambda"])))
+    return blocks
+
+
+def _row_blocks(variables, rows: np.ndarray, d: np.ndarray) -> list:
+    """roa_row_j = [[1, rows[j] / d_j], [rows[j]' / d_j, blkdiag(P, Q)]] >= 0,
+    with Q left out when it is not a variable."""
+    k = 1 + rows.shape[1]
+    parts, at = {}, 1
     for v in variables:
-        for E in v.basis():
-            args = dict(zeros)
-            args[v.name] = E
-            coeffs.append(np.asarray(assemble(**args), dtype=float) - F0)
-    return F0, np.array(coeffs)
-
-
-def _make_block(name, sense, variables, assemble) -> LMIBlock:
-    F0, coeffs = _materialize(variables, assemble)
-    delta = 0.0
-    if sense in ("strict_neg", "strict_pos"):
-        delta = MARGIN_COEFF * (1.0 + float(np.max(np.abs(F0))))
-    return LMIBlock(name=name, sense=sense, F0=F0, coeffs=coeffs, delta=delta)
-
-
-def _stability_assemble(aug: AugmentedPlant, sel: Selectors,
-                        alpha_vec: np.ndarray, beta_vec: np.ndarray):
-    At, Bt = aug.Atil, aug.Btil
-    D_ab = np.diag(alpha_vec * beta_vec)
-    D_apb = np.diag(alpha_vec + beta_vec)
-
-    def assemble(P, Lambda, **_ignored):
-        lyap = np.block([
-            [At.T @ P @ At - P, At.T @ P @ Bt],
-            [Bt.T @ P @ At, Bt.T @ P @ Bt],
-        ])
-        qc = np.block([
-            [-2.0 * D_ab @ Lambda, D_apb @ Lambda],
-            [Lambda @ D_apb, -2.0 * Lambda],
-        ])
-        val = sel.RV.T @ lyap @ sel.RV + sel.Rphi.T @ qc @ sel.Rphi
-        return 0.5 * (val + val.T)
-
-    return assemble
+        if v.name in ("P", "Q"):
+            parts[v.name] = np.zeros((v.n_scalars, k, k))
+            parts[v.name][:, at: at + v.dim, at: at + v.dim] = v.basis()
+            at += v.dim
+    coeffs = _coeffs(variables, k, **parts)
+    blocks = []
+    for j, (row, dj) in enumerate(zip(rows, d)):
+        G0 = np.zeros((k, k))
+        G0[0, 0] = 1.0
+        G0[0, 1:] = G0[1:, 0] = row / dj
+        blocks.append(_block(f"roa_row_{j}", coeffs, G0))
+    return blocks
 
 
 def _trace_objective(variables, weights: dict) -> np.ndarray:
-    out = []
-    for v in variables:
-        w = float(weights.get(v.name, 0.0))
-        if v.kind == "sym":
-            comp = np.zeros(v.n_scalars)
-            k = 0
-            for i in range(v.dim):
-                for j in range(i, v.dim):
-                    if i == j:
-                        comp[k] = w
-                    k += 1
-            out.append(comp)
-        else:
-            out.append(np.full(v.n_scalars, w))
-    return np.concatenate(out)
+    """Sum of weights[v.name] * trace(v) over the variables, as a vector."""
+    return np.concatenate([float(weights.get(v.name, 0.0))
+                           * np.einsum("kii->k", v.basis()) for v in variables])
 
 
 def _sector_vectors(sectors: SectorBounds, n: int):
@@ -315,98 +305,59 @@ def _sector_vectors(sectors: SectorBounds, n: int):
     return sectors.alpha_phi, sectors.beta_phi
 
 
+def _half_widths(d, n_1: int) -> np.ndarray:
+    """d broadcast to one half-width per layer-1 neuron; the containment rows
+    divide by them, so they must be positive."""
+    d = np.broadcast_to(np.asarray(d, dtype=float), (n_1,))
+    if not np.all(d > 0.0):
+        raise NonPositiveD("box half-widths must be strictly positive")
+    return d
+
+
 def build_global(aug: AugmentedPlant, sel: Selectors,
                  alpha: float, beta: float) -> LMISystem:
     """Global-stability LMI with the activation's global slope bounds."""
-    n_xtil = aug.n_xtil
     n = sel.N1lm1.shape[0]
-    variables = (VarSpec("P", "sym", n_xtil), VarSpec("Lambda", "diag", n))
-    a_vec = np.full(n, float(alpha))
-    b_vec = np.full(n, float(beta))
-    blocks = (
-        _make_block("stability", "strict_neg", variables,
-                    _stability_assemble(aug, sel, a_vec, b_vec)),
-        _make_block("P_pd", "strict_pos", variables,
-                    lambda P, Lambda: P),
-        _make_block("Lambda_nn", "nonneg", variables,
-                    lambda P, Lambda: Lambda),
-    )
+    variables = (VarSpec("P", "sym", aug.n_xtil), VarSpec("Lambda", "diag", n))
+    blocks = _core_blocks(aug, sel, variables, np.full(n, float(alpha)),
+                          np.full(n, float(beta)))
     return LMISystem(variables=variables, blocks=blocks, objective=None)
 
 
 def build_local_fixed(aug: AugmentedPlant, sel: Selectors,
-                      sectors: SectorBounds, d,
-                      minimize_trace: bool = True) -> LMISystem:
+                      sectors: SectorBounds, d) -> LMISystem:
     """Fixed-reference local LMI: stability block with local sectors plus one
-    containment row per layer-1 neuron tying the box half-width to E_P."""
-    n_xtil = aug.n_xtil
+    containment row per layer-1 neuron tying the box half-width to E_P;
+    trace(P) is minimized."""
     n = sel.N1lm1.shape[0]
-    n_1 = sel.N0_1.shape[0]
-    d = np.broadcast_to(np.asarray(d, dtype=float), (n_1,))
-    variables = (VarSpec("P", "sym", n_xtil), VarSpec("Lambda", "diag", n))
-    a_vec, b_vec = _sector_vectors(sectors, n)
-    blocks = [
-        _make_block("stability", "strict_neg", variables,
-                    _stability_assemble(aug, sel, a_vec, b_vec)),
-        _make_block("P_pd", "strict_pos", variables,
-                    lambda P, Lambda: P),
-        _make_block("Lambda_nn", "nonneg", variables,
-                    lambda P, Lambda: Lambda),
-    ]
-    for j in range(n_1):
-        row = sel.N0_1[j: j + 1, :]
-        dj2 = float(d[j]) ** 2
-
-        def assemble(P, Lambda, row=row, dj2=dj2):
-            return np.block([[np.array([[dj2]]), row], [row.T, P]])
-
-        blocks.append(_make_block(f"roa_row_{j}", "nonneg", variables, assemble))
-    objective = _trace_objective(variables, {"P": 1.0}) if minimize_trace else None
-    return LMISystem(variables=variables, blocks=tuple(blocks), objective=objective)
+    d = _half_widths(d, sel.N0_1.shape[0])
+    variables = (VarSpec("P", "sym", aug.n_xtil), VarSpec("Lambda", "diag", n))
+    blocks = (_core_blocks(aug, sel, variables, *_sector_vectors(sectors, n))
+              + _row_blocks(variables, sel.N0_1, d))
+    return LMISystem(variables=variables, blocks=blocks,
+                     objective=_trace_objective(variables, {"P": 1.0}))
 
 
 def build_local_range(aug: AugmentedPlant, sel: Selectors,
                       sectors: SectorBounds, d, refsens: RefSensitivity,
                       gamma: float = 1.0) -> LMISystem:
     """Reference-range LMI: adds Q > 0 over the reference deviation and joint
-    containment rows [d_j^2, [N0_1, S]_j; *, blkdiag(P, Q)] >= 0.
+    containment rows [d_j^2, [N0_1, S]_j; *, blkdiag(P, Q)] >= 0 (emitted
+    divided by d_j, as roa_row_j in the module docstring).
 
     ``gamma`` weighs trace(Q) in the objective; it must be finite, and
     positive, since otherwise the objective is unbounded below in Q."""
     if not 0.0 < gamma < np.inf:
         raise NonPositiveGamma(f"gamma must be finite and positive, got {gamma!r}")
-    n_xtil = aug.n_xtil
-    n_r = aug.n_r
     n = sel.N1lm1.shape[0]
     n_1 = sel.N0_1.shape[0]
-    d = np.broadcast_to(np.asarray(d, dtype=float), (n_1,))
+    d = _half_widths(d, n_1)
     S = refsens.S
-    if S.shape != (n_1, n_r):
+    if S.shape != (n_1, aug.n_r):
         raise DimensionMismatch("reference sensitivity must be n_1 x n_r")
-    variables = (VarSpec("P", "sym", n_xtil), VarSpec("Lambda", "diag", n),
-                 VarSpec("Q", "sym", n_r))
-    a_vec, b_vec = _sector_vectors(sectors, n)
-    blocks = [
-        _make_block("stability", "strict_neg", variables,
-                    _stability_assemble(aug, sel, a_vec, b_vec)),
-        _make_block("P_pd", "strict_pos", variables,
-                    lambda P, Lambda, Q: P),
-        _make_block("Q_pd", "strict_pos", variables,
-                    lambda P, Lambda, Q: Q),
-        _make_block("Lambda_nn", "nonneg", variables,
-                    lambda P, Lambda, Q: Lambda),
-    ]
-    for j in range(n_1):
-        row = np.hstack([sel.N0_1[j: j + 1, :], S[j: j + 1, :]])
-        dj2 = float(d[j]) ** 2
-
-        def assemble(P, Lambda, Q, row=row, dj2=dj2):
-            PQ = np.block([
-                [P, np.zeros((n_xtil, n_r))],
-                [np.zeros((n_r, n_xtil)), Q],
-            ])
-            return np.block([[np.array([[dj2]]), row], [row.T, PQ]])
-
-        blocks.append(_make_block(f"roa_row_{j}", "nonneg", variables, assemble))
-    objective = _trace_objective(variables, {"P": 1.0, "Q": float(gamma)})
-    return LMISystem(variables=variables, blocks=tuple(blocks), objective=objective)
+    variables = (VarSpec("P", "sym", aug.n_xtil), VarSpec("Lambda", "diag", n),
+                 VarSpec("Q", "sym", aug.n_r))
+    blocks = (_core_blocks(aug, sel, variables, *_sector_vectors(sectors, n))
+              + _row_blocks(variables, np.hstack([sel.N0_1, S]), d))
+    return LMISystem(variables=variables, blocks=blocks,
+                     objective=_trace_objective(variables, {"P": 1.0, "Q": float(gamma)}))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ipm import ConeBlock, _check_farkas, solve_conic
+from .ipm import _check_farkas, solve_conic
 from .lmi import LMISystem
 
 FEASIBLE = "feasible"
@@ -72,29 +72,17 @@ class Certification:
     status: str
 
 
-def _oriented_blocks(system: LMISystem, with_margins: bool):
-    """Blocks in PSD orientation, optionally shifted by the strictness margins."""
-    out = []
-    for blk in system.blocks:
-        shift = blk.delta if with_margins else 0.0
-        eye = np.eye(blk.order)
-        if blk.sense == "strict_neg":
-            out.append(ConeBlock(blk.name, -blk.F0 - shift * eye, -blk.coeffs))
-        elif blk.sense == "strict_pos":
-            out.append(ConeBlock(blk.name, blk.F0 - shift * eye, blk.coeffs.copy()))
-        else:
-            out.append(ConeBlock(blk.name, blk.F0.copy(), blk.coeffs.copy()))
-    return out
-
-
 def _solver_blocks(system: LMISystem):
-    """Margin-shifted PSD-form blocks plus per-block normalization scales."""
+    """Copies of the blocks for the solver, with the margin moved into G0
+    (G0 - delta I, delta 0) and each divided by its largest entry when that
+    exceeds one, and those per-block scales."""
     out, scales = [], []
-    for blk in _oriented_blocks(system, with_margins=True):
-        scale = max(1.0, float(np.max(np.abs(blk.G0))),
+    zero = np.zeros(system.n_scalars)
+    for blk in system.blocks:
+        G0 = system.block_value(blk, zero)
+        scale = max(1.0, float(np.max(np.abs(G0))),
                     float(np.max(np.abs(blk.coeffs))) if blk.coeffs.size else 1.0)
-        out.append(ConeBlock(name=blk.name, G0=blk.G0 / scale,
-                             coeffs=blk.coeffs / scale))
+        out.append(replace(blk, G0=G0 / scale, coeffs=blk.coeffs / scale, delta=0.0))
         scales.append(scale)
     return out, np.array(scales)
 
@@ -117,7 +105,7 @@ def _verify_farkas(raw_blocks, Z_scaled, scales, tol):
 def _margins(system: LMISystem, theta: np.ndarray) -> dict:
     out = {}
     for blk in system.blocks:
-        val = system.solver_value(blk, theta)
+        val = system.block_value(blk, theta)
         out[blk.name] = float(np.linalg.eigvalsh(0.5 * (val + val.T))[0])
     return out
 
@@ -132,8 +120,8 @@ def solve(system: LMISystem, options: SolveOptions | None = None) -> SDPSolution
 
     theta, objective, farkas, margins = res.y, None, None, {}
     if res.status == "infeasible":
-        farkas = _verify_farkas(_oriented_blocks(system, with_margins=False),
-                                res.Z, scales, min(options.tol, _FARKAS_TOL))
+        farkas = _verify_farkas(system.blocks, res.Z, scales,
+                                min(options.tol, _FARKAS_TOL))
         status = INFEASIBLE if farkas is not None else INACCURATE
     elif res.status == "max_iter":
         status = INACCURATE

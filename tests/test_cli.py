@@ -227,15 +227,47 @@ BAD_NUMERIC_INPUT = [
     (["roa-plot", "--dims", "0,7"], "--dims"),
     (["roa-plot", "--dims", "0"], "--dims"),
     (["roa-plot", "--dims", "1,1"], "--dims"),
+    (["roa-plot", "--report", "P-indefinite"], "positive definite"),
+    (["roa-plot", "--report", "P-indefinite-no-Q"], "positive definite"),
+    (["roa-plot", "--report", "Q-negative"], "positive definite"),
+    (["roa-plot", "--report", "P-2x2"], "shape (3, 3)"),
+    (["roa-plot", "--report", "r_nom-2"], "shape (1,)"),
+    (["roa-plot", "--report", "r-2-no-Q"], "shape (1,)"),
+    (["simulate", "--r", "0", "--governed", "--report", "P-indefinite"],
+     "positive definite"),
+    (["simulate", "--r", "0", "--governed", "--report", "Q-negative"],
+     "positive definite"),
+    (["simulate", "--r", "0", "--governed", "--report", "P-2x2"], "shape (3, 3)"),
+    (["simulate", "--r", "0", "--governed", "--report", "r_nom-2"], "shape (1,)"),
 ]
+
+# Fields replaced in the local-range report by a "--report NAME" entry above.
+REPORT_PATCHES = {
+    "P-indefinite": {"P": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "P-indefinite-no-Q": {"P": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+                          "Q": None},
+    "Q-negative": {"Q": [[-1.0]]},
+    "P-2x2": {"P": [[1.0, 0.0], [0.0, 1.0]]},
+    "r_nom-2": {"r_nom": [0.0, 0.0]},
+    "r-2-no-Q": {"r": [0.0, 1.0], "Q": None},
+}
 
 
 @pytest.mark.parametrize("argv,message", BAD_NUMERIC_INPUT,
                          ids=[" ".join(argv) for argv, _ in BAD_NUMERIC_INPUT])
 def test_bad_numeric_input_exit_three(tmp_path, capsys, range_report, argv, message):
-    extra = ["--report", range_report] if argv[0] == "roa-plot" else []
-    code = main(argv + extra + ["--pendulum", PENDULUM_FLAG,
-                                "--nn", example_nn_path(), "--out", str(tmp_path)])
+    if "--report" in argv:
+        i = argv.index("--report") + 1
+        with open(range_report) as fh:
+            report = json.load(fh)
+        report.update(REPORT_PATCHES[argv[i]])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        argv = argv[:i] + [str(path)] + argv[i + 1:]
+    elif argv[0] == "roa-plot":
+        argv = argv + ["--report", range_report]
+    code = main(argv + ["--pendulum", PENDULUM_FLAG,
+                        "--nn", example_nn_path(), "--out", str(tmp_path)])
     assert code == 3
     assert message in capsys.readouterr().err
 

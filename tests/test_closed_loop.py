@@ -144,34 +144,6 @@ def test_govern_constraint_residual(joint_set):
         assert joint_set.joint_quad(xt, rhat) <= 1.0 + 1e-9
 
 
-def test_output_error_mode_matches_full_with_negligible_q():
-    # affine steady map (output-error-style loop); Q -> 0 in full mode
-    plant = nl.Plant(A=[[0.3]], B=[[1.0]], C=[[1.0]])
-    nn = nl.FeedForwardNN(
-        Hx0=-plant.C, Hr0=np.eye(1),
-        layers=((np.array([[0.4]]), np.zeros(1)),),
-        Wl=np.array([[0.2]]), bl=np.zeros(1),
-        activation=nl.Activation.tanh(),
-    )
-    k_xi = 0.5
-    P = np.diag([2.0, 1.0])
-    J_tiny = nl.joint_ellipsoid_for(plant, nn, k_xi, P, np.array([[1e-10]]),
-                                    np.zeros(1))
-    J_oe = nl.joint_ellipsoid_for(plant, nn, k_xi, P, np.array([[1.0]]),
-                                  np.zeros(1))
-    cfg_oe = nl.GovernorConfig(mode="output-error")
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        xt = rng.normal(size=2, scale=0.4)
-        r = np.array([rng.uniform(-3.0, 3.0)])
-        try:
-            r_full = nl.govern(J_tiny, xt, r)
-            r_oe = nl.govern(J_oe, xt, r, cfg_oe)
-        except GovernorInfeasible:
-            continue
-        assert abs(r_full[0] - r_oe[0]) <= 1e-4
-
-
 def test_governed_simulation_tracks_endpoint(pendulum, pendulum_aug, joint_set):
     _plant, nn, _k = pendulum
     lo, hi = nl.admissible_references(joint_set).interval
@@ -250,8 +222,6 @@ def test_trajectory_csv(tmp_path, pendulum, pendulum_aug):
 def test_governor_config_validation():
     with pytest.raises(ValueError):
         nl.GovernorConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        nl.GovernorConfig(mode="hybrid")
 
 
 # ---------------------------------------------------------------- exact oracle

@@ -80,38 +80,64 @@ def test_block_symmetry(schur_scalar):
     sel = build_selectors(nn, aug.n_xtil)
     system = nl.build_global(aug, sel, 1.0, 1.0)
     for blk in system.blocks:
-        assert np.max(np.abs(blk.F0 - blk.F0.T)) <= 1e-14
+        assert np.max(np.abs(blk.G0 - blk.G0.T)) <= 1e-14
         for Cm in blk.coeffs:
             assert np.max(np.abs(Cm - Cm.T)) <= 1e-14
 
 
-def test_stability_block_matches_formula(pendulum, pendulum_aug, d_ship):
-    # Independent reassembly of the full theorem matrix for random (P, Lambda).
+@pytest.mark.parametrize("theorem", ["global", "local-fixed", "local-range"])
+def test_stability_block_matches_formula(pendulum, pendulum_aug, d_ship, theorem):
+    # Independent reassembly of every block of each theorem's LMI for random
+    # (P, Lambda, Q), in the PSD orientation G0 + sum_i theta_i G_i >= delta I.
     plant, nn, k_xi = pendulum
     aug = pendulum_aug
     sel = build_selectors(nn, aug.n_xtil)
-    ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
-    trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
-    box = nl.propagate_box(nn, trace.v[0], d_ship)
-    secs = nl.local_sectors(nn, box, trace)
-    system = nl.build_local_fixed(aug, sel, secs, d_ship)
-    blk = system.blocks[0]
-    assert blk.name == "stability"
+    n = nn.n_hidden
+    rows = sel.N0_1
+    if theorem == "global":
+        a = np.full(n, nn.activation.alpha)
+        b = np.full(n, nn.activation.beta)
+        system = nl.build_global(aug, sel, nn.activation.alpha, nn.activation.beta)
+    else:
+        ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
+        trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
+        box = nl.propagate_box(nn, trace.v[0], d_ship)
+        secs = nl.local_sectors(nn, box, trace)
+        a, b = secs.alpha_phi, secs.beta_phi
+        if theorem == "local-fixed":
+            system = nl.build_local_fixed(aug, sel, secs, d_ship)
+        else:
+            refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+            rows = np.hstack([sel.N0_1, refsens.S])
+            system = nl.build_local_range(aug, sel, secs, d_ship, refsens)
     rng = np.random.default_rng(4)
     Pm = rng.normal(size=(3, 3))
     Pm = Pm + Pm.T
-    lam = rng.uniform(0.1, 2.0, size=10)
-    theta = system.pack({"P": Pm, "Lambda": np.diag(lam)})
-    got = system.block_value(blk, theta)
+    lam = rng.uniform(0.1, 2.0, size=n)
+    Qm = np.array([[rng.uniform(0.1, 2.0)]])
+    theta = system.pack({"P": Pm, "Lambda": np.diag(lam), "Q": Qm})
+
     At, Bt = aug.Atil, aug.Btil
     Lam = np.diag(lam)
     lyap = np.block([[At.T @ Pm @ At - Pm, At.T @ Pm @ Bt],
                      [Bt.T @ Pm @ At, Bt.T @ Pm @ Bt]])
-    a, b = secs.alpha_phi, secs.beta_phi
     qc = np.block([[np.diag(-2.0 * a * b) @ Lam, np.diag(a + b) @ Lam],
                    [Lam @ np.diag(a + b), -2.0 * Lam]])
-    want = sel.RV.T @ lyap @ sel.RV + sel.Rphi.T @ qc @ sel.Rphi
-    assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+    want = {"stability": -(sel.RV.T @ lyap @ sel.RV + sel.Rphi.T @ qc @ sel.Rphi),
+            "P_pd": Pm, "Lambda_nn": Lam}
+    PQ = Pm
+    if theorem == "local-range":
+        want["Q_pd"] = Qm
+        PQ = np.block([[Pm, np.zeros((3, 1))], [np.zeros((1, 3)), Qm]])
+    if theorem != "global":
+        for j, row in enumerate(rows / d_ship):
+            want[f"roa_row_{j}"] = np.block([[np.ones((1, 1)), row[None, :]],
+                                             [row[:, None], PQ]])
+    assert sorted(blk.name for blk in system.blocks) == sorted(want)
+    for blk in system.blocks:
+        got = system.block_value(blk, theta) + blk.delta * np.eye(blk.order)
+        ref = want[blk.name]
+        assert np.max(np.abs(got - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref))), blk.name
 
 
 def test_margin_rule():
@@ -125,8 +151,8 @@ def test_margin_rule():
                              activation=nl.Activation.linear()), 2),
         1.0, 1.0)
     for blk in system.blocks:
-        if blk.sense in ("strict_neg", "strict_pos"):
-            want = MARGIN_COEFF * (1.0 + np.max(np.abs(blk.F0)))
+        if blk.name in ("stability", "P_pd"):   # the strict blocks
+            want = MARGIN_COEFF * (1.0 + np.max(np.abs(blk.G0)))
             assert blk.delta == pytest.approx(want)
         else:
             assert blk.delta == 0.0
@@ -163,19 +189,34 @@ def test_local_fixed_block_count(pendulum, pendulum_aug, d_ship):
     rows = [b for b in system.blocks if b.name.startswith("roa_row_")]
     assert len(rows) == 5
     assert all(b.order == 1 + pendulum_aug.n_xtil for b in rows)
-    assert all(b.sense == "nonneg" for b in rows)
+    assert all(b.delta == 0.0 for b in rows)
 
 
 def test_local_fixed_huge_d_reduces_to_global(schur_scalar):
+    # The rows are divided by d_j, which keeps their P entries of order one,
+    # so the trace-minimized LMI stays decisive however large the box.
     plant, nn, k_xi = schur_scalar
     aug = nl.augment(plant, k_xi)
     sel = build_selectors(nn, aug.n_xtil)
     secs = global_sectors(nl.Activation.linear(), nn.n_hidden)
-    system = nl.build_local_fixed(aug, sel, secs, 1e6, minimize_trace=False)
-    sol = nl.solve_certified(system)
-    assert sol.status == "feasible"
+    for d in (10.0, 1e3, 1e4, 1e6):
+        sol = nl.solve_certified(nl.build_local_fixed(aug, sel, secs, d))
+        assert sol.status == "feasible", d
     sol_global = nl.solve_certified(nl.build_global(aug, sel, 1.0, 1.0))
     assert sol_global.status == "feasible"
+
+
+@pytest.mark.parametrize("d", [0.0, -0.345])
+def test_local_builders_reject_nonpositive_d(pendulum, pendulum_aug, d):
+    # The containment rows are divided by d_j, so d must be positive.
+    plant, nn, k_xi = pendulum
+    sel = build_selectors(nn, pendulum_aug.n_xtil)
+    secs = global_sectors(nn.activation, nn.n_hidden)
+    refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+    with pytest.raises(nl.NonPositiveD):
+        nl.build_local_fixed(pendulum_aug, sel, secs, d)
+    with pytest.raises(nl.NonPositiveD):
+        nl.build_local_range(pendulum_aug, sel, secs, d, refsens)
 
 
 def test_local_range_scalar_q(pendulum, pendulum_aug, d_ship, thm3_report):
@@ -210,21 +251,6 @@ def test_local_range_output_error_decouples_q():
     sol = nl.solve_certified(system)
     assert sol.status == "feasible"
     assert sol.Q[0, 0] <= 1e-4  # decoupled Q shrinks to its margin scale
-
-
-def test_debug_dump_roundtrip(schur_scalar):
-    plant, nn, k_xi = schur_scalar
-    aug = nl.augment(plant, k_xi)
-    sel = build_selectors(nn, aug.n_xtil)
-    system = nl.build_global(aug, sel, 1.0, 1.0)
-    dump = system.debug_dump()
-    rng = np.random.default_rng(7)
-    theta = rng.normal(size=system.n_scalars)
-    for blk, blk_dump in zip(system.blocks, dump["blocks"]):
-        val = np.array(blk_dump["F0"])
-        for th, Cm in zip(theta, blk_dump["coeffs"]):
-            val = val + th * np.array(Cm)
-        assert np.allclose(val, system.block_value(blk, theta), atol=1e-12)
 
 
 def test_objective_trace_weights(pendulum, pendulum_aug, d_ship):

@@ -6,15 +6,14 @@ import pytest
 
 import nnloop as nl
 from nnloop import sdp
-from nnloop.ipm import ConeBlock, _check_farkas, solve_conic
+from nnloop.ipm import _check_farkas, solve_conic
 from nnloop.lmi import LMIBlock, LMISystem, VarSpec, build_selectors
 
 
 def scalar_system(objective=True):
     """One scalar variable P with P > 0 (margin delta) and min-trace."""
     var = VarSpec("P", "sym", 1)
-    blk = LMIBlock(name="P_pd", sense="strict_pos",
-                   F0=np.zeros((1, 1)), coeffs=np.ones((1, 1, 1)),
+    blk = LMIBlock(name="P_pd", G0=np.zeros((1, 1)), coeffs=np.ones((1, 1, 1)),
                    delta=1e-7)
     obj = np.ones(1) if objective else None
     return LMISystem(variables=(var,), blocks=(blk,), objective=obj)
@@ -22,10 +21,8 @@ def scalar_system(objective=True):
 
 def contradictory_system():
     var = VarSpec("P", "sym", 1)
-    b1 = LMIBlock(name="ge_one", sense="nonneg",
-                  F0=-np.eye(1), coeffs=np.ones((1, 1, 1)))
-    b2 = LMIBlock(name="le_minus_one", sense="nonneg",
-                  F0=-np.eye(1), coeffs=-np.ones((1, 1, 1)))
+    b1 = LMIBlock(name="ge_one", G0=-np.eye(1), coeffs=np.ones((1, 1, 1)))
+    b2 = LMIBlock(name="le_minus_one", G0=-np.eye(1), coeffs=-np.ones((1, 1, 1)))
     return LMISystem(variables=(var,), blocks=(b1, b2), objective=None)
 
 
@@ -42,7 +39,7 @@ def test_contradictory_system_infeasible():
     sol = nl.solve_certified(contradictory_system())
     assert sol.status == "infeasible"
     assert sol.farkas is not None
-    assert sol.farkas["violation"] < -0.5  # <F0, X> = -1 at the certificate
+    assert sol.farkas["violation"] < -0.5  # <G0, X> = -1 at the certificate
 
 
 def test_thm1_scalar_schur_with_lyapunov_decrease(schur_scalar):
@@ -176,7 +173,7 @@ def test_loose_tol_does_not_loosen_farkas_gate():
 
 def test_ipm_simple_bound_problem():
     # minimize y subject to y >= 1 (one 1x1 block), solved to tolerance
-    blk = ConeBlock("b", -np.eye(1), np.ones((1, 1, 1)))
+    blk = LMIBlock("b", -np.eye(1), np.ones((1, 1, 1)))
     res = solve_conic([blk], np.ones(1), tol=1e-9)
     assert res.status == "optimal"
     assert res.y[0] == pytest.approx(1.0, abs=1e-6)
@@ -191,7 +188,7 @@ def _bounded_blocks(rng, orders, m):
     """Blocks I + sum_i y_i C_i with random symmetric C_i: y = 0 is strictly
     feasible, and with c_i = sum_b tr C_{b,i} so is Z = I, so the minimum is
     attained."""
-    return [ConeBlock(f"b{j}", np.eye(k), np.stack([_sym(rng, k) for _ in range(m)]))
+    return [LMIBlock(f"b{j}", np.eye(k), np.stack([_sym(rng, k) for _ in range(m)]))
             for j, k in enumerate(orders)]
 
 
@@ -201,8 +198,8 @@ def _block_diag(name, a, b):
     def join(A, B):
         return np.block([[A, np.zeros((ka, kb))], [np.zeros((kb, ka)), B]])
 
-    return ConeBlock(name, join(a.G0, b.G0),
-                     np.stack([join(A, B) for A, B in zip(a.coeffs, b.coeffs)]))
+    return LMIBlock(name, join(a.G0, b.G0),
+                    np.stack([join(A, B) for A, B in zip(a.coeffs, b.coeffs)]))
 
 
 def test_solve_conic_invariant_to_block_order_and_splitting():
@@ -283,15 +280,14 @@ def test_desk_scale_capability():
             return A.T @ P @ A - P
 
         F0, coeffs = _materialize_for_test((var_p, var_l), assemble, n_p)
-        blocks.append(LMIBlock(name=f"lyap_{k}", sense="strict_neg",
-                               F0=F0, coeffs=coeffs, delta=1e-7))
+        blocks.append(LMIBlock(name=f"lyap_{k}", G0=-F0, coeffs=-coeffs,
+                               delta=1e-7))
         orders.append(n_p)
     F0, coeffs = _materialize_for_test((var_p, var_l), lambda P, Lambda: P, n_p)
-    blocks.append(LMIBlock(name="P_pd", sense="strict_pos", F0=F0,
-                           coeffs=coeffs, delta=1e-7))
+    blocks.append(LMIBlock(name="P_pd", G0=F0, coeffs=coeffs, delta=1e-7))
     F0, coeffs = _materialize_for_test((var_p, var_l),
                                        lambda P, Lambda: Lambda, n_lam)
-    blocks.append(LMIBlock(name="Lam", sense="nonneg", F0=F0, coeffs=coeffs))
+    blocks.append(LMIBlock(name="Lam", G0=F0, coeffs=coeffs))
     orders += [n_p, n_lam]
 
     # one coupling row block to reach total order ~150
@@ -301,14 +297,14 @@ def test_desk_scale_capability():
         return np.block([[np.array([[25.0]]), row], [row.T, P]])
 
     F0, coeffs = _materialize_for_test((var_p, var_l), assemble_row, n_p + 1)
-    blocks.append(LMIBlock(name="row", sense="nonneg", F0=F0, coeffs=coeffs))
+    blocks.append(LMIBlock(name="row", G0=F0, coeffs=coeffs))
     orders.append(n_p + 1)
 
     def assemble_head(P, Lambda):
         return Lambda[:6, :6]
 
     F0, coeffs = _materialize_for_test((var_p, var_l), assemble_head, 6)
-    blocks.append(LMIBlock(name="lam_head", sense="nonneg", F0=F0, coeffs=coeffs))
+    blocks.append(LMIBlock(name="lam_head", G0=F0, coeffs=coeffs))
     orders.append(6)
     assert sum(orders) == 150
 

@@ -30,16 +30,10 @@ def _solve_with_cvxpy(system):
 
     cons = []
     for blk in system.blocks:
-        # assemble via the stored coefficients: F0 + sum_i theta_i coeffs_i
-        expr = blk.F0 + sum(c * Cm for c, Cm in zip(scalar_components(),
+        # assemble via the stored coefficients: G0 + sum_i theta_i coeffs_i
+        expr = blk.G0 + sum(c * Cm for c, Cm in zip(scalar_components(),
                                                     blk.coeffs))
-        eye = np.eye(blk.order)
-        if blk.sense == "strict_neg":
-            cons.append(expr << -blk.delta * eye)
-        elif blk.sense == "strict_pos":
-            cons.append(expr >> blk.delta * eye)
-        else:
-            cons.append(expr >> 0)
+        cons.append(expr >> blk.delta * np.eye(blk.order))
     if system.objective is None:
         objective = cp.Minimize(0)
     else:
