@@ -12,13 +12,18 @@ set.  Since the steady state depends on the network nonlinearly, the scalar
 case is solved globally by bracketing on a grid over the admissible interval
 followed by bisection onto the feasibility boundary; the grid, its slice
 centers and reference terms are built once per joint set and grid size
-(:meth:`JointEllipsoid.grid_quads`).  The multi-reference case uses
-multi-start projected descent.
+(:meth:`JointEllipsoid.grid_quads`), and the slice center of every reference
+the inside test and the bisection ask about is kept in a small per-set memo
+(:meth:`JointEllipsoid.joint_quad`), so the desired reference, the clipped
+interval end and the shared first midpoints cost no network pass after their
+first step.  The multi-reference case uses multi-start projected descent.
+
+:func:`write_trajectory_csv` streams its rows to the file, with the bytes
+``csv.writer`` would write: CRLF line ends and ``repr`` floats.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -332,7 +337,10 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
               + [f"rhat_{i + 1}" for i in range(n_r)])
     table = np.hstack([traj.states[:-1], traj.inputs, traj.outputs[:-1],
                        traj.applied_refs]).tolist()
+    # The bytes of csv.writer's default dialect: no field needs quoting, rows
+    # end in CRLF.  Rows are streamed; the file joined into one string would
+    # hold all of it in memory at once.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([k, *map(repr, row)] for k, row in enumerate(table))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{k},{','.join(map(repr, row))}\r\n"
+                      for k, row in enumerate(table))

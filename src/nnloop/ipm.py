@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import UnattainableTolerance
 
@@ -131,6 +131,19 @@ def _positive_definite(groups, y) -> bool:
     return bool(np.all(np.isfinite(y)))  # Cholesky passes NaN through
 
 
+def _cholesky(H):
+    """Lower Cholesky factor of H by LAPACK ``dpotrf``.  Like
+    ``scipy.linalg.cho_factor`` it raises ValueError for a non-finite H and
+    LinAlgError for one that is not positive definite."""
+    if not np.isfinite(H).all():
+        raise ValueError("Schur matrix is not finite")
+    L, info = dpotrf(H, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"Schur matrix is not positive definite (leading minor {info})")
+    return L
+
+
 def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
     """Mehrotra predictor-corrector step from the NT-scaled point: the new R,
     Rinv, lam and dy, dtau, dkappa, alpha, or None if the step is too short."""
@@ -143,8 +156,8 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
     H = sum(G @ G.T for G in Gh)
     g = sum(G @ G0g for G, G0g in zip(Gh, G0h))
     g00 = sum(float(G0g @ G0g) for G0g in G0h)
-    fac = cho_factor(H, lower=True)
-    q = cho_solve(fac, c + g)
+    fac = _cholesky(H)
+    q = dpotrs(fac, c + g, lower=1)[0]
     denom = float((c - g) @ q) + g00 + kappa / tau
 
     def direction(eta, rc, rtk):
@@ -153,7 +166,7 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
         t = [rcg.ravel() + eta * r for rcg, r in zip(rc, rzh)]
         f = sum(G @ tg for G, tg in zip(Gh, t)) + eta * rx
         h = -eta * rt - rtk / tau - sum(float(G0g @ tg) for G0g, tg in zip(G0h, t))
-        p = cho_solve(fac, f)
+        p = dpotrs(fac, f, lower=1)[0]
         dtau = (float((c - g) @ p) - h) / denom
         dy = p - q * dtau
         dz = [(tg - G0g * dtau - dy @ G).reshape(rcg.shape)
@@ -208,6 +221,9 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
     return R_new, Rinv_new, lam_new, dy, dtau, dkappa, alpha
 
 
+# An objective too large for double precision (say --gamma 1e300) overflows
+# norms and products before the run stalls; the stall is what is reported.
+@np.errstate(over="ignore")
 def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
     """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
     if tol < MIN_TOL:

@@ -99,7 +99,8 @@ def test_verify_local_range_nonpositive_gamma_exit_three(tmp_path, capsys, gamma
 
 
 @pytest.mark.parametrize("gamma", ["1e160", "1e300"])
-def test_verify_overflowing_objective_is_not_infeasible(tmp_path, capsys, gamma):
+def test_verify_overflowing_objective_is_not_infeasible(tmp_path, capsys, recwarn,
+                                                       gamma):
     # norm(c) overflows: the solver ends the run as stalled instead of letting
     # a LinAlgError escape, which the shell would see as exit 1 (infeasible).
     code = main(["verify", "--pendulum", PENDULUM_FLAG,
@@ -108,6 +109,8 @@ def test_verify_overflowing_objective_is_not_infeasible(tmp_path, capsys, gamma)
                  "--out", str(tmp_path)])
     assert code != 1
     assert "Traceback" not in capsys.readouterr().err
+    # the overflow is reported by the verdict, not by numpy warnings
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_bounds_report_values(tmp_path):

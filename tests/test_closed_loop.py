@@ -219,6 +219,35 @@ def test_trajectory_csv(tmp_path, pendulum, pendulum_aug):
     assert np.allclose(back, traj.states[:-1])
 
 
+def _csv_writer_reference(path, traj):
+    """The trajectory file as csv.writer writes it, with repr floats."""
+    n_xt, n_u, n_r = (traj.states.shape[1], traj.inputs.shape[1],
+                      traj.applied_refs.shape[1])
+    header = (["k"] + [f"xtil_{i + 1}" for i in range(n_xt)]
+              + [f"u_{i + 1}" for i in range(n_u)]
+              + [f"y_{i + 1}" for i in range(n_r)]
+              + [f"rhat_{i + 1}" for i in range(n_r)])
+    table = np.hstack([traj.states[:-1], traj.inputs, traj.outputs[:-1],
+                       traj.applied_refs])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k, row in enumerate(table):
+            writer.writerow([k] + [repr(float(v)) for v in row])
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, pendulum,
+                                               pendulum_aug):
+    _plant, nn, _k = pendulum
+    traj = nl.simulate(pendulum_aug, nn, np.array([0.05, -0.3, 1e-7]),
+                       [(0, 0.05), (20, -0.1)], 40)
+    cl.write_trajectory_csv(tmp_path / "streamed.csv", traj)
+    _csv_writer_reference(tmp_path / "reference.csv", traj)
+    streamed = (tmp_path / "streamed.csv").read_bytes()
+    assert streamed == (tmp_path / "reference.csv").read_bytes()
+    assert streamed.count(b"\r\n") == 41
+
+
 def test_governor_config_validation():
     with pytest.raises(ValueError):
         nl.GovernorConfig(tolerance=0.0)

@@ -211,3 +211,56 @@ def test_joint_quad_batch_consistency(joint_set):
     batch = joint_set.joint_quad_many(x, R)
     scalar = np.array([joint_set.joint_quad(x, r) for r in R])
     assert np.max(np.abs(batch - scalar)) <= 1e-12 * (1.0 + np.max(np.abs(scalar)))
+
+
+def _counting_copy(J):
+    """J with a slice-center map that records each call, and the call list."""
+    calls = []
+
+    def xtil_star(r):
+        calls.append(r.copy())
+        return J.xtil_star(r)
+
+    return roa.JointEllipsoid(P=J.P, Q=J.Q, r_nom=J.r_nom,
+                              xtil_star=xtil_star), calls
+
+
+def test_joint_quad_memo_is_bit_identical(joint_set):
+    J, calls = _counting_copy(joint_set)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        r = rng.uniform(-0.3, 0.3, size=1)
+        for repeat in range(2):
+            x = rng.normal(size=3, scale=0.3)
+            e = x - joint_set.xtil_star(r)
+            expected = float(e @ J.P @ e) + J.ref_quad(r)
+            assert J.joint_quad(x, r).hex() == expected.hex()
+            # the first call computes the center, the repeat reads the memo
+            assert len(calls) == len(set(map(bytes, calls)))
+    assert len(calls) == 200
+
+
+def test_joint_quad_memo_is_bounded_and_keeps_recent(joint_set):
+    J, calls = _counting_copy(joint_set)
+    x = np.zeros(3)
+    r0 = np.zeros(1)
+    refs = np.linspace(0.01, 0.25, 10 * roa.CENTER_MEMO_SIZE)
+    for r in refs:
+        J.joint_quad(x, r0)
+        J.joint_quad(x, np.array([r]))
+        assert len(J._center_memo) <= roa.CENTER_MEMO_SIZE
+    # r0, asked for before every new reference, is never the one evicted
+    assert len(calls) == 1 + len(refs)
+
+
+def test_joint_quad_memo_ignored_by_eq_and_repr():
+    def center(r):
+        return 2.0 * r
+
+    J1 = roa.JointEllipsoid(P=[[2.0]], Q=[[4.0]], r_nom=[0.0], xtil_star=center)
+    J2 = roa.JointEllipsoid(P=[[2.0]], Q=[[4.0]], r_nom=[0.0], xtil_star=center)
+    for r in (0.1, -0.2, 0.3):
+        J1.joint_quad([0.5], r)
+    assert len(J1._center_memo) == 3 and not J2._center_memo
+    assert J1 == J2
+    assert repr(J1) == repr(J2)
