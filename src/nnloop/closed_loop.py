@@ -6,6 +6,19 @@ step then costs one trace-free network pass (:func:`network.evaluate`) and a
 few small matrix products; outputs and tracking errors are computed from the
 stored states after the loop.
 
+Offset-free tracking settles a run onto the steady state of its reference
+segment, and in floating point a settled run is an exact periodic orbit of
+the step map: the pendulum loop at r = 0 enters a period-70 orbit of
+subnormal states after about 3,600 steps, and governed segments repeat with
+period 1 or 2 after a few hundred.  The loop therefore keeps the states of the
+last REPLAY_WINDOW to 2 * REPLAY_WINDOW steps of the current segment, keyed
+by their bytes, and clears them where the desired reference changes.  When a
+state repeats, the rows of the orbit are copied to the end of the segment
+(stopping mid-period if it ends there) and stepping goes on from the
+segment's last state.  A step is a pure function of the state and the
+desired reference, so the copied rows are bit for bit the rows the loop
+would compute; they make no network pass and no governor call.
+
 The governor replaces the desired reference by the nearest surrogate for
 which the pair (current state, surrogate) stays inside the certified joint
 set.  Since the steady state depends on the network nonlinearly, the scalar
@@ -18,8 +31,9 @@ the inside test and the bisection ask about is kept in a small per-set memo
 interval end and the shared first midpoints cost no network pass after their
 first step.  The multi-reference case uses multi-start projected descent.
 
-:func:`write_trajectory_csv` streams its rows to the file, with the bytes
-``csv.writer`` would write: CRLF line ends and ``repr`` floats.
+:func:`write_trajectory_csv` formats each distinct row (distinct bytes) once
+and streams the rows to the file, with the bytes ``csv.writer`` would write:
+CRLF line ends and ``repr`` floats.
 """
 
 from __future__ import annotations
@@ -39,6 +53,11 @@ from .roa import JointEllipsoid, admissible_references
 
 DIVERGENCE_NORM = 1e9
 CONVERGENCE_WINDOW = 50
+# The loop remembers the states of at least this many (at most twice as many)
+# recent steps of a reference segment, so it finds and replays every periodic
+# orbit whose period is at most this.  The pendulum loop settles at r = 0 onto
+# a period-70 orbit of subnormal states.
+REPLAY_WINDOW = 128
 
 
 @dataclass(frozen=True)
@@ -83,7 +102,7 @@ def _transition(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r):
 
     xtil and r must be float arrays of shapes (n_xtil,) and (n_r,).
     """
-    n_x = aug.n_x
+    n_x = nn.n_x
     u_nn = evaluate(nn, xtil[:n_x], r)
     u = aug.k_xi @ xtil[n_x:] + u_nn
     return u, aug.Atil @ xtil + aug.Btil @ u_nn + aug.Br @ r
@@ -174,7 +193,10 @@ def _run(aug, nn, xtil0, desired, governor, conv_tol):
     """The closed loop under the (T, n_r) desired references.
 
     ``governor(xtil, r)`` gives the reference applied at a state, or is None
-    for a run that applies the desired references unchanged.
+    for a run that applies the desired references unchanged.  It must return
+    bit-identical values for bit-identical arguments, as :func:`govern` does:
+    a state that repeats one of step j in the same segment replays the rows
+    from step j on instead of computing them.
     """
     T = desired.shape[0]
     xtil = np.asarray(xtil0, dtype=float)
@@ -183,17 +205,46 @@ def _run(aug, nn, xtil0, desired, governor, conv_tol):
     inputs = np.empty((T, aug.k_xi.shape[0]))
     applied = desired if governor is None else np.empty_like(desired)
     states[0] = xtil
+    # Segments end where the desired reference changes bits, and at T.
+    bits = desired.view(np.uint64)
+    ends = [*(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1)
+            .tolist(), T]
     n_done, diverged = T, False
-    for k in range(T):
-        r = desired[k] if governor is None else governor(xtil, desired[k])
-        u, xtil = _transition(aug, nn, xtil, r)
-        inputs[k] = u
-        states[k + 1] = xtil
-        if governor is not None:
-            applied[k] = r
-        # sqrt(x . x) is the value np.linalg.norm returns for a vector
-        if math.sqrt(xtil.dot(xtil)) > DIVERGENCE_NORM:
-            n_done, diverged = k + 1, True
+    k = 0
+    for end in ends:
+        # xtil.tobytes() -> the step k with states[k] == xtil, for this
+        # segment's last REPLAY_WINDOW to 2 * REPLAY_WINDOW steps.
+        recent, older = {}, {}
+        swap_at = k + REPLAY_WINDOW
+        while k < end:
+            key = xtil.tobytes()
+            j = recent.setdefault(key, k)
+            if j == k:
+                j = older.get(key, k)
+            if j < k:
+                # Replay rows j..k-1 with period k - j to the segment end.
+                src = j + np.arange(end - k) % (k - j)
+                inputs[k:end] = inputs[src]
+                states[k + 1:end + 1] = states[src + 1]
+                if governor is not None:
+                    applied[k:end] = applied[src]
+                k = end
+                xtil = states[k]
+                break
+            if k == swap_at:
+                older, recent, swap_at = recent, {}, k + REPLAY_WINDOW
+            r = desired[k] if governor is None else governor(xtil, desired[k])
+            u, xtil = _transition(aug, nn, xtil, r)
+            inputs[k] = u
+            states[k + 1] = xtil
+            if governor is not None:
+                applied[k] = r
+            # sqrt(x . x) is the value np.linalg.norm returns for a vector
+            if math.sqrt(xtil.dot(xtil)) > DIVERGENCE_NORM:
+                n_done, diverged = k + 1, True
+                break
+            k += 1
+        if diverged:
             break
     states = states[: n_done + 1]
     applied = applied[:n_done]
@@ -336,11 +387,19 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
               + [f"y_{i + 1}" for i in range(n_r)]
               + [f"rhat_{i + 1}" for i in range(n_r)])
     table = np.hstack([traj.states[:-1], traj.inputs, traj.outputs[:-1],
-                       traj.applied_refs]).tolist()
+                       traj.applied_refs])
+    # A settled run repeats its rows, so each distinct row is formatted once.
+    # Rows are told apart by their bytes: -0.0 and 0.0, or two NaN payloads,
+    # stay different rows even though they compare equal as floats.
+    width = table.shape[1]
+    rows = table.view(np.dtype((np.void, table.itemsize * width))).ravel()
+    distinct, which = np.unique(rows, return_inverse=True)
+    texts = [",".join(map(repr, row)) for row in
+             distinct.view(table.dtype).reshape(-1, width).tolist()]
     # The bytes of csv.writer's default dialect: no field needs quoting, rows
     # end in CRLF.  Rows are streamed; the file joined into one string would
     # hold all of it in memory at once.
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(f"{k},{','.join(map(repr, row))}\r\n"
-                      for k, row in enumerate(table))
+        fh.writelines(f"{k},{texts[i]}\r\n"
+                      for k, i in enumerate(which.tolist()))

@@ -22,9 +22,13 @@ class Membership(NamedTuple):
     margin: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ellipsoid:
-    """Set { x : (x - center)' shape (x - center) <= level }."""
+    """Set { x : (x - center)' shape (x - center) <= level }.
+
+    Two ellipsoids are equal when their centers, shapes and levels are; like
+    their numpy arrays, they are not hashable.
+    """
 
     center: np.ndarray
     shape: np.ndarray
@@ -44,6 +48,15 @@ class Ellipsoid:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", 0.5 * (shape + shape.T))
         object.__setattr__(self, "level", float(self.level))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (np.array_equal(self.center, other.center)
+                and np.array_equal(self.shape, other.shape)
+                and self.level == other.level)
+
+    __hash__ = None
 
     @property
     def dim(self) -> int:
@@ -72,7 +85,7 @@ def contains(E: Ellipsoid, x) -> Membership:
     return Membership(inside=bool(margin >= 0.0), margin=float(margin))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointEllipsoid:
     """Joint state-reference set
 
@@ -90,6 +103,9 @@ class JointEllipsoid:
     bit-identical to recomputing them; the memo is not part of the set's
     equality or repr.  It takes no lock, so one set is not to be queried
     from several threads at once.
+
+    Two joint sets are equal when P, Q and r_nom are and they share their
+    slice-center maps (the same function objects); they are not hashable.
     """
 
     P: np.ndarray
@@ -99,11 +115,10 @@ class JointEllipsoid:
     xtil_star_batch: Callable | None = None
     # n_points -> (refs, centers, ref_quads) of grid_quads; the set is
     # immutable, so a grid built once stays valid.
-    _grids: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False)
     # r.tobytes() -> (xtil_star(r), ref_quad(r)), least recently used first.
-    _center_memo: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    _center_memo: dict = field(default_factory=dict, init=False,
+                               repr=False)
 
     def __post_init__(self):
         P = _frozen(self.P)
@@ -117,6 +132,17 @@ class JointEllipsoid:
         object.__setattr__(self, "P", 0.5 * (P + P.T))
         object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
         object.__setattr__(self, "r_nom", r_nom)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (np.array_equal(self.P, other.P)
+                and np.array_equal(self.Q, other.Q)
+                and np.array_equal(self.r_nom, other.r_nom)
+                and self.xtil_star is other.xtil_star
+                and self.xtil_star_batch is other.xtil_star_batch)
+
+    __hash__ = None
 
     @property
     def n_r(self) -> int:

@@ -1,4 +1,6 @@
 import csv
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -248,6 +250,32 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, pendulum,
     assert streamed.count(b"\r\n") == 41
 
 
+def test_trajectory_csv_formats_rows_by_bytes(tmp_path):
+    # Repeated rows are written once per occurrence; rows that compare equal
+    # as floats but differ in bits (-0.0 and 0.0, two NaN payloads) keep
+    # their own text.  Trajectory refuses non-finite entries, so the
+    # formatter gets the four arrays it reads on a plain namespace.
+    inf = float("inf")
+    nan_a, nan_b = np.array([0x7FF8000000000000, 0x7FF8000000000001],
+                            dtype=np.uint64).view(np.float64)
+    distinct = np.array([[0.0, 1.5, -2.0],
+                         [-0.0, 1.5, -2.0],
+                         [nan_a, inf, -inf],
+                         [nan_b, inf, -inf],
+                         [5e-324, -1e300, 0.1]])
+    states = distinct[[0, 1, 0, 2, 3, 2, 4, 4, 4, 1, 0]]
+    traj = types.SimpleNamespace(states=states, inputs=states[:-1, 1:2],
+                                 outputs=states[:, :1],
+                                 applied_refs=-states[:-1, :1])
+    cl.write_trajectory_csv(tmp_path / "written.csv", traj)
+    _csv_writer_reference(tmp_path / "reference.csv", traj)
+    written = (tmp_path / "written.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    lines = written.split(b"\r\n")
+    assert lines[1].startswith(b"0,0.0,") and lines[2].startswith(b"1,-0.0,")
+    assert lines[4] == b"3,nan,inf,-inf,inf,nan,nan"
+
+
 def test_governor_config_validation():
     with pytest.raises(ValueError):
         nl.GovernorConfig(tolerance=0.0)
@@ -394,6 +422,91 @@ def test_closest_feasible_early_stop_matches_full_bisection():
     for target in (-2.0, -0.37, 0.0, 0.51, 2.0):
         got = _closest_feasible_1d(grid, mask, wavy, target, iters=60)
         assert got == _full_bisection(grid, mask, wavy, target, 60)
+
+
+# ---------------------------------------------------------------- replay
+#
+# A run that settles onto an exact periodic orbit replays it instead of
+# stepping it again; every replayed row must be the row the reference loop
+# computes.
+
+def _slice_point(nominal_slice):
+    return nominal_slice.point_at([1.0, -2.0, 0.5], radius=0.8)
+
+
+def _spy_passes(monkeypatch):
+    """Record, at every network pass of the loop, the number of states its
+    replay window holds; the list's length is the number of passes."""
+    sizes = []
+    transition = cl._transition
+
+    def spy(*args):
+        loop = sys._getframe(1).f_locals
+        sizes.append(len(loop["recent"]) + len(loop["older"]))
+        return transition(*args)
+
+    monkeypatch.setattr(cl, "_transition", spy)
+    return sizes
+
+
+def test_replay_settled_run_matches_reference_loop(pendulum, pendulum_aug,
+                                                   nominal_slice, monkeypatch):
+    _plant, nn, _k = pendulum
+    x0 = _slice_point(nominal_slice)
+    passes = _spy_passes(monkeypatch)
+    traj = nl.simulate(pendulum_aug, nn, x0, np.zeros(1), 10000)
+    _assert_same_run(traj, _reference_run(pendulum_aug, nn, x0, np.zeros(1),
+                                          10000))
+    assert traj.converged
+    # From this start the loop enters a period-70 orbit of subnormal states
+    # at step 3,621 and replays it from step 3,691 (3,691 passes measured).
+    assert len(passes) <= 4000
+
+
+def test_replay_window_is_cleared_between_segments(pendulum, pendulum_aug,
+                                                   nominal_slice, monkeypatch):
+    # Each segment settles onto a fixed point; the state that ends the middle
+    # segment was seen under r = -0.1 and must not be replayed under 0.05.
+    _plant, nn, _k = pendulum
+    x0 = _slice_point(nominal_slice)
+    sched = [(0, 0.05), (1500, -0.1), (3000, 0.05)]
+    passes = _spy_passes(monkeypatch)
+    traj = nl.simulate(pendulum_aug, nn, x0, sched, 4000)
+    _assert_same_run(traj, _reference_run(pendulum_aug, nn, x0, sched, 4000))
+    assert len(passes) < 1000
+
+
+def test_replay_stops_mid_period_at_segment_end(pendulum, pendulum_aug,
+                                                nominal_slice):
+    _plant, nn, _k = pendulum
+    x0 = _slice_point(nominal_slice)
+    switch = 3796
+    sched = [(0, 0.0), (switch, 0.05)]
+    traj = nl.simulate(pendulum_aug, nn, x0, sched, switch + 300)
+    ref = _reference_run(pendulum_aug, nn, x0, sched, switch + 300)
+    _assert_same_run(traj, ref)
+    # the first segment's orbit (first state seen again: step j + period)
+    # is cut mid-period by the switch
+    seen = {}
+    for k, state in enumerate(ref[0][:switch + 1]):
+        j = seen.setdefault(state.tobytes(), k)
+        if j < k:
+            break
+    period = k - j
+    assert period > 1 and k < switch and (switch - j) % period != 0
+
+
+def test_replay_window_is_bounded(pendulum, pendulum_aug, nominal_slice,
+                                  monkeypatch):
+    # The first 3,000 steps from this start never repeat a state.
+    _plant, nn, _k = pendulum
+    x0 = _slice_point(nominal_slice)
+    sizes = _spy_passes(monkeypatch)
+    traj = nl.simulate(pendulum_aug, nn, x0, np.zeros(1), 3000)
+    _assert_same_run(traj, _reference_run(pendulum_aug, nn, x0, np.zeros(1),
+                                          3000))
+    assert len(sizes) == 3000
+    assert max(sizes) <= 2 * cl.REPLAY_WINDOW + 1
 
 
 BAD_SCHEDULES = [

@@ -264,3 +264,39 @@ def test_joint_quad_memo_ignored_by_eq_and_repr():
     assert len(J1._center_memo) == 3 and not J2._center_memo
     assert J1 == J2
     assert repr(J1) == repr(J2)
+
+
+def test_sets_compare_by_value_and_are_unhashable():
+    P = np.array([[2.0, 0.3], [0.3, 1.0]])
+    E1 = roa.Ellipsoid(center=np.zeros(2), shape=P)
+    E2 = roa.Ellipsoid(center=np.zeros(2), shape=P.copy())
+    assert E1 == E2 and not E1 != E2
+    assert E1 != roa.Ellipsoid(center=np.array([0.0, 0.1]), shape=P)
+    assert E1 != roa.Ellipsoid(center=np.zeros(2), shape=2.0 * P)
+    assert E1 != roa.Ellipsoid(center=np.zeros(2), shape=P, level=0.5)
+    assert E1 != roa.Ellipsoid(center=np.zeros(3), shape=np.eye(3))
+    assert E1 != "E1"
+
+    def center(r):
+        return np.concatenate([r, r])
+
+    def other_center(r):
+        return np.concatenate([r, r])
+
+    Q = np.array([[4.0]])
+    J1 = roa.JointEllipsoid(P=P, Q=Q, r_nom=[0.0], xtil_star=center)
+    J2 = roa.JointEllipsoid(P=P.copy(), Q=Q.copy(), r_nom=[0.0],
+                            xtil_star=center)
+    assert J1 == J2
+    assert J1 != roa.JointEllipsoid(P=2.0 * P, Q=Q, r_nom=[0.0],
+                                    xtil_star=center)
+    assert J1 != roa.JointEllipsoid(P=P, Q=2.0 * Q, r_nom=[0.0],
+                                    xtil_star=center)
+    assert J1 != roa.JointEllipsoid(P=P, Q=Q, r_nom=[0.1], xtil_star=center)
+    assert J1 != roa.JointEllipsoid(P=P, Q=Q, r_nom=[0.0],
+                                    xtil_star=other_center)
+    assert J1 != roa.JointEllipsoid(P=P, Q=Q, r_nom=[0.0], xtil_star=center,
+                                    xtil_star_batch=center)
+    for s in (E1, J1):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(s)
