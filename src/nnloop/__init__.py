@@ -7,7 +7,6 @@ optional reference governor.
 """
 
 from .closed_loop import (
-    GovernorConfig,
     Trajectory,
     govern,
     simulate,

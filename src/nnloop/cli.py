@@ -147,19 +147,20 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
     if theorem == "global":
         system = lmi.build_global(aug, sel, nn.activation.alpha, nn.activation.beta)
         anchor = np.zeros(plant.n_r)
+        ss = None  # computed below, for a feasible verdict only
         report["r"] = None
     elif theorem == "local-fixed":
         if d is None:
             raise NonPositiveD("local theorems require a box half-width d")
         anchor = np.zeros(plant.n_r) if r is None else np.atleast_1d(r).astype(float)
-        _, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
+        ss, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
         system = lmi.build_local_fixed(aug, sel, secs, d)
         report["r"] = anchor.tolist()
     elif theorem == "local-range":
         if d is None:
             raise NonPositiveD("local theorems require a box half-width d")
         anchor = np.zeros(plant.n_r) if r_nom is None else np.atleast_1d(r_nom).astype(float)
-        _, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
+        ss, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
         refsens = lmi.ref_sensitivity(nn, steady_state_map(plant))
         system = lmi.build_local_range(aug, sel, secs, d, refsens, gamma=gamma)
         report["r_nom"] = anchor.tolist()
@@ -178,7 +179,8 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
     report["steady_state"] = None
     report["admissible_references"] = None
     if sol.status == sdp.FEASIBLE:
-        ss = steady_state(plant, nn, k_xi, anchor)
+        if ss is None:
+            ss = steady_state(plant, nn, k_xi, anchor)
         report["steady_state"] = {
             "r": anchor.tolist(),
             "xtil_star": ss.xtil_star.tolist(),
@@ -263,6 +265,19 @@ def _joint_from_report(report: dict, plant, nn, k_xi):
     )
 
 
+def _slice_curves(J, fracs, dims) -> list:
+    """Boundary curves of the joint set's slices at r_nom + frac * half-width
+    (n_r = 1), one for each fraction whose slice is not a point."""
+    half = float(roa.admissible_references(J).semi_lengths[0])
+    r_nom = float(J.r_nom[0])
+    curves = []
+    for frac in fracs:
+        E = roa.slice_at(J, np.array([r_nom + frac * half]))
+        if E is not None and E.level > 0.0:
+            curves.append((roa.boundary_polyline(E, dims), "#c62828"))
+    return curves
+
+
 def cmd_simulate(args) -> int:
     plant, nn, k_xi = _load_inputs(args)
     aug = augment(plant, k_xi)
@@ -298,15 +313,8 @@ def cmd_simulate(args) -> int:
           f"diverged: {traj.diverged}  csv: {csv_path}")
     if args.svg:
         svg_path = os.path.join(args.out, "trajectory.svg")
-        curves = []
-        if J is not None:
-            refs = roa.admissible_references(J)
-            half = float(refs.semi_lengths[0])
-            r_nom = float(J.r_nom[0])
-            for frac in (-0.99, -0.5, 0.0, 0.5, 0.99):
-                E = roa.slice_at(J, np.array([r_nom + frac * half]))
-                if E is not None and E.level > 0.0:
-                    curves.append((roa.boundary_polyline(E, (0, 1)), "#c62828"))
+        curves = [] if J is None else _slice_curves(
+            J, (-0.99, -0.5, 0.0, 0.5, 0.99), (0, 1))
         curves.append((traj.states[:, :2], "#1565c0"))
         roa.polylines_to_svg(svg_path, curves)
         print(f"svg: {svg_path}")
@@ -358,22 +366,16 @@ def cmd_roa_plot(args) -> int:
         raise CliError("report has no P matrix (was the run feasible?)")
     P = _report_matrix(report, "P", plant.n_x + plant.n_r)
     dims = _parse_dims(args.dims, P.shape[0])
-    curves = []
     if report.get("Q") is not None:
         J = _joint_from_report(report, plant, nn, k_xi)
-        refs = roa.admissible_references(J)
-        half = float(refs.semi_lengths[0])
-        r_nom = float(J.r_nom[0])
-        for frac in (-0.99, -0.6, -0.3, 0.0, 0.3, 0.6, 0.99):
-            E = roa.slice_at(J, np.array([r_nom + frac * half]))
-            if E is not None and E.level > 0.0:
-                curves.append((roa.boundary_polyline(E, dims), "#c62828"))
+        curves = _slice_curves(J, (-0.99, -0.6, -0.3, 0.0, 0.3, 0.6, 0.99),
+                               dims)
     else:
         anchor = (_report_array(report, "r", (plant.n_r,)) if report.get("r")
                   else np.zeros(plant.n_r))
         ss = steady_state(plant, nn, k_xi, anchor)
         E = roa.Ellipsoid(center=ss.xtil_star, shape=P)
-        curves.append((roa.boundary_polyline(E, dims), "#1565c0"))
+        curves = [(roa.boundary_polyline(E, dims), "#1565c0")]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "roa.svg")
     roa.polylines_to_svg(path, curves)

@@ -24,12 +24,14 @@ which the pair (current state, surrogate) stays inside the certified joint
 set.  Since the steady state depends on the network nonlinearly, the scalar
 case is solved globally by bracketing on a grid over the admissible interval
 followed by bisection onto the feasibility boundary; the grid, its slice
-centers and reference terms are built once per joint set and grid size
-(:meth:`JointEllipsoid.grid_quads`), and the slice center of every reference
-the inside test and the bisection ask about is kept in a small per-set memo
-(:meth:`JointEllipsoid.joint_quad`), so the desired reference, the clipped
-interval end and the shared first midpoints cost no network pass after their
-first step.  The multi-reference case uses multi-start projected descent.
+centers (one stacked pass of the steady-state map) and reference terms are
+built once per joint set (:meth:`JointEllipsoid.grid_quads`), and the slice
+center of every reference the inside test and the bisection ask about is
+kept in a small per-set memo (:meth:`JointEllipsoid.joint_quad`), so the
+desired reference, the clipped interval end and the shared first midpoints
+cost no network pass after their first step.  The multi-reference case uses
+multi-start projected descent.  A run whose state grows past the float
+limit is flagged as diverged without an overflow warning.
 
 :func:`write_trajectory_csv` formats each distinct row (distinct bytes) once
 and streams the rows to the file, with the bytes ``csv.writer`` would write:
@@ -58,6 +60,11 @@ CONVERGENCE_WINDOW = 50
 # orbit whose period is at most this.  The pendulum loop settles at r = 0 onto
 # a period-70 orbit of subnormal states.
 REPLAY_WINDOW = 128
+# Governor: slack of the desired reference's inside test, bisection steps
+# onto the feasibility boundary, and half the descent's starting points.
+GOVERNOR_TOLERANCE = 1e-9
+REFINE_ITERS = 60
+DESCENT_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -83,18 +90,6 @@ class Trajectory:
     def tracking_errors(self) -> np.ndarray:
         """Per-step norm of y_k - rhat_k."""
         return np.linalg.norm(self.outputs[:-1] - self.applied_refs, axis=1)
-
-
-@dataclass(frozen=True)
-class GovernorConfig:
-    tolerance: float = 1e-9
-    grid_points: int = 256
-    refine_iters: int = 60
-    descent_starts: int = 8
-
-    def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 def _transition(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r):
@@ -211,41 +206,44 @@ def _run(aug, nn, xtil0, desired, governor, conv_tol):
             .tolist(), T]
     n_done, diverged = T, False
     k = 0
-    for end in ends:
-        # xtil.tobytes() -> the step k with states[k] == xtil, for this
-        # segment's last REPLAY_WINDOW to 2 * REPLAY_WINDOW steps.
-        recent, older = {}, {}
-        swap_at = k + REPLAY_WINDOW
-        while k < end:
-            key = xtil.tobytes()
-            j = recent.setdefault(key, k)
-            if j == k:
-                j = older.get(key, k)
-            if j < k:
-                # Replay rows j..k-1 with period k - j to the segment end.
-                src = j + np.arange(end - k) % (k - j)
-                inputs[k:end] = inputs[src]
-                states[k + 1:end + 1] = states[src + 1]
+    # x . x overflows for a state near the float limit; inf still compares
+    # above DIVERGENCE_NORM, so the flag is right without a warning.
+    with np.errstate(over="ignore"):
+        for end in ends:
+            # xtil.tobytes() -> the step k with states[k] == xtil, for this
+            # segment's last REPLAY_WINDOW to 2 * REPLAY_WINDOW steps.
+            recent, older = {}, {}
+            swap_at = k + REPLAY_WINDOW
+            while k < end:
+                key = xtil.tobytes()
+                j = recent.setdefault(key, k)
+                if j == k:
+                    j = older.get(key, k)
+                if j < k:
+                    # Replay rows j..k-1 with period k - j to the segment end.
+                    src = j + np.arange(end - k) % (k - j)
+                    inputs[k:end] = inputs[src]
+                    states[k + 1:end + 1] = states[src + 1]
+                    if governor is not None:
+                        applied[k:end] = applied[src]
+                    k = end
+                    xtil = states[k]
+                    break
+                if k == swap_at:
+                    older, recent, swap_at = recent, {}, k + REPLAY_WINDOW
+                r = desired[k] if governor is None else governor(xtil, desired[k])
+                u, xtil = _transition(aug, nn, xtil, r)
+                inputs[k] = u
+                states[k + 1] = xtil
                 if governor is not None:
-                    applied[k:end] = applied[src]
-                k = end
-                xtil = states[k]
+                    applied[k] = r
+                # sqrt(x . x) is the value np.linalg.norm returns for a vector
+                if math.sqrt(xtil.dot(xtil)) > DIVERGENCE_NORM:
+                    n_done, diverged = k + 1, True
+                    break
+                k += 1
+            if diverged:
                 break
-            if k == swap_at:
-                older, recent, swap_at = recent, {}, k + REPLAY_WINDOW
-            r = desired[k] if governor is None else governor(xtil, desired[k])
-            u, xtil = _transition(aug, nn, xtil, r)
-            inputs[k] = u
-            states[k + 1] = xtil
-            if governor is not None:
-                applied[k] = r
-            # sqrt(x . x) is the value np.linalg.norm returns for a vector
-            if math.sqrt(xtil.dot(xtil)) > DIVERGENCE_NORM:
-                n_done, diverged = k + 1, True
-                break
-            k += 1
-        if diverged:
-            break
     states = states[: n_done + 1]
     applied = applied[:n_done]
     outputs = states @ aug.Ctil.T
@@ -310,30 +308,29 @@ def _closest_feasible_1d(grid, mask, feasible, target: float, iters: int):
     return a
 
 
-def govern(J: JointEllipsoid, xtil, r_desired, cfg: GovernorConfig | None = None):
+def govern(J: JointEllipsoid, xtil, r_desired):
     """Surrogate reference: argmin |r - rhat|^2 subject to joint membership."""
-    cfg = cfg or GovernorConfig()
     xtil = np.asarray(xtil, dtype=float)
     r_desired = np.atleast_1d(np.asarray(r_desired, dtype=float))
 
     def g(r):
         return J.joint_quad(xtil, r)
 
-    if g(r_desired) <= 1.0 + cfg.tolerance:
+    if g(r_desired) <= 1.0 + GOVERNOR_TOLERANCE:
         return r_desired
 
     if J.n_r == 1:
-        grid, quads = J.grid_quads(xtil, cfg.grid_points)
+        grid, quads = J.grid_quads(xtil)
         rhat = _closest_feasible_1d(
             grid, quads <= 1.0, lambda r: g(np.array([r])) <= 1.0,
-            float(r_desired[0]), cfg.refine_iters)
+            float(r_desired[0]), REFINE_ITERS)
         if rhat is None:
             raise GovernorInfeasible("state lies outside every reference slice")
         return np.array([rhat])
-    return _govern_descent(J, xtil, r_desired, cfg)
+    return _govern_descent(J, xtil, r_desired)
 
 
-def _govern_descent(J, xtil, r_desired, cfg):
+def _govern_descent(J, xtil, r_desired):
     """Multi-start projected descent for n_r > 1 (no global guarantee)."""
     refs = admissible_references(J)
     starts = [J.r_nom]
@@ -345,13 +342,13 @@ def _govern_descent(J, xtil, r_desired, cfg):
     if not feas:
         raise GovernorInfeasible("state lies outside every reference slice")
     best = None
-    for a in feas[: 2 * cfg.descent_starts]:
+    for a in feas[: 2 * DESCENT_STARTS]:
         a = np.asarray(a, dtype=float)
         lo_pt, hi_pt = a, r_desired
         if J.joint_quad(xtil, hi_pt) <= 1.0:
             cand = hi_pt
         else:
-            for _ in range(cfg.refine_iters):
+            for _ in range(REFINE_ITERS):
                 mid = 0.5 * (lo_pt + hi_pt)
                 if J.joint_quad(xtil, mid) <= 1.0:
                     lo_pt = mid
@@ -366,14 +363,12 @@ def _govern_descent(J, xtil, r_desired, cfg):
 
 def simulate_with_governor(aug: AugmentedPlant, nn: FeedForwardNN,
                            J: JointEllipsoid, xtil0, r_desired, T: int,
-                           cfg: GovernorConfig | None = None,
                            conv_tol: float = 1e-6) -> Trajectory:
     """Simulate with the surrogate reference recomputed at every step."""
     if T < 1:
         raise ValueError("T must be at least 1")
-    cfg = cfg or GovernorConfig()
     return _run(aug, nn, xtil0, _schedule_array(r_desired, T, aug.n_r),
-                lambda xtil, r: govern(J, xtil, r, cfg), conv_tol)
+                lambda xtil, r: govern(J, xtil, r), conv_tol)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -173,14 +173,18 @@ def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
 def evaluate(nn: FeedForwardNN, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Control output kappa(x, r) without a trace.
 
-    The arithmetic is that of :func:`forward` step for step, so the result is
-    bit-identical to ``forward(nn, x, r).u``.  Nothing is checked or
-    converted: x and r must be float arrays of shapes (n_x,) and (n_r,).
+    x and r are float arrays of shapes (n_x,) and (n_r,), or column stacks
+    (n_x, N) and (n_r, N) of N points, giving u of shape (n_u,) or (n_u, N).
+    Nothing is checked or converted.  The arithmetic is that of
+    :func:`forward` step for step, so one point, or a stack of one, gives the
+    bits of ``forward(nn, x, r).u``; BLAS may sum a wider stack in another
+    order, so its columns can differ in the last bits.
     """
     w = nn.Hx0 @ x + nn.Hr0 @ r
+    stack = w.ndim == 2
     for W, b in nn.layers:
-        w = nn.activation(W @ w + b)
-    return nn.Wl @ w + nn.bl
+        w = nn.activation(W @ w + (b[:, None] if stack else b))
+    return nn.Wl @ w + (nn.bl[:, None] if stack else nn.bl)
 
 
 def steady_forward(nn: FeedForwardNN, x_star, r) -> LayerTrace:

@@ -173,28 +173,50 @@ def steady_state_map(plant: Plant) -> SteadyStateMap:
     return SteadyStateMap(A_a=A_a, M=sol[:n_x, :], M_u=sol[n_x:, :])
 
 
+def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
+    """The steady-state map r -> xtil_*(r) = (M r, k_xi^-1 (M_u r - kappa(M r, r))).
+
+    The returned function takes a reference (n_r,) and gives its steady state
+    (n_xtil,), or takes a column stack (n_r, N) of references and gives the
+    (n_xtil, N) stack of theirs in one network pass.  k_xi is checked and
+    inverted once, here; raises SingularGain when it is numerically singular.
+    """
+    from .network import evaluate  # local import to avoid a cycle
+
+    M, M_u = ssmap.M, ssmap.M_u
+    k_xi = np.atleast_2d(np.asarray(k_xi, dtype=float))
+    if (nn.n_x, nn.n_r, nn.n_u) != (M.shape[0], M.shape[1], M_u.shape[0]) \
+            or k_xi.shape != (nn.n_u, nn.n_u):
+        raise DimensionMismatch("network, plant and k_xi dimensions disagree")
+    if _cond(k_xi) >= COND_LIMIT:
+        raise SingularGain("integrator gain is numerically singular")
+    k_xi_inv = np.linalg.inv(k_xi)
+
+    def xtil_star(r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        x_star = M @ r
+        xi_star = k_xi_inv @ (M_u @ r - evaluate(nn, x_star, r))
+        return np.concatenate([x_star, xi_star])
+
+    return xtil_star
+
+
 def steady_state(plant: Plant, nn, k_xi, r) -> SteadyState:
     """Unique steady state of the augmented loop for reference ``r``.
 
     The integrator settles at xi_* = k_xi^-1 (u_* - kappa(x_*, r)), so the
     plant input equals u_* exactly and the output offset vanishes.
     """
-    from .network import forward  # local import to avoid a cycle
-
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    if r.shape != (plant.n_r,):
+        raise DimensionMismatch(f"r must have shape ({plant.n_r},)")
     ssmap = steady_state_map(plant)
-    x_star = ssmap.M @ r
-    u_star = ssmap.M_u @ r
-    k_xi = np.atleast_2d(np.asarray(k_xi, dtype=float))
-    if _cond(k_xi) >= COND_LIMIT:
-        raise SingularGain("integrator gain is numerically singular")
-    u_nn = forward(nn, x_star, r).u
-    xi_star = np.linalg.solve(k_xi, u_star - u_nn)
+    xtil_star = xtil_star_map(ssmap, nn, k_xi)(r)
     return SteadyState(
-        x_star=x_star,
-        u_star=u_star,
-        xi_star=xi_star,
-        xtil_star=np.concatenate([x_star, xi_star]),
+        x_star=xtil_star[:plant.n_x],
+        u_star=ssmap.M_u @ r,
+        xi_star=xtil_star[plant.n_x:],
+        xtil_star=xtil_star,
     )
 
 

@@ -8,13 +8,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .plant import _frozen
+from .plant import _frozen, steady_state_map, xtil_star_map
 
 # Slice centers a joint set keeps, least recently used evicted first.  A
 # governed step revisits the desired reference, the clipped interval end and
 # the first bisection midpoints of the step before; on the pendulum benchmark
 # states 64 entries hit as often as an unbounded memo.
 CENTER_MEMO_SIZE = 64
+# References in the grid over the admissible interval on which the governor
+# brackets the feasible references before it bisects (n_r = 1).
+GRID_POINTS = 256
 
 
 class Membership(NamedTuple):
@@ -92,9 +95,10 @@ class JointEllipsoid:
         (xtil - xtil_*(r))' P (xtil - xtil_*(r)) + (r - r_nom)' Q (r - r_nom) <= 1,
 
     where xtil_*(r) is evaluated through the true (network-dependent) steady
-    state, not a linearization.  ``xtil_star_batch``, when provided, maps a
-    stack of references (N, n_r) to centers (N, n_xtil) in one call; the
-    governor uses it to evaluate whole candidate grids at once.
+    state, not a linearization.  ``xtil_star`` maps a reference (n_r,) to its
+    slice center (n_xtil,), and a column stack (n_r, N) of references to the
+    (n_xtil, N) stack of their centers; the governor's grid and
+    ``joint_quad_many`` evaluate a whole stack in one call.
 
     ``joint_quad`` keeps the center and reference term of the last
     CENTER_MEMO_SIZE references it saw, keyed by the reference's bytes, so a
@@ -105,17 +109,16 @@ class JointEllipsoid:
     from several threads at once.
 
     Two joint sets are equal when P, Q and r_nom are and they share their
-    slice-center maps (the same function objects); they are not hashable.
+    slice-center map (the same function object); they are not hashable.
     """
 
     P: np.ndarray
     Q: np.ndarray
     r_nom: np.ndarray
     xtil_star: Callable
-    xtil_star_batch: Callable | None = None
-    # n_points -> (refs, centers, ref_quads) of grid_quads; the set is
-    # immutable, so a grid built once stays valid.
-    _grids: dict = field(default_factory=dict, init=False, repr=False)
+    # (refs, centers, ref_quads) of grid_quads, built on first use; the set
+    # is immutable, so the grid stays valid.
+    _grid: tuple | None = field(default=None, init=False, repr=False)
     # r.tobytes() -> (xtil_star(r), ref_quad(r)), least recently used first.
     _center_memo: dict = field(default_factory=dict, init=False,
                                repr=False)
@@ -139,14 +142,17 @@ class JointEllipsoid:
         return (np.array_equal(self.P, other.P)
                 and np.array_equal(self.Q, other.Q)
                 and np.array_equal(self.r_nom, other.r_nom)
-                and self.xtil_star is other.xtil_star
-                and self.xtil_star_batch is other.xtil_star_batch)
+                and self.xtil_star is other.xtil_star)
 
     __hash__ = None
 
     @property
     def n_r(self) -> int:
         return self.r_nom.shape[0]
+
+    def xtil_star_batch(self, R) -> np.ndarray:
+        """Slice centers (N, n_xtil) of a stack of references (N, n_r)."""
+        return self.xtil_star(np.asarray(R, dtype=float).T).T
 
     def ref_quad(self, r) -> float:
         dr = np.atleast_1d(np.asarray(r, dtype=float)) - self.r_nom
@@ -169,31 +175,25 @@ class JointEllipsoid:
     def joint_quad_many(self, xtil, R) -> np.ndarray:
         """Joint quadratic for one state against a stack of references (N, n_r)."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
-        return self._stacked_quad(xtil, self._centers(R), self._ref_quads(R))
+        return self._stacked_quad(xtil, self.xtil_star_batch(R),
+                                  self._ref_quads(R))
 
-    def grid_quads(self, xtil, n_points: int) -> tuple:
-        """(refs, quads): n_points references evenly spaced over the
+    def grid_quads(self, xtil) -> tuple:
+        """(refs, quads): GRID_POINTS references evenly spaced over the
         admissible interval (n_r = 1) and the joint quadratic of xtil at
         each, equal to ``joint_quad_many(xtil, refs[:, None])``.
 
         The references, their centers and reference terms are computed on the
-        first call for each n_points and kept, so later calls cost one
-        quadratic form per reference.
+        first call and kept, so later calls cost one quadratic form per
+        reference.
         """
-        grid = self._grids.get(n_points)
-        if grid is None:
+        if self._grid is None:
             lo, hi = admissible_references(self).interval
-            refs = np.linspace(lo, hi, n_points)
-            R = refs[:, None]
-            grid = (refs, self._centers(R), self._ref_quads(R))
-            self._grids[n_points] = grid
-        refs, centers, ref_quads = grid
+            R = np.linspace(lo, hi, GRID_POINTS)[:, None]
+            object.__setattr__(self, "_grid", (
+                R[:, 0], self.xtil_star_batch(R), self._ref_quads(R)))
+        refs, centers, ref_quads = self._grid
         return refs, self._stacked_quad(xtil, centers, ref_quads)
-
-    def _centers(self, R) -> np.ndarray:
-        if self.xtil_star_batch is not None:
-            return self.xtil_star_batch(R)
-        return np.array([self.xtil_star(r) for r in R])
 
     def _ref_quads(self, R) -> np.ndarray:
         dr = R - self.r_nom[None, :]
@@ -242,38 +242,11 @@ def admissible_references(J: JointEllipsoid) -> AdmissibleRefs:
 
 
 def joint_ellipsoid_for(plant, nn, k_xi, P, Q, r_nom) -> JointEllipsoid:
-    """Joint set whose slice centers come from the true steady-state map.
-
-    The linear part of the map is solved and k_xi inverted once; per-reference
-    evaluation then costs one trace-free network pass, and reference stacks
-    are evaluated in a single batched pass.
-    """
-    from .network import evaluate
-    from .plant import steady_state_map  # local import to avoid a module cycle
-
-    ssmap = steady_state_map(plant)
-    k_xi_mat = np.atleast_2d(np.asarray(k_xi, dtype=float))
-    k_xi_inv = np.linalg.inv(k_xi_mat)
-    M, M_u = ssmap.M, ssmap.M_u
-
-    def xtil_star(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        x_star = M @ r
-        xi_star = k_xi_inv @ (M_u @ r - evaluate(nn, x_star, r))
-        return np.concatenate([x_star, xi_star])
-
-    def xtil_star_batch(R):
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        X = R @ M.T                                   # (N, n_x)
-        W = X @ nn.Hx0.T + R @ nn.Hr0.T               # (N, n_0)
-        for Wmat, b in nn.layers:
-            W = nn.activation(W @ Wmat.T + b[None, :])
-        U = W @ nn.Wl.T + nn.bl[None, :]              # (N, n_u)
-        Xi = np.linalg.solve(k_xi_mat, (R @ M_u.T - U).T).T
-        return np.hstack([X, Xi])
-
-    return JointEllipsoid(P=P, Q=Q, r_nom=r_nom, xtil_star=xtil_star,
-                          xtil_star_batch=xtil_star_batch)
+    """Joint set whose slice centers come from the true steady-state map,
+    :func:`plant.xtil_star_map`: the map :func:`plant.steady_state` uses,
+    so a slice center is bit for bit the steady state a report gives."""
+    return JointEllipsoid(P=P, Q=Q, r_nom=r_nom, xtil_star=xtil_star_map(
+        steady_state_map(plant), nn, k_xi))
 
 
 def schur_row_check(P: np.ndarray, rows: np.ndarray, d, Q=None,

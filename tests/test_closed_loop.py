@@ -7,6 +7,7 @@ import pytest
 
 import nnloop as nl
 from nnloop import closed_loop as cl
+from nnloop import roa
 from nnloop.errors import GovernorInfeasible
 
 
@@ -276,16 +277,11 @@ def test_trajectory_csv_formats_rows_by_bytes(tmp_path):
     assert lines[4] == b"3,nan,inf,-inf,inf,nan,nan"
 
 
-def test_governor_config_validation():
-    with pytest.raises(ValueError):
-        nl.GovernorConfig(tolerance=0.0)
-
-
 # ---------------------------------------------------------------- exact oracle
 #
 # The loop as first written: a traced forward pass per step, the schedule
 # looked up at every step, and a governor that rebuilds its grid and always
-# bisects refine_iters times.  The lean loop must reproduce it bit for bit.
+# bisects REFINE_ITERS times.  The lean loop must reproduce it bit for bit.
 
 def _full_bisection(grid, mask, feasible, target, iters):
     cand = grid[mask]
@@ -305,16 +301,15 @@ def _full_bisection(grid, mask, feasible, target, iters):
 
 
 def _reference_govern(J, xtil, r_des):
-    cfg = nl.GovernorConfig()
-    if J.joint_quad(xtil, r_des) <= 1.0 + cfg.tolerance:
+    if J.joint_quad(xtil, r_des) <= 1.0 + cl.GOVERNOR_TOLERANCE:
         return r_des
     lo, hi = nl.admissible_references(J).interval
-    grid = np.linspace(lo, hi, cfg.grid_points)
+    grid = np.linspace(lo, hi, roa.GRID_POINTS)
     mask = J.joint_quad_many(xtil, grid[:, None]) <= 1.0
     assert mask.any()
     return np.array([_full_bisection(
         grid, mask, lambda r: J.joint_quad(xtil, np.array([r])) <= 1.0,
-        float(r_des[0]), cfg.refine_iters)])
+        float(r_des[0]), cl.REFINE_ITERS)])
 
 
 def _reference_run(aug, nn, xtil0, schedule, T, J=None, conv_tol=1e-6):
@@ -381,14 +376,25 @@ def test_diverging_run_matches_reference_loop(pendulum, pendulum_aug):
     assert traj.diverged and traj.steps == len(ref[1]) < 30000
 
 
+@pytest.mark.parametrize("big", [1e200, 1e308])
+def test_divergence_near_float_limit_warns_nothing(recwarn, pendulum,
+                                                   pendulum_aug, big):
+    # x . x overflows in the divergence test; inf still flags divergence.
+    _plant, nn, _k = pendulum
+    traj = nl.simulate(pendulum_aug, nn, np.array([big, -big, 0.0]),
+                       np.zeros(1), 100)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert traj.diverged and traj.steps == 1
+
+
 def test_grid_quads_match_joint_quad_many(joint_set):
     lo, hi = nl.admissible_references(joint_set).interval
     E0 = nl.slice_at(joint_set, np.zeros(1))
     rng = np.random.default_rng(11)
     for _ in range(20):
         xt = E0.point_at(rng.normal(size=3), radius=rng.uniform(0.0, 1.5))
-        grid, quads = joint_set.grid_quads(xt, 256)
-        assert np.array_equal(grid, np.linspace(lo, hi, 256))
+        grid, quads = joint_set.grid_quads(xt)
+        assert np.array_equal(grid, np.linspace(lo, hi, roa.GRID_POINTS))
         many = joint_set.joint_quad_many(xt, grid[:, None])
         assert np.array_equal(quads, many)
         assert np.array_equal(quads <= 1.0, many <= 1.0)

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import nnloop as nl
 from nnloop.errors import DimensionMismatch
-from nnloop.network import load_nn, save_nn
+from nnloop.network import evaluate, load_nn, save_nn
+from test_metamorphic import duplicated_nn
+
+
+def _shipped_and_wide(pendulum):
+    """The shipped 10-neuron controller and its 40-neuron duplicate."""
+    _plant, nn, _k_xi = pendulum
+    return nn, duplicated_nn(nn, 4, np.random.default_rng(2024))
 
 
 def test_zero_network_forward():
@@ -99,6 +106,35 @@ def test_io_maps_classification():
         activation=nl.Activation.tanh(),
     )
     assert nl.io_maps(dense, C) == (False, False)
+
+
+def test_evaluate_column_of_one_is_bit_identical(pendulum):
+    # The steady-state map evaluates stacks and single references through the
+    # same pass; with one column it must give the vector call's bits.
+    rng = np.random.default_rng(31)
+    for nn in _shipped_and_wide(pendulum):
+        assert nn.n_hidden in (10, 40)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-3.0, 1.0)
+            x = rng.normal(scale=scale, size=nn.n_x)
+            r = rng.normal(scale=scale, size=nn.n_r)
+            u = evaluate(nn, x, r)
+            U = evaluate(nn, x[:, None], r[:, None])
+            assert U.shape == (nn.n_u, 1)
+            assert U[:, 0].tobytes() == u.tobytes()
+            assert u.tobytes() == nl.forward(nn, x, r).u.tobytes()
+
+
+def test_evaluate_stack_matches_columns(pendulum):
+    rng = np.random.default_rng(32)
+    for nn in _shipped_and_wide(pendulum):
+        X = rng.normal(scale=0.5, size=(nn.n_x, 256))
+        R = rng.normal(scale=0.5, size=(nn.n_r, 256))
+        U = evaluate(nn, X, R)
+        cols = np.column_stack([evaluate(nn, X[:, j], R[:, j])
+                                for j in range(256)])
+        assert U.shape == cols.shape == (nn.n_u, 256)
+        assert np.max(np.abs(U - cols)) <= 1e-14 * np.max(np.abs(cols))
 
 
 def test_forward_dimension_mismatch(pendulum):

@@ -32,16 +32,13 @@ def test_ellipsoid_validation():
 
 
 def make_joint(q=25.0, r_nom=0.0):
-    # affine steady map for a standalone joint set
+    # affine steady map for a standalone joint set; r[0] is a scalar for one
+    # reference and a row for a column stack of them
     def xtil_star(r):
         return np.array([r[0], 0.5 * r[0]])
 
-    def xtil_star_batch(R):
-        return np.hstack([R, 0.5 * R])
-
     return nl.JointEllipsoid(P=np.eye(2), Q=np.array([[q]]),
-                             r_nom=np.array([r_nom]), xtil_star=xtil_star,
-                             xtil_star_batch=xtil_star_batch)
+                             r_nom=np.array([r_nom]), xtil_star=xtil_star)
 
 
 def test_slice_levels():
@@ -213,6 +210,31 @@ def test_joint_quad_batch_consistency(joint_set):
     assert np.max(np.abs(batch - scalar)) <= 1e-12 * (1.0 + np.max(np.abs(scalar)))
 
 
+@pytest.mark.parametrize("k_xi", [1.0, 0.7, 3.0])
+def test_xtil_star_batch_matches_rows(pendulum, k_xi):
+    plant, nn, _k = pendulum
+    J = nl.joint_ellipsoid_for(plant, nn, k_xi, np.eye(3), np.eye(1),
+                               np.zeros(1))
+    R = np.linspace(-0.4, 0.4, 61)[:, None]
+    batch = J.xtil_star_batch(R)
+    rows = np.array([J.xtil_star(r) for r in R])
+    assert batch.shape == rows.shape == (61, 3)
+    assert np.max(np.abs(batch - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+
+@pytest.mark.parametrize("k_xi", [0.7, 1.3, 3.0])
+def test_slice_centers_are_the_reported_steady_states(pendulum, k_xi):
+    # One map: the center a joint set uses is bit for bit the steady state
+    # steady_state (and so a verification report) gives for that reference.
+    plant, nn, _k = pendulum
+    J = nl.joint_ellipsoid_for(plant, nn, k_xi, np.eye(3), np.eye(1),
+                               np.zeros(1))
+    for r in np.linspace(-0.3, 0.3, 61):
+        r = np.array([r])
+        ss = nl.steady_state(plant, nn, k_xi, r)
+        assert ss.xtil_star.tobytes() == J.xtil_star(r).tobytes()
+
+
 def _counting_copy(J):
     """J with a slice-center map that records each call, and the call list."""
     calls = []
@@ -295,8 +317,6 @@ def test_sets_compare_by_value_and_are_unhashable():
     assert J1 != roa.JointEllipsoid(P=P, Q=Q, r_nom=[0.1], xtil_star=center)
     assert J1 != roa.JointEllipsoid(P=P, Q=Q, r_nom=[0.0],
                                     xtil_star=other_center)
-    assert J1 != roa.JointEllipsoid(P=P, Q=Q, r_nom=[0.0], xtil_star=center,
-                                    xtil_star_batch=center)
     for s in (E1, J1):
         with pytest.raises(TypeError, match="unhashable"):
             hash(s)
