@@ -68,9 +68,7 @@ from .roa import (
     slice_at,
 )
 from .sdp import (
-    Certification,
     SDPSolution,
-    SolveOptions,
     certify,
     solve,
     solve_certified,

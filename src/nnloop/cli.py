@@ -127,10 +127,9 @@ def _local_sector_pipeline(plant, nn, k_xi, r_anchor, d):
 
 
 def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
-               gamma: float = 1.0, options: sdp.SolveOptions | None = None) -> dict:
+               gamma: float = 1.0, tol: float = 1e-8) -> dict:
     """Full verification pipeline; returns a JSON-ready report dict."""
     t_start = time.perf_counter()
-    options = options or sdp.SolveOptions()
     aug = augment(plant, k_xi)
     sel = lmi.build_selectors(nn, aug.n_xtil)
     report = {
@@ -139,7 +138,7 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
         "plant": {"A": plant.A.tolist(), "B": plant.B.tolist(),
                   "C": plant.C.tolist()},
         "activation": nn.activation.kind,
-        "solver": {"tol": options.tol},
+        "solver": {"tol": tol},
         "d": _listify(d),
         "gamma": gamma if theorem == "local-range" else None,
     }
@@ -167,7 +166,7 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
     else:
         raise CliError(f"unknown theorem {theorem!r}")
 
-    sol = sdp.solve_certified(system, options)
+    sol = sdp.solve_certified(system, tol)
     report["status"] = sol.status
     report["objective"] = sol.objective_value
     report["iterations"] = sol.iterations
@@ -219,12 +218,11 @@ def cmd_verify(args) -> int:
         d = float(d[0]) if d.size == 1 else d
     if not (np.isfinite(args.tol) and args.tol > 0.0):
         raise CliError(f"--tol must be finite and positive, got {args.tol}")
-    options = sdp.SolveOptions(tol=args.tol)
     report = run_verify(
         plant, nn, k_xi, args.theorem,
         r=None if args.r is None else _parse_vector(args.r),
         r_nom=None if args.rnom is None else _parse_vector(args.rnom),
-        d=d, gamma=args.gamma, options=options,
+        d=d, gamma=args.gamma, tol=args.tol,
     )
     path = _write_report(report, args.out, "verify_report.json")
     print(f"status: {report['status']}  report: {path}")
@@ -266,13 +264,14 @@ def _joint_from_report(report: dict, plant, nn, k_xi):
 
 
 def _slice_curves(J, fracs, dims) -> list:
-    """Boundary curves of the joint set's slices at r_nom + frac * half-width
-    (n_r = 1), one for each fraction whose slice is not a point."""
-    half = float(roa.admissible_references(J).semi_lengths[0])
-    r_nom = float(J.r_nom[0])
+    """Boundary curves of the joint set's slices at r_nom + frac * h a, with
+    a the longest axis of the admissible references and h its half-length,
+    one for each fraction whose slice is not a point."""
+    refs = roa.admissible_references(J)
+    step = refs.semi_lengths[0] * refs.axes[:, 0]
     curves = []
     for frac in fracs:
-        E = roa.slice_at(J, np.array([r_nom + frac * half]))
+        E = roa.slice_at(J, J.r_nom + frac * step)
         if E is not None and E.level > 0.0:
             curves.append((roa.boundary_polyline(E, dims), "#c62828"))
     return curves

@@ -19,8 +19,10 @@ y = 0, S = Z = I, tau = kappa = 1 ends in either
   small, or
 * an infeasibility ray: tau -> 0 while <G0, Z> < 0 and sum_b <G_{b,i}, Z_b>
   -> 0, so the trace-normalized Z is a Farkas certificate that no y makes
-  every block positive definite.  The run stops on it as soon as
-  :func:`_check_farkas` accepts it on the blocks as given.
+  every block positive definite.  The run stops on it as soon as, for the
+  trace-normalized Z, every |sum_b <G_{b,i}, Z_b>| / (1 + max|G_{.,i}|) is
+  within tol.  The caller re-checks the ray on its own data
+  (:func:`nnloop.sdp.check_farkas`).
 
 Each iteration computes the Nesterov-Todd scaling R_b with
 R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
@@ -57,6 +59,7 @@ _STALL = 1e-8     # a step shorter than this makes no progress
 # double precision reach (about 1e-11 on the pendulum problems), so no iterate
 # can pass both the tolerances and the Cholesky test.
 MIN_TOL = 1e-12
+MAX_ITER = 200    # iterations before a run ends as "max_iter"
 
 
 @dataclass
@@ -93,33 +96,6 @@ def _unstack(groups, Xs):
     """One matrix per block of the stacks Xs, in the caller's block order."""
     by_pos = {i: Xb for grp, Xg in zip(groups, Xs) for i, Xb in zip(grp.pos, Xg)}
     return [by_pos[i] for i in range(len(by_pos))]
-
-
-def _farkas_scales(groups):
-    """Per-variable column scales and the G0 scale of the Farkas test."""
-    col = np.max([np.abs(grp.F).max(axis=1) for grp in groups], axis=0)
-    return 1.0 + col, 1.0 + max(float(np.max(np.abs(grp.G0))) for grp in groups)
-
-
-def _farkas_test(groups, scales, Xs, tol):
-    """Relative equality residual and <G0, X> of the stacked X, and whether
-    they pass as a Farkas certificate at tolerance tol."""
-    col_scale, g0_scale = scales
-    resid = sum(grp.F @ Xg.ravel() for grp, Xg in zip(groups, Xs))
-    viol = sum(float(np.vdot(grp.G0, Xg)) for grp, Xg in zip(groups, Xs))
-    res_rel = float(np.max(np.abs(resid) / col_scale)) if col_scale.size else 0.0
-    eq_tol = max(1e3 * tol, 1e-6)
-    return res_rel, viol, res_rel <= eq_tol and viol <= eq_tol * g0_scale
-
-
-def _check_farkas(raw_blocks, X, tol):
-    """Farkas test of X, one matrix per block: its residuals if it passes."""
-    groups = _group(raw_blocks)
-    Xs = [np.stack([X[i] for i in grp.pos]) for grp in groups]
-    res_rel, viol, ok = _farkas_test(groups, _farkas_scales(groups), Xs, tol)
-    if ok:
-        return {"X": X, "equality_residual": res_rel, "violation": viol}
-    return None
 
 
 def _positive_definite(groups, y) -> bool:
@@ -222,9 +198,10 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
 
 
 # An objective too large for double precision (say --gamma 1e300) overflows
-# norms and products before the run stalls; the stall is what is reported.
-@np.errstate(over="ignore")
-def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
+# norms and products before the run stalls, and tau can underflow to 0 on a
+# ray that never passes the ray test; the stall is what is reported.
+@np.errstate(over="ignore", divide="ignore")
+def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
     if tol < MIN_TOL:
         raise UnattainableTolerance(
@@ -235,7 +212,8 @@ def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
     shapes = [grp.G0.shape for grp in groups]
     eyes = [np.eye(shape[1]) for shape in shapes]
     G0 = [grp.G0 - tol * eye for grp, eye in zip(groups, eyes)]
-    farkas_scales = _farkas_scales(groups)
+    # Per-variable scale of the ray's relative equality residual.
+    col_scale = 1.0 + np.max([np.abs(grp.F).max(axis=1) for grp in groups], axis=0)
     nu = sum(blk.order for blk in blocks) + 1
     res_x0 = max(1.0, float(np.linalg.norm(c)))
     res_z0 = max(1.0, float(np.sqrt(sum(np.sum(G * G) for G in G0))))
@@ -250,7 +228,7 @@ def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
     least_res = np.inf
     status = "max_iter"
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         S = [(Rg * lg[:, None, :]) @ Rg.swapaxes(1, 2) for Rg, lg in zip(R, lam)]
         Z = [(Ri.swapaxes(1, 2) * lg[:, None, :]) @ Ri for Ri, lg in zip(Rinv, lam)]
         rx = sum(grp.F @ Zg.ravel() for grp, Zg in zip(groups, Z)) - c * tau
@@ -272,13 +250,13 @@ def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
             if best is None or now.objective <= best.objective:
                 best = now
         # A ray is accepted once its equality residual is down to tol, the
-        # accuracy asked of every other residual; the 1e3 slack of the check
-        # is left for the caller undoing its per-block scaling.
+        # accuracy asked of every other residual; the caller's check allows
+        # 1e3 tol, slack left for undoing its per-block scaling.
         if sum(float(np.vdot(grp.G0, Zg)) for grp, Zg in zip(groups, Z)) < 0.0:
             tr = sum(float(np.trace(Zg, axis1=1, axis2=2).sum()) for Zg in Z)
             ray = [Zg / tr for Zg in Z]
-            res_rel, _, ok = _farkas_test(groups, farkas_scales, ray, tol)
-            if ok and res_rel <= tol:
+            resid = sum(grp.F @ Xg.ravel() for grp, Xg in zip(groups, ray))
+            if np.max(np.abs(resid) / col_scale, initial=0.0) <= tol:
                 return IPMResult("infeasible", None, _unstack(groups, ray),
                                  now.objective, now.rel_gap, now.pres, now.dres, it)
         # Homogeneous residuals shrink by 1 - alpha * eta every step in exact
@@ -288,7 +266,7 @@ def solve_conic(blocks, c, *, tol=1e-8, max_iter=200) -> IPMResult:
         if max(p_res, d_res) > max(10.0 * least_res, tol):
             status = "stalled"
             break
-        if it == max_iter:
+        if it == MAX_ITER:
             break
 
         # A failed factorization or data overflowed to inf/nan is a stall.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -297,14 +296,6 @@ def boundary_polyline(E: Ellipsoid, dims: tuple = (0, 1),
     circle = np.vstack([np.cos(theta), np.sin(theta)])
     pts = (E.center[keep][:, None] + np.sqrt(E.level) * (A @ circle)).T
     return np.vstack([pts, pts[:1]])
-
-
-def write_polyline_csv(path, points: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for row in np.asarray(points, dtype=float):
-            writer.writerow([repr(float(row[0])), repr(float(row[1]))])
 
 
 def polylines_to_svg(path, polylines, size: int = 640, pad: float = 0.08) -> None:

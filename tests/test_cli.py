@@ -339,6 +339,30 @@ def test_roa_plot(tmp_path):
     assert any(c.tag.endswith("polyline") for c in root)
 
 
+def test_roa_plot_two_references(tmp_path):
+    # slices of a joint set with n_r = 2 are taken along the longest axis of
+    # the admissible references
+    plant = nl.Plant(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2))
+    nn = nl.FeedForwardNN(
+        Hx0=np.eye(2), Hr0=np.zeros((2, 2)),
+        layers=((0.3 * np.eye(2), np.zeros(2)),),
+        Wl=0.1 * np.eye(2), bl=np.zeros(2),
+        activation=nl.Activation.tanh(),
+    )
+    save_plant(plant, tmp_path / "plant.json")
+    save_nn(nn, tmp_path / "nn.json")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(
+        {"P": np.eye(4).tolist(), "Q": np.eye(2).tolist(), "r_nom": [0.0, 0.0]}))
+    plot_out = str(tmp_path / "plot")
+    code = main(["roa-plot", "--plant", str(tmp_path / "plant.json"),
+                 "--nn", str(tmp_path / "nn.json"), "--kxi", "0.1,0;0,0.1",
+                 "--report", str(report_path), "--out", plot_out])
+    assert code == 0
+    root = ET.parse(f"{plot_out}/roa.svg").getroot()
+    assert sum(c.tag.endswith("polyline") for c in root) == 7
+
+
 def test_ref_schedule_file(tmp_path):
     out = str(tmp_path / "out")
     sched_path = tmp_path / "sched.json"

@@ -184,14 +184,9 @@ def test_boundary_polyline_min_points():
         nl.boundary_polyline(E, (0, 1), 4)
 
 
-def test_polyline_csv_and_svg(tmp_path):
+def test_polyline_svg(tmp_path):
     E = nl.Ellipsoid(center=np.zeros(2), shape=np.eye(2))
     pts = nl.boundary_polyline(E, (0, 1), 32)
-    csv_path = tmp_path / "poly.csv"
-    roa.write_polyline_csv(csv_path, pts)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "x,y"
-    assert len(lines) == 34
     svg_path = tmp_path / "poly.svg"
     roa.polylines_to_svg(svg_path, [(pts, "#123456")])
     import xml.etree.ElementTree as ET

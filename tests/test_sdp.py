@@ -6,7 +6,8 @@ import pytest
 
 import nnloop as nl
 from nnloop import sdp
-from nnloop.ipm import _check_farkas, solve_conic
+from nnloop.ipm import solve_conic
+from nnloop.sdp import check_farkas
 from nnloop.lmi import LMIBlock, LMISystem, VarSpec, build_selectors
 
 
@@ -31,7 +32,7 @@ def test_scalar_toy_minimum_at_margin():
     sol = nl.solve_certified(scalar_system())
     assert sol.status == "feasible"
     assert abs(sol.P[0, 0] - 1e-7) <= 2e-8
-    tight = nl.solve(scalar_system(), nl.SolveOptions(tol=1e-12))
+    tight = nl.solve(scalar_system(), tol=1e-12)
     assert abs(tight.P[0, 0] - 1e-7) <= 1e-10
 
 
@@ -40,6 +41,49 @@ def test_contradictory_system_infeasible():
     assert sol.status == "infeasible"
     assert sol.farkas is not None
     assert sol.farkas["violation"] < -0.5  # <G0, X> = -1 at the certificate
+
+
+def _gate_blocks(g0_first=-1.0):
+    """Raw blocks g0_first + P > 0 and -1 - P > 0, contradictory for
+    g0_first <= 1: X = (1/2, 1/2) has equality residual 0 and
+    <G0, X> = (g0_first - 1) / 2."""
+    return [LMIBlock("ge", np.array([[g0_first]]), np.ones((1, 1, 1))),
+            LMIBlock("le", -np.eye(1), -np.ones((1, 1, 1)))]
+
+
+def _gate_ray(skew=0.0):
+    return [np.array([[0.5 + skew]]), np.array([[0.5 - skew]])]
+
+
+def test_farkas_gate_accepts_exact_certificate():
+    cert = check_farkas(_gate_blocks(), _gate_ray(), 1e-8)
+    assert cert is not None
+    assert cert["equality_residual"] == 0.0
+    assert cert["violation"] == -1.0
+    # a matrix block: sum_i y_i E_ii >= I and -y_1 - y_2 >= 1
+    basis = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    blocks = [LMIBlock("diag", -np.eye(2), basis),
+              LMIBlock("sum", -np.eye(1), -np.ones((2, 1, 1)))]
+    cert = check_farkas(blocks, [np.eye(2) / 3, np.eye(1) / 3], 1e-8)
+    assert cert is not None and cert["violation"] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_farkas_gate_rejects_equality_residual(tol):
+    # the residual 2 skew is divided by 1 + max|coeffs| = 2
+    eq_tol = max(1e3 * tol, 1e-6)
+    assert check_farkas(_gate_blocks(), _gate_ray(0.5 * eq_tol), tol) is not None
+    assert check_farkas(_gate_blocks(), _gate_ray(2.0 * eq_tol), tol) is None
+
+
+def test_farkas_gate_rejects_positive_g0_term():
+    # <G0, X> = v is allowed up to eq_tol (1 + max|G0|) = eq_tol (2 + 2 v)
+    eq_tol = 1e-5
+    for v, passes in ((1.5 * eq_tol, True), (3.0 * eq_tol, False)):
+        cert = check_farkas(_gate_blocks(1.0 + 2.0 * v), _gate_ray(), 1e-8)
+        assert (cert is not None) == passes
+        if passes:
+            assert cert["violation"] == pytest.approx(v)
 
 
 def test_thm1_scalar_schur_with_lyapunov_decrease(schur_scalar):
@@ -97,7 +141,7 @@ def test_certify_downgrades_perturbed_P(thm2_report, pendulum, pendulum_aug,
     sol = nl.solve(system)
     assert sol.status == "feasible"
     cert = nl.certify(system, sol)
-    assert cert.ok and cert.status == "feasible"
+    assert cert.status == "feasible"
 
     rng = np.random.default_rng(1)
     S = rng.normal(size=(3, 3))
@@ -105,8 +149,8 @@ def test_certify_downgrades_perturbed_P(thm2_report, pendulum, pendulum_aug,
     bad_values["P"] = sol.P + 0.1 * (S + S.T)
     bad = dataclasses.replace(sol, values=bad_values)
     cert_bad = nl.certify(system, bad)
-    assert not cert_bad.ok
     assert cert_bad.status == "inaccurate"
+    assert min(cert_bad.margins.values()) < 0.0
 
 
 def test_certify_flags_negative_lambda(schur_scalar):
@@ -121,7 +165,8 @@ def test_certify_flags_negative_lambda(schur_scalar):
     lam[0, 0] = -1e-6
     bad_values["Lambda"] = lam
     cert = nl.certify(system, dataclasses.replace(sol, values=bad_values))
-    assert not cert.ok
+    assert cert.status == "inaccurate"
+    assert cert.margins["Lambda_nn"] < 0.0
 
 
 def test_certify_requires_feasible(schur_scalar):
@@ -146,8 +191,8 @@ def test_feasible_margins_never_negative(thm2_report):
     assert min(thm2_report["margins"].values()) >= 0.0
 
 
-def test_solve_options_tolerance():
-    sol = nl.solve(scalar_system(), nl.SolveOptions(tol=1e-6))
+def test_solve_tol_argument():
+    sol = nl.solve(scalar_system(), tol=1e-6)
     assert sol.status == "feasible"
 
 
@@ -167,8 +212,34 @@ def test_loose_tol_does_not_loosen_farkas_gate():
     rep = run_verify(plant, nn, 0.1, "global")
     assert rep["status"] == "feasible"
     assert min(rep["margins"].values()) > 0.05
-    loose = run_verify(plant, nn, 0.1, "global", options=nl.SolveOptions(tol=0.1))
+    loose = run_verify(plant, nn, 0.1, "global", tol=0.1)
     assert loose["status"] != "infeasible"
+
+
+def test_feasible_verdict_certifies_once(pendulum, d_ship, monkeypatch):
+    from nnloop.cli import run_verify
+
+    calls = []
+    margins = sdp._margins
+    monkeypatch.setattr(sdp, "_margins",
+                        lambda *args: calls.append(1) or margins(*args))
+    plant, nn, k_xi = pendulum
+    rep = run_verify(plant, nn, k_xi, "local-fixed", r=np.zeros(1), d=d_ship)
+    assert rep["status"] == "feasible"
+    assert len(calls) == 1
+
+
+def test_tau_underflow_warns_nothing(pendulum, recwarn):
+    # At d = 100 the embedding's tau underflows to 0 before any ray passes
+    # the stopping test; the run must end through its verdict, not a
+    # divide-by-zero warning.
+    from nnloop.cli import run_verify
+
+    plant, nn, k_xi = pendulum
+    rep = run_verify(plant, nn, k_xi, "local-fixed", r=np.zeros(1), d=100.0)
+    assert rep["status"] in {sdp.FEASIBLE, sdp.INFEASIBLE, sdp.INACCURATE,
+                             sdp.SOLVER_ERROR}
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_ipm_simple_bound_problem():
@@ -237,7 +308,7 @@ def test_solve_conic_ray_in_caller_order(pendulum, pendulum_aug):
         res = solve_conic(given, c, tol=tol)
         assert res.status == "infeasible"
         assert [Zb.shape for Zb in res.Z] == [(blk.order,) * 2 for blk in given]
-        cert = _check_farkas(given, res.Z, tol)
+        cert = check_farkas(given, res.Z, tol)
         assert cert is not None
         assert cert["equality_residual"] <= tol
         return res
