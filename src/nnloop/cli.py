@@ -186,8 +186,7 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
             "u_star": ss.u_star.tolist(),
         }
         if theorem == "local-range":
-            J = roa.joint_ellipsoid_for(plant, nn, k_xi, sol.P, sol.Q, anchor)
-            refs = roa.admissible_references(J)
+            refs = roa.admissible_references(sol.Q, anchor)
             entry = {
                 "r_nom": anchor.tolist(),
                 "axes": refs.axes.tolist(),

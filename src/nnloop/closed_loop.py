@@ -23,15 +23,21 @@ The governor replaces the desired reference by the nearest surrogate for
 which the pair (current state, surrogate) stays inside the certified joint
 set.  Since the steady state depends on the network nonlinearly, the scalar
 case is solved globally by bracketing on a grid over the admissible interval
-followed by bisection onto the feasibility boundary; the grid, its slice
+followed by bisection onto the feasibility boundary.  The grid, its slice
 centers (one stacked pass of the steady-state map) and reference terms are
-built once per joint set (:meth:`JointEllipsoid.grid_quads`), and the slice
-center of every reference the inside test and the bisection ask about is
-kept in a small per-set memo (:meth:`JointEllipsoid.joint_quad`), so the
-desired reference, the clipped interval end and the shared first midpoints
-cost no network pass after their first step.  The multi-reference case uses
-multi-start projected descent.  A run whose state grows past the float
-limit is flagged as diverged without an overflow warning.
+built once per joint set (:meth:`JointEllipsoid.grid_quads`).  The bisection
+runs along predicted paths (:func:`_closest_feasible_1d`): the midpoints it
+would visit if the boundary lay at a secant guess are evaluated in one
+stacked pass (:meth:`JointEllipsoid.joint_quad_many`), each entry bit for bit
+the single :meth:`JointEllipsoid.joint_quad`, and a new path starts at the
+first wrong prediction, so the result is that of plain bisection at about
+three passes per bisecting call.  The slice centers of the desired reference
+and of the clipped interval end are kept in a small per-set memo
+(:meth:`JointEllipsoid.joint_quad`), so they cost no network pass after
+their first step.  The multi-reference case uses multi-start projected
+descent, whose bisections run in lockstep, one stacked pass per step.  A run
+whose state grows past the float limit is flagged as diverged without an
+overflow warning.
 
 :func:`write_trajectory_csv` formats each distinct row (distinct bytes) once
 and streams the rows to the file, with the bytes ``csv.writer`` would write:
@@ -278,33 +284,76 @@ def simulate(aug: AugmentedPlant, nn: FeedForwardNN, xtil0, ref_schedule,
                 None, conv_tol)
 
 
-def _closest_feasible_1d(grid, mask, feasible, target: float, iters: int):
+def _closest_feasible_1d(grid, grid_quads, quad, path_quads, target: float,
+                         iters: int):
     """Closest point to ``target`` in the feasible set sampled by the grid.
 
-    Bracketing on the grid mask plus bisection onto the feasibility boundary;
-    equidistant ties break toward the smaller value.  Returns None when no
-    grid point is feasible.
+    A reference is feasible when its quadratic is at most 1: ``grid_quads``
+    holds those of the grid, ``quad(r)`` gives one, and ``path_quads(refs)``
+    those of a 1-D array of references in one pass.  Bracketing on the grid
+    plus bisection onto the feasibility boundary; equidistant ties break
+    toward the smaller value.  Returns None when no grid point is feasible.
+
+    The bisection is evaluated along predicted paths.  From the bracket
+    (a, b) it lists the midpoints bisection visits if the boundary lies at
+    the secant guess through the nearest feasible and infeasible quadratics
+    known, and evaluates them in one ``path_quads`` call; the first guess
+    takes the grid neighbour of a toward b when it lies inside the bracket.
+    Each decision is taken from an evaluated quadratic, and a new path
+    starts at the first wrong prediction, so the midpoints, the decisions
+    and the result are those of plain bisection.
     """
-    if not mask.any():
+    feasible = np.flatnonzero(grid_quads <= 1.0)
+    if not feasible.size:
         return None
-    cand = grid[mask]
-    dist = np.abs(cand - target)
-    best = float(np.min(dist))
-    p = float(np.min(cand[dist == best]))  # tie toward smaller reference
+    dist = np.abs(grid[feasible] - target)
+    i = int(feasible[dist == np.min(dist)][0])  # tie toward smaller reference
+    p = float(grid[i])
     goal = float(np.clip(target, grid[0], grid[-1]))
-    if feasible(goal) and abs(goal - target) <= abs(p - target):
+    q_goal = float(quad(goal))
+    if q_goal <= 1.0 and abs(goal - target) <= abs(p - target):
         return goal
-    a, b = p, goal
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        # Once the midpoint is an end of the bracket, no later iteration can
-        # change a: a only takes feasible midpoints, b was tested infeasible.
-        if mid == a or mid == b:
+    a, qa, b, qb = p, float(grid_quads[i]), goal, q_goal
+    n = i + (1 if goal > p else -1)
+    if 0 <= n < grid.shape[0] and (grid[n] - p) * (goal - grid[n]) > 0.0:
+        far, q_far = float(grid[n]), float(grid_quads[n])
+    else:
+        far, q_far = b, qb
+    left = iters
+    while left:
+        # The secant through (a, qa) and (far, q_far) crosses 1 at distance
+        # reach from a (qa <= 1 < q_far); midpoints within it are predicted
+        # feasible.
+        reach = abs((far - a) * ((1.0 - qa) / (q_far - qa)))
+        path, inside = [], []
+        lo, hi = a, b
+        for _ in range(left):
+            mid = 0.5 * (lo + hi)
+            # Once the midpoint is an end of the bracket, no later iteration
+            # can change a: a only takes feasible midpoints, b infeasible ones.
+            if mid == lo or mid == hi:
+                break
+            path.append(mid)
+            if abs(mid - a) <= reach:
+                lo = mid
+                inside.append(True)
+            else:
+                hi = mid
+                inside.append(False)
+        if not path:
             break
-        if feasible(mid):
-            a = mid
+        for mid, q, predicted in zip(path, path_quads(np.array(path)).tolist(),
+                                     inside):
+            left -= 1
+            if q <= 1.0:
+                a, qa = mid, q
+            else:
+                b, qb = mid, q
+            if (q <= 1.0) != predicted:
+                break
         else:
-            b = mid
+            break
+        far, q_far = b, qb
     return a
 
 
@@ -313,16 +362,14 @@ def govern(J: JointEllipsoid, xtil, r_desired):
     xtil = np.asarray(xtil, dtype=float)
     r_desired = np.atleast_1d(np.asarray(r_desired, dtype=float))
 
-    def g(r):
-        return J.joint_quad(xtil, r)
-
-    if g(r_desired) <= 1.0 + GOVERNOR_TOLERANCE:
+    if J.joint_quad(xtil, r_desired) <= 1.0 + GOVERNOR_TOLERANCE:
         return r_desired
 
     if J.n_r == 1:
         grid, quads = J.grid_quads(xtil)
         rhat = _closest_feasible_1d(
-            grid, quads <= 1.0, lambda r: g(np.array([r])) <= 1.0,
+            grid, quads, lambda r: J.joint_quad(xtil, np.array([r])),
+            lambda refs: J.joint_quad_many(xtil, refs[:, None]),
             float(r_desired[0]), REFINE_ITERS)
         if rhat is None:
             raise GovernorInfeasible("state lies outside every reference slice")
@@ -331,30 +378,31 @@ def govern(J: JointEllipsoid, xtil, r_desired):
 
 
 def _govern_descent(J, xtil, r_desired):
-    """Multi-start projected descent for n_r > 1 (no global guarantee)."""
+    """Multi-start projected descent for n_r > 1 (no global guarantee).
+
+    The bisections of all starts run in lockstep, one ``joint_quad_many``
+    pass per step, each row bit for bit its own bisection's.
+    """
     refs = admissible_references(J)
     starts = [J.r_nom]
     for k in range(refs.axes.shape[1]):
         axis = refs.axes[:, k] * refs.semi_lengths[k]
         starts.append(J.r_nom + 0.7 * axis)
         starts.append(J.r_nom - 0.7 * axis)
-    feas = [s for s in starts if J.joint_quad(xtil, s) <= 1.0]
-    if not feas:
+    starts = np.array(starts)
+    lo = starts[J.joint_quad_many(xtil, starts) <= 1.0][: 2 * DESCENT_STARTS]
+    if not lo.shape[0]:
         raise GovernorInfeasible("state lies outside every reference slice")
+    if J.joint_quad(xtil, r_desired) <= 1.0:
+        return r_desired
+    hi = np.broadcast_to(r_desired, lo.shape)
+    for _ in range(REFINE_ITERS):
+        mid = 0.5 * (lo + hi)
+        inside = (J.joint_quad_many(xtil, mid) <= 1.0)[:, None]
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
     best = None
-    for a in feas[: 2 * DESCENT_STARTS]:
-        a = np.asarray(a, dtype=float)
-        lo_pt, hi_pt = a, r_desired
-        if J.joint_quad(xtil, hi_pt) <= 1.0:
-            cand = hi_pt
-        else:
-            for _ in range(REFINE_ITERS):
-                mid = 0.5 * (lo_pt + hi_pt)
-                if J.joint_quad(xtil, mid) <= 1.0:
-                    lo_pt = mid
-                else:
-                    hi_pt = mid
-            cand = lo_pt
+    for cand in lo:
         if best is None or np.linalg.norm(cand - r_desired) < \
                 np.linalg.norm(best - r_desired):
             best = cand

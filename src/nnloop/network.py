@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .plant import _frozen
+from .plant import _frozen, _matvecs
 
 
 @dataclass(frozen=True)
@@ -176,15 +176,20 @@ def evaluate(nn: FeedForwardNN, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     x and r are float arrays of shapes (n_x,) and (n_r,), or column stacks
     (n_x, N) and (n_r, N) of N points, giving u of shape (n_u,) or (n_u, N).
     Nothing is checked or converted.  The arithmetic is that of
-    :func:`forward` step for step, so one point, or a stack of one, gives the
-    bits of ``forward(nn, x, r).u``; BLAS may sum a wider stack in another
-    order, so its columns can differ in the last bits.
+    :func:`forward` step for step, and a stack forms each product one column
+    at a time (:func:`plant._matvecs`), so every column of a stack is bit for
+    bit ``forward(nn, x_j, r_j).u``.
     """
+    if x.ndim == 2:
+        w = _matvecs(nn.Hx0, x) + _matvecs(nn.Hr0, r)
+        for W, b in nn.layers:
+            w = nn.activation(_matvecs(W, w) + b[:, None])
+        return _matvecs(nn.Wl, w) + nn.bl[:, None]
+    # One point, the simulation loop's pass: ``@`` is the quickest form.
     w = nn.Hx0 @ x + nn.Hr0 @ r
-    stack = w.ndim == 2
     for W, b in nn.layers:
-        w = nn.activation(W @ w + (b[:, None] if stack else b))
-    return nn.Wl @ w + (nn.bl[:, None] if stack else nn.bl)
+        w = nn.activation(W @ w + b)
+    return nn.Wl @ w + nn.bl
 
 
 def steady_forward(nn: FeedForwardNN, x_star, r) -> LayerTrace:

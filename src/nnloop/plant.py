@@ -39,6 +39,31 @@ def _frozen(a, shape=None) -> np.ndarray:
     return out
 
 
+def _rows(X) -> np.ndarray:
+    """Copy of the (N, k) array X whose rows start on 16-byte boundaries.
+
+    NumPy allocates from malloc, which aligns to 16 bytes on 64-bit
+    platforms, so a fresh vector is 16-byte aligned; rows padded to an even
+    number of doubles keep that.  Generic x86-64 OpenBLAS kernels sum a dot
+    product over an unaligned vector in another order.
+    """
+    N, k = X.shape
+    rows = np.empty((N, k + k % 2))[:, :k]
+    rows[...] = X
+    return rows
+
+
+def _matvecs(A, X) -> np.ndarray:
+    """The (m, N) stack of the products A @ X[:, j] of a (k, N) column stack.
+
+    Each column is bit for bit the single product ``A @ X[:, j]``: np.matmul
+    over the (N, k, 1) stack of aligned rows makes one BLAS gemv (a dot when
+    A has one row) per column, the call a single product makes, where one
+    gemm over the stack would sum in another order.
+    """
+    return np.matmul(A, _rows(X.T)[:, :, None])[:, :, 0].T
+
+
 @dataclass(frozen=True)
 class Plant:
     """State-space data (A, B, C) with n_u == n_r."""
@@ -178,8 +203,9 @@ def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
 
     The returned function takes a reference (n_r,) and gives its steady state
     (n_xtil,), or takes a column stack (n_r, N) of references and gives the
-    (n_xtil, N) stack of theirs in one network pass.  k_xi is checked and
-    inverted once, here; raises SingularGain when it is numerically singular.
+    (n_xtil, N) stack of theirs in one network pass, each column bit for bit
+    the steady state of that reference alone.  k_xi is checked and inverted
+    once, here; raises SingularGain when it is numerically singular.
     """
     from .network import evaluate  # local import to avoid a cycle
 
@@ -194,8 +220,9 @@ def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
 
     def xtil_star(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        x_star = M @ r
-        xi_star = k_xi_inv @ (M_u @ r - evaluate(nn, x_star, r))
+        mv = _matvecs if r.ndim == 2 else np.matmul
+        x_star = mv(M, r)
+        xi_star = mv(k_xi_inv, mv(M_u, r) - evaluate(nn, x_star, r))
         return np.concatenate([x_star, xi_star])
 
     return xtil_star

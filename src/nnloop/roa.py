@@ -7,12 +7,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .plant import _frozen, steady_state_map, xtil_star_map
+from .plant import _frozen, _rows, steady_state_map, xtil_star_map
 
-# Slice centers a joint set keeps, least recently used evicted first.  A
-# governed step revisits the desired reference, the clipped interval end and
-# the first bisection midpoints of the step before; on the pendulum benchmark
-# states 64 entries hit as often as an unbounded memo.
+# Slice centers a joint set keeps, least recently used evicted first.  The
+# governor asks joint_quad only about the desired reference (its inside test)
+# and the clipped interval end, which repeat from step to step; bisection
+# midpoints go through stacked passes.  Without the memo the closed-loop
+# benchmark round takes 9% longer (2-core x86-64 virtual machine).
 CENTER_MEMO_SIZE = 64
 # References in the grid over the admissible interval on which the governor
 # brackets the feasible references before it bisects (n_r = 1).
@@ -96,8 +97,11 @@ class JointEllipsoid:
     where xtil_*(r) is evaluated through the true (network-dependent) steady
     state, not a linearization.  ``xtil_star`` maps a reference (n_r,) to its
     slice center (n_xtil,), and a column stack (n_r, N) of references to the
-    (n_xtil, N) stack of their centers; the governor's grid and
-    ``joint_quad_many`` evaluate a whole stack in one call.
+    (n_xtil, N) stack of their centers, each column bit for bit the center of
+    its reference alone, as :func:`plant.xtil_star_map` gives them.  The
+    governor's grid and ``joint_quad_many`` evaluate a whole stack in one
+    call, and every entry is then bit for bit what ``joint_quad`` gives for
+    its reference, which the governor's bisection relies on.
 
     ``joint_quad`` keeps the center and reference term of the last
     CENTER_MEMO_SIZE references it saw, keyed by the reference's bytes, so a
@@ -172,7 +176,8 @@ class JointEllipsoid:
         return float(e @ self.P @ e) + ref_term
 
     def joint_quad_many(self, xtil, R) -> np.ndarray:
-        """Joint quadratic for one state against a stack of references (N, n_r)."""
+        """Joint quadratic for one state against a stack of references (N, n_r),
+        entry j bit for bit ``joint_quad(xtil, R[j])``."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
         return self._stacked_quad(xtil, self.xtil_star_batch(R),
                                   self._ref_quads(R))
@@ -195,12 +200,20 @@ class JointEllipsoid:
         return refs, self._stacked_quad(xtil, centers, ref_quads)
 
     def _ref_quads(self, R) -> np.ndarray:
-        dr = R - self.r_nom[None, :]
-        return np.einsum("ni,ij,nj->n", dr, self.Q, dr)
+        return _quads(R - self.r_nom[None, :], self.Q)
 
     def _stacked_quad(self, xtil, centers, ref_quads) -> np.ndarray:
         E = np.asarray(xtil, dtype=float)[None, :] - centers
-        return np.einsum("ni,ij,nj->n", E, self.P, E) + ref_quads
+        return _quads(E, self.P) + ref_quads
+
+
+def _quads(E, A) -> np.ndarray:
+    """The forms e @ A @ e of the rows e of E (N, n), each bit for bit the
+    form ``float(e @ A @ e)`` of that row alone: a BLAS gemv and a dot per
+    row, on 16-byte-aligned rows like a fresh vector's (see plant._rows)."""
+    E = _rows(E)
+    EA = _rows(np.matmul(E[:, None, :], A)[:, 0, :])
+    return np.matmul(EA[:, None, :], E[:, :, None])[:, 0, 0]
 
 
 def joint_contains(J: JointEllipsoid, xtil, r) -> Membership:
@@ -235,9 +248,19 @@ class AdmissibleRefs:
         return (c - half, c + half)
 
 
-def admissible_references(J: JointEllipsoid) -> AdmissibleRefs:
-    evals, evecs = np.linalg.eigh(J.Q)
-    return AdmissibleRefs(r_nom=J.r_nom, axes=evecs, semi_lengths=evals**-0.5)
+def admissible_references(Q, r_nom=None) -> AdmissibleRefs:
+    """Reference set of a joint set, ``admissible_references(J)``, or of the
+    matrix Q and center r_nom of its reference term.
+
+    Q is symmetrized as a joint set symmetrizes it, so both forms give the
+    same bits.
+    """
+    if r_nom is None:
+        Q, r_nom = Q.Q, Q.r_nom
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    evals, evecs = np.linalg.eigh(0.5 * (Q + Q.T))
+    return AdmissibleRefs(r_nom=np.atleast_1d(np.asarray(r_nom, dtype=float)),
+                          axes=evecs, semi_lengths=evals**-0.5)
 
 
 def joint_ellipsoid_for(plant, nn, k_xi, P, Q, r_nom) -> JointEllipsoid:

@@ -173,20 +173,31 @@ def test_governed_simulation_in_range_reference(pendulum, pendulum_aug,
     assert traj.tracking_errors()[-1] <= 1e-9
 
 
+def _predicate_quads(feasible):
+    """The (quad, path_quads) pair of a feasibility predicate: quadratic 0
+    where it holds and 2 elsewhere."""
+    def quad(r):
+        return 0.0 if feasible(r) else 2.0
+
+    return quad, lambda refs: np.array([quad(r) for r in refs])
+
+
 def test_closest_feasible_tie_breaks_to_smaller():
     from nnloop.closed_loop import _closest_feasible_1d
 
     grid = np.linspace(-1.0, 1.0, 21)
     mask = np.abs(grid) >= 0.5 - 1e-12  # feasible outside (-0.5, 0.5)
-    got = _closest_feasible_1d(grid, mask, lambda r: abs(r) >= 0.5,
+    got = _closest_feasible_1d(grid, np.where(mask, 0.0, 2.0),
+                               *_predicate_quads(lambda r: abs(r) >= 0.5),
                                0.0, iters=40)
     assert got == pytest.approx(-0.5)
 
 
 def test_governor_descent_2d_smoke():
-    # two-reference joint set with an affine steady map
+    # two-reference joint set with an affine steady map; like every slice
+    # center map it takes a reference (2,) or a column stack (2, N)
     def xtil_star(r):
-        return np.concatenate([r, [0.0]])
+        return np.concatenate([r, np.zeros((1,) + r.shape[1:])])
 
     J = nl.JointEllipsoid(P=np.eye(3), Q=np.eye(2) * 4.0, r_nom=np.zeros(2),
                           xtil_star=xtil_star)
@@ -368,6 +379,41 @@ def test_governed_simulation_matches_reference_loop(pendulum, pendulum_aug,
     assert traj.applied_refs[-1][0] == 0.1
 
 
+def test_governor_bisects_in_stacked_passes(pendulum, pendulum_aug, joint_set,
+                                            monkeypatch):
+    # joint_quad is asked only about the desired reference and the clipped
+    # interval end; bisection midpoints go through joint_quad_many, in at
+    # most 4 passes per bisecting govern call (2.82 measured).
+    _plant, nn, _k = pendulum
+    lo, hi = nl.admissible_references(joint_set).interval
+    calls = []  # per govern call: [desired, scalar references, passes]
+    joint_quad = roa.JointEllipsoid.joint_quad
+    joint_quad_many = roa.JointEllipsoid.joint_quad_many
+    govern = cl.govern
+
+    def spy_quad(J, xtil, r):
+        calls[-1][1].append(float(np.asarray(r)[0]))
+        return joint_quad(J, xtil, r)
+
+    def spy_many(J, xtil, R):
+        calls[-1][2] += 1
+        return joint_quad_many(J, xtil, R)
+
+    def spy_govern(J, xtil, r):
+        calls.append([float(r[0]), [], 0])
+        return govern(J, xtil, r)
+
+    monkeypatch.setattr(roa.JointEllipsoid, "joint_quad", spy_quad)
+    monkeypatch.setattr(roa.JointEllipsoid, "joint_quad_many", spy_many)
+    monkeypatch.setattr(cl, "govern", spy_govern)
+    nl.simulate_with_governor(pendulum_aug, nn, joint_set, np.zeros(3),
+                              [[0, -1.0], [1500, 0.1]], 3000)
+    for desired, scalars, _passes in calls:
+        assert set(scalars) <= {desired, min(max(desired, lo), hi)}
+    bisecting = [passes for _r, _s, passes in calls if passes]
+    assert bisecting and sum(bisecting) <= 4 * len(bisecting)
+
+
 def test_diverging_run_matches_reference_loop(pendulum, pendulum_aug):
     _plant, nn, _k = pendulum
     traj = nl.simulate(pendulum_aug, nn, np.zeros(3), np.array([-3.0]), 30000)
@@ -399,7 +445,7 @@ def test_grid_quads_match_joint_quad_many(joint_set):
         assert np.array_equal(quads, many)
         assert np.array_equal(quads <= 1.0, many <= 1.0)
         single = [joint_set.joint_quad(xt, np.array([g])) for g in grid]
-        assert np.allclose(quads, single, rtol=1e-12, atol=1e-12)
+        assert np.array(single).tobytes() == quads.tobytes()
 
 
 def test_closest_feasible_early_stop_matches_full_bisection():
@@ -417,7 +463,9 @@ def test_closest_feasible_early_stop_matches_full_bisection():
             def feasible(r, t=t):
                 return r >= t
         mask = np.array([feasible(g) for g in grid])
-        got = _closest_feasible_1d(grid, mask, feasible, target, iters=60)
+        got = _closest_feasible_1d(grid, np.where(mask, 0.0, 2.0),
+                                   *_predicate_quads(feasible), target,
+                                   iters=60)
         want = _full_bisection(grid, mask, feasible, target, 60)
         assert got == want
 
@@ -426,8 +474,65 @@ def test_closest_feasible_early_stop_matches_full_bisection():
 
     mask = np.array([wavy(g) for g in grid])
     for target in (-2.0, -0.37, 0.0, 0.51, 2.0):
-        got = _closest_feasible_1d(grid, mask, wavy, target, iters=60)
+        got = _closest_feasible_1d(grid, np.where(mask, 0.0, 2.0),
+                                   *_predicate_quads(wavy), target, iters=60)
         assert got == _full_bisection(grid, mask, wavy, target, 60)
+
+
+def _path_bisection(grid, quad_fn, target):
+    """_closest_feasible_1d on the quadratics quad_fn (vectorized), with the
+    references of every path pass and the scalar references asked for."""
+    from nnloop.closed_loop import _closest_feasible_1d
+
+    passes, scalars = [], []
+
+    def quad(r):
+        scalars.append(r)
+        return float(quad_fn(np.array([r]))[0])
+
+    def path_quads(refs):
+        passes.append(refs.tolist())
+        return quad_fn(refs)
+
+    got = _closest_feasible_1d(grid, quad_fn(grid), quad, path_quads, target,
+                               60)
+    return got, passes, scalars
+
+
+def test_path_bisection_matches_full_bisection():
+    # Smooth quadratics: wavy ones, not monotone between grid points, and
+    # steep convex ones, whose secant guess lies short of the boundary, so
+    # that midpoints beyond it are predicted on the wrong side.
+    grid = np.linspace(-1.0, 1.0, 33)
+    rng = np.random.default_rng(13)
+    cases = [(lambda R: 1.3 - np.sin(40.0 * R), t, False)
+             for t in (-2.0, -0.37, 0.0, 0.51, 2.0)]
+    for _ in range(100):
+        t = float(rng.uniform(-0.9, 0.9))
+        c = float(rng.choice([1.0, 30.0, 300.0])) * rng.choice([-1.0, 1.0])
+        cases.append((lambda R, t=t, c=c: np.exp(c * (R - t)),
+                      float(rng.uniform(-3.0, 3.0)), True))
+    convex_repaths = 0
+    for quad_fn, target, convex in cases:
+        mids = []
+
+        def feasible(r, quad_fn=quad_fn):
+            mids.append(r)
+            return bool(quad_fn(np.array([r]))[0] <= 1.0)
+
+        mask = quad_fn(grid) <= 1.0
+        want = _full_bisection(grid, mask, feasible, target, 60)
+        got, passes, scalars = _path_bisection(grid, quad_fn, target)
+        assert got == want
+        # Only the clipped target is asked for alone; every midpoint plain
+        # bisection tests before its bracket stops shrinking is in a pass.
+        goal = float(np.clip(target, grid[0], grid[-1]))
+        assert scalars == [goal]
+        evaluated = {r for refs in passes for r in refs} | {goal}
+        assert set(mids) - evaluated <= set(grid.tolist())
+        if convex:
+            convex_repaths += max(len(passes) - 1, 0)
+    assert convex_repaths > 0
 
 
 # ---------------------------------------------------------------- replay
