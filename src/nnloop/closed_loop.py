@@ -378,7 +378,8 @@ def govern(J: JointEllipsoid, xtil, r_desired):
 
 
 def _govern_descent(J, xtil, r_desired):
-    """Multi-start projected descent for n_r > 1 (no global guarantee).
+    """Multi-start projected descent for n_r > 1 (no global guarantee), for
+    a desired reference that :func:`govern` found outside the set.
 
     The bisections of all starts run in lockstep, one ``joint_quad_many``
     pass per step, each row bit for bit its own bisection's.
@@ -393,8 +394,6 @@ def _govern_descent(J, xtil, r_desired):
     lo = starts[J.joint_quad_many(xtil, starts) <= 1.0][: 2 * DESCENT_STARTS]
     if not lo.shape[0]:
         raise GovernorInfeasible("state lies outside every reference slice")
-    if J.joint_quad(xtil, r_desired) <= 1.0:
-        return r_desired
     hi = np.broadcast_to(r_desired, lo.shape)
     for _ in range(REFINE_ITERS):
         mid = 0.5 * (lo + hi)

@@ -26,10 +26,10 @@ basis matrices E of the variables:
   2 a_i b_i p_i p_i' - (a_i + b_i)(p_i q_i' + q_i p_i') + 2 q_i q_i' for
   the sector [a_i, b_i] and the rows p_i = R_phi[i], q_i = R_phi[n + i];
 * P_pd, Q_pd and Lambda_nn: the basis of P, Q or Lambda itself;
-* roa_row_j: [[1, row_j / d_j], [row_j' / d_j, blkdiag(P, Q)]] >= 0, the
-  containment row [[d_j^2, row_j], [row_j', blkdiag(P, Q)]] >= 0 after the
-  congruence diag(1/d_j, I), which keeps the P entries of order one however
-  large the box half-width d_j.
+* roa_row_j: blkdiag(P, Q) - a_j a_j' >= 0 with a_j = row_j / d_j, the
+  ellipsoid-in-slab condition that {z : z' blkdiag(P, Q) z <= 1} lies in
+  |row_j z| <= d_j (the Schur complement of the bordered form
+  [[1, a_j'], [a_j, blkdiag(P, Q)]] >= 0, whose corner 1 is positive).
 """
 
 from __future__ import annotations
@@ -274,23 +274,19 @@ def _core_blocks(aug: AugmentedPlant, sel: Selectors, variables,
 
 
 def _row_blocks(variables, rows: np.ndarray, d: np.ndarray) -> list:
-    """roa_row_j = [[1, rows[j] / d_j], [rows[j]' / d_j, blkdiag(P, Q)]] >= 0,
-    with Q left out when it is not a variable."""
-    k = 1 + rows.shape[1]
-    parts, at = {}, 1
+    """roa_row_j = blkdiag(P, Q) - a_j a_j' >= 0 with a_j = rows[j] / d_j:
+    P fills the leading block, Q (left out when it is not a variable) the
+    trailing one."""
+    k = rows.shape[1]
+    parts = {}
     for v in variables:
         if v.name in ("P", "Q"):
+            s = slice(0, v.dim) if v.name == "P" else slice(k - v.dim, k)
             parts[v.name] = np.zeros((v.n_scalars, k, k))
-            parts[v.name][:, at: at + v.dim, at: at + v.dim] = v.basis()
-            at += v.dim
+            parts[v.name][:, s, s] = v.basis()
     coeffs = _coeffs(variables, k, **parts)
-    blocks = []
-    for j, (row, dj) in enumerate(zip(rows, d)):
-        G0 = np.zeros((k, k))
-        G0[0, 0] = 1.0
-        G0[0, 1:] = G0[1:, 0] = row / dj
-        blocks.append(_block(f"roa_row_{j}", coeffs, G0))
-    return blocks
+    return [_block(f"roa_row_{j}", coeffs, -np.outer(row, row) / dj**2)
+            for j, (row, dj) in enumerate(zip(rows, d))]
 
 
 def _trace_objective(variables, weights: dict) -> np.ndarray:
@@ -342,8 +338,8 @@ def build_local_range(aug: AugmentedPlant, sel: Selectors,
                       sectors: SectorBounds, d, refsens: RefSensitivity,
                       gamma: float = 1.0) -> LMISystem:
     """Reference-range LMI: adds Q > 0 over the reference deviation and joint
-    containment rows [d_j^2, [N0_1, S]_j; *, blkdiag(P, Q)] >= 0 (emitted
-    divided by d_j, as roa_row_j in the module docstring).
+    containment rows blkdiag(P, Q) - a_j a_j' >= 0 with a_j = [N0_1, S]_j / d_j
+    (roa_row_j in the module docstring).
 
     ``gamma`` weighs trace(Q) in the objective; it must be finite, and
     positive, since otherwise the objective is unbounded below in Q."""

@@ -81,6 +81,17 @@ def test_verify_local_range_pendulum(tmp_path):
     assert lo < 0.0 < hi
 
 
+def test_verify_local_fixed_large_box_exit_one(tmp_path):
+    # A box far wider than the certified one is decided infeasible, not left
+    # to the solver-error exit.
+    out = str(tmp_path / "out")
+    code = main(["verify", "--pendulum", PENDULUM_FLAG,
+                 "--nn", example_nn_path(), "--theorem", "local-fixed",
+                 "--r", "0", "--d", "1e4", "--out", out])
+    assert code == 1
+    assert read_report(out)["status"] == "infeasible"
+
+
 def test_verify_local_missing_d_exit_three(tmp_path):
     code = main(["verify", "--pendulum", PENDULUM_FLAG,
                  "--nn", example_nn_path(), "--theorem", "local-fixed",

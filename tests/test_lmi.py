@@ -131,8 +131,7 @@ def test_stability_block_matches_formula(pendulum, pendulum_aug, d_ship, theorem
         PQ = np.block([[Pm, np.zeros((3, 1))], [np.zeros((1, 3)), Qm]])
     if theorem != "global":
         for j, row in enumerate(rows / d_ship):
-            want[f"roa_row_{j}"] = np.block([[np.ones((1, 1)), row[None, :]],
-                                             [row[:, None], PQ]])
+            want[f"roa_row_{j}"] = PQ - np.outer(row, row)
     assert sorted(blk.name for blk in system.blocks) == sorted(want)
     for blk in system.blocks:
         got = system.block_value(blk, theta) + blk.delta * np.eye(blk.order)
@@ -188,7 +187,7 @@ def test_local_fixed_block_count(pendulum, pendulum_aug, d_ship):
     system = nl.build_local_fixed(pendulum_aug, sel, secs, d_ship)
     rows = [b for b in system.blocks if b.name.startswith("roa_row_")]
     assert len(rows) == 5
-    assert all(b.order == 1 + pendulum_aug.n_xtil for b in rows)
+    assert all(b.order == pendulum_aug.n_xtil for b in rows)
     assert all(b.delta == 0.0 for b in rows)
 
 

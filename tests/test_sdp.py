@@ -229,16 +229,19 @@ def test_feasible_verdict_certifies_once(pendulum, d_ship, monkeypatch):
     assert len(calls) == 1
 
 
-def test_tau_underflow_warns_nothing(pendulum, recwarn):
-    # At d = 100 the embedding's tau underflows to 0 before any ray passes
-    # the stopping test; the run must end through its verdict, not a
+@pytest.mark.parametrize("d", [30.0, 100.0, 1e4, 1e6])
+def test_tau_underflow_warns_nothing(pendulum, pendulum_aug, recwarn, d):
+    # Large boxes are provably infeasible: tau heads to 0 along the ray, and
+    # the run must end with a checked Farkas certificate, not a
     # divide-by-zero warning.
-    from nnloop.cli import run_verify
-
     plant, nn, k_xi = pendulum
-    rep = run_verify(plant, nn, k_xi, "local-fixed", r=np.zeros(1), d=100.0)
-    assert rep["status"] in {sdp.FEASIBLE, sdp.INFEASIBLE, sdp.INACCURATE,
-                             sdp.SOLVER_ERROR}
+    sel = build_selectors(nn, pendulum_aug.n_xtil)
+    ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
+    trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
+    secs = nl.local_sectors(nn, nl.propagate_box(nn, trace.v[0], d), trace)
+    sol = sdp.solve(nl.build_local_fixed(pendulum_aug, sel, secs, d))
+    assert sol.status == sdp.INFEASIBLE
+    assert sol.farkas is not None
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
