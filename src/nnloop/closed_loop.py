@@ -31,13 +31,12 @@ would visit if the boundary lay at a secant guess are evaluated in one
 stacked pass (:meth:`JointEllipsoid.joint_quad_many`), each entry bit for bit
 the single :meth:`JointEllipsoid.joint_quad`, and a new path starts at the
 first wrong prediction, so the result is that of plain bisection at about
-three passes per bisecting call.  The slice centers of the desired reference
-and of the clipped interval end are kept in a small per-set memo
-(:meth:`JointEllipsoid.joint_quad`), so they cost no network pass after
-their first step.  The multi-reference case uses multi-start projected
-descent, whose bisections run in lockstep, one stacked pass per step.  A run
-whose state grows past the float limit is flagged as diverged without an
-overflow warning.
+three passes per bisecting call.  A step asks
+:meth:`JointEllipsoid.joint_quad` about the desired reference only, whose
+slice center the set keeps while it stays the same.  The multi-reference
+case uses multi-start projected descent, whose bisections run in lockstep,
+one stacked pass per step.  A run whose state grows past the float limit is
+flagged as diverged without a warning, and keeps its non-finite last row.
 
 :func:`write_trajectory_csv` formats each distinct row (distinct bytes) once
 and streams the rows to the file, with the bytes ``csv.writer`` would write:
@@ -60,7 +59,10 @@ from .plant import AugmentedPlant, _frozen
 from .roa import JointEllipsoid, admissible_references
 
 DIVERGENCE_NORM = 1e9
+# A run has converged when its last CONVERGENCE_WINDOW tracking errors are
+# all below CONVERGENCE_TOL.
 CONVERGENCE_WINDOW = 50
+CONVERGENCE_TOL = 1e-6
 # The loop remembers the states of at least this many (at most twice as many)
 # recent steps of a reference segment, so it finds and replays every periodic
 # orbit whose period is at most this.  The pendulum loop settles at r = 0 onto
@@ -86,8 +88,10 @@ class Trajectory:
     diverged: bool
 
     def __post_init__(self):
+        # A diverged run may end in non-finite rows.
         for name in ("states", "inputs", "outputs", "applied_refs", "desired_refs"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name,
+                               _frozen(getattr(self, name), finite=False))
 
     @property
     def steps(self) -> int:
@@ -190,7 +194,7 @@ def _schedule_array(schedule, T: int, n_r: int) -> np.ndarray:
     return refs[_segments(starts, np.arange(T))]
 
 
-def _run(aug, nn, xtil0, desired, governor, conv_tol):
+def _run(aug, nn, xtil0, desired, governor):
     """The closed loop under the (T, n_r) desired references.
 
     ``governor(xtil, r)`` gives the reference applied at a state, or is None
@@ -252,13 +256,15 @@ def _run(aug, nn, xtil0, desired, governor, conv_tol):
                 break
     states = states[: n_done + 1]
     applied = applied[:n_done]
-    outputs = states @ aug.Ctil.T
+    # inf in a diverged run's last state times a zero of C is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = states @ aug.Ctil.T
     tail = slice(n_done - CONVERGENCE_WINDOW, n_done)
     converged = (
         not diverged
         and n_done >= CONVERGENCE_WINDOW
         and bool(np.all(np.linalg.norm(outputs[tail] - applied[tail], axis=1)
-                        < conv_tol))
+                        < CONVERGENCE_TOL))
     )
     return Trajectory(
         states=states,
@@ -272,7 +278,7 @@ def _run(aug, nn, xtil0, desired, governor, conv_tol):
 
 
 def simulate(aug: AugmentedPlant, nn: FeedForwardNN, xtil0, ref_schedule,
-             T: int, conv_tol: float = 1e-6) -> Trajectory:
+             T: int) -> Trajectory:
     """Iterate the loop for T steps under a piecewise-constant schedule.
 
     Divergence (state norm above 1e9) truncates the run and sets the flag;
@@ -280,19 +286,20 @@ def simulate(aug: AugmentedPlant, nn: FeedForwardNN, xtil0, ref_schedule,
     """
     if T < 1:
         raise ValueError("T must be at least 1")
-    return _run(aug, nn, xtil0, _schedule_array(ref_schedule, T, aug.n_r),
-                None, conv_tol)
+    return _run(aug, nn, xtil0, _schedule_array(ref_schedule, T, aug.n_r), None)
 
 
-def _closest_feasible_1d(grid, grid_quads, quad, path_quads, target: float,
-                         iters: int):
+def _closest_feasible_1d(grid, grid_quads, path_quads, target: float,
+                         q_target: float):
     """Closest point to ``target`` in the feasible set sampled by the grid.
 
     A reference is feasible when its quadratic is at most 1: ``grid_quads``
-    holds those of the grid, ``quad(r)`` gives one, and ``path_quads(refs)``
-    those of a 1-D array of references in one pass.  Bracketing on the grid
-    plus bisection onto the feasibility boundary; equidistant ties break
-    toward the smaller value.  Returns None when no grid point is feasible.
+    holds those of the grid, ``q_target`` that of ``target``, and
+    ``path_quads(refs)`` those of a 1-D array of references in one pass.  A
+    target beyond the grid is clipped to its end, whose quadratic the grid
+    holds.  Bracketing on the grid plus REFINE_ITERS bisection steps onto the
+    feasibility boundary; equidistant ties break toward the smaller value.
+    Returns None when no grid point is feasible.
 
     The bisection is evaluated along predicted paths.  From the bracket
     (a, b) it lists the midpoints bisection visits if the boundary lies at
@@ -310,7 +317,8 @@ def _closest_feasible_1d(grid, grid_quads, quad, path_quads, target: float,
     i = int(feasible[dist == np.min(dist)][0])  # tie toward smaller reference
     p = float(grid[i])
     goal = float(np.clip(target, grid[0], grid[-1]))
-    q_goal = float(quad(goal))
+    q_goal = float(q_target if goal == target
+                   else grid_quads[0 if goal > target else -1])
     if q_goal <= 1.0 and abs(goal - target) <= abs(p - target):
         return goal
     a, qa, b, qb = p, float(grid_quads[i]), goal, q_goal
@@ -319,7 +327,7 @@ def _closest_feasible_1d(grid, grid_quads, quad, path_quads, target: float,
         far, q_far = float(grid[n]), float(grid_quads[n])
     else:
         far, q_far = b, qb
-    left = iters
+    left = REFINE_ITERS
     while left:
         # The secant through (a, qa) and (far, q_far) crosses 1 at distance
         # reach from a (qa <= 1 < q_far); midpoints within it are predicted
@@ -362,15 +370,15 @@ def govern(J: JointEllipsoid, xtil, r_desired):
     xtil = np.asarray(xtil, dtype=float)
     r_desired = np.atleast_1d(np.asarray(r_desired, dtype=float))
 
-    if J.joint_quad(xtil, r_desired) <= 1.0 + GOVERNOR_TOLERANCE:
+    q_desired = J.joint_quad(xtil, r_desired)
+    if q_desired <= 1.0 + GOVERNOR_TOLERANCE:
         return r_desired
 
     if J.n_r == 1:
         grid, quads = J.grid_quads(xtil)
         rhat = _closest_feasible_1d(
-            grid, quads, lambda r: J.joint_quad(xtil, np.array([r])),
-            lambda refs: J.joint_quad_many(xtil, refs[:, None]),
-            float(r_desired[0]), REFINE_ITERS)
+            grid, quads, lambda refs: J.joint_quad_many(xtil, refs[:, None]),
+            float(r_desired[0]), q_desired)
         if rhat is None:
             raise GovernorInfeasible("state lies outside every reference slice")
         return np.array([rhat])
@@ -400,22 +408,18 @@ def _govern_descent(J, xtil, r_desired):
         inside = (J.joint_quad_many(xtil, mid) <= 1.0)[:, None]
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    best = None
-    for cand in lo:
-        if best is None or np.linalg.norm(cand - r_desired) < \
-                np.linalg.norm(best - r_desired):
-            best = cand
-    return best
+    # the first of equally near candidates, as argmin picks it
+    return lo[int(np.argmin([np.linalg.norm(c - r_desired) for c in lo]))]
 
 
 def simulate_with_governor(aug: AugmentedPlant, nn: FeedForwardNN,
-                           J: JointEllipsoid, xtil0, r_desired, T: int,
-                           conv_tol: float = 1e-6) -> Trajectory:
+                           J: JointEllipsoid, xtil0, r_desired,
+                           T: int) -> Trajectory:
     """Simulate with the surrogate reference recomputed at every step."""
     if T < 1:
         raise ValueError("T must be at least 1")
     return _run(aug, nn, xtil0, _schedule_array(r_desired, T, aug.n_r),
-                lambda xtil, r: govern(J, xtil, r), conv_tol)
+                lambda xtil, r: govern(J, xtil, r))
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

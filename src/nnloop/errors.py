@@ -18,7 +18,8 @@ class SingularAa(NNLoopError):
 
 
 class NonPositiveD(NNLoopError):
-    """A pre-activation box half-width is zero or negative."""
+    """A pre-activation box half-width is not finite and positive, or too
+    small for the containment rows to divide by."""
 
 
 class NonPositiveGamma(NNLoopError):

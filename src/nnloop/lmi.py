@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonPositiveD, NonPositiveGamma
 from .network import FeedForwardNN
 from .plant import AugmentedPlant, SteadyStateMap, _frozen
-from .sectors import SectorBounds
+from .sectors import SectorBounds, half_widths
 
 # Strictness margin scale: strict blocks hold G0 + sum_i theta_i coeffs[i]
 # >= delta I with delta = MARGIN_COEFF * (1 + max|G0|).
@@ -162,7 +162,6 @@ class LMISystem:
 class Selectors:
     """Constant selection matrices of the network interconnection."""
 
-    N0: np.ndarray
     N0_1: np.ndarray
     N1lm1: np.ndarray
     Nl: np.ndarray
@@ -170,7 +169,7 @@ class Selectors:
     Rphi: np.ndarray
 
     def __post_init__(self):
-        for name in ("N0", "N0_1", "N1lm1", "Nl", "RV", "Rphi"):
+        for name in ("N0_1", "N1lm1", "Nl", "RV", "Rphi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
@@ -197,9 +196,8 @@ def build_selectors(nn: FeedForwardNN, n_xtil: int) -> Selectors:
     n_1 = widths[0]
     W0, _ = nn.layers[0]
 
-    N0 = np.zeros((n, n_xtil))
-    N0[:n_1, : nn.n_x] = W0 @ nn.Hx0        # zero columns padded for xi
-    N0_1 = N0[:n_1, :].copy()
+    N0_1 = np.zeros((n_1, n_xtil))
+    N0_1[:, : nn.n_x] = W0 @ nn.Hx0         # zero columns padded for xi
 
     N1lm1 = np.zeros((n, n))
     offsets = np.concatenate([[0], np.cumsum(widths)])
@@ -216,10 +214,10 @@ def build_selectors(nn: FeedForwardNN, n_xtil: int) -> Selectors:
     RV[n_xtil:, n_xtil:] = Nl[:, n_xtil:]
 
     Rphi = np.zeros((2 * n, n_xtil + n))
-    Rphi[:n, :n_xtil] = N0
+    Rphi[:n_1, :n_xtil] = N0_1
     Rphi[:n, n_xtil:] = N1lm1
     Rphi[n:, n_xtil:] = np.eye(n)
-    return Selectors(N0=N0, N0_1=N0_1, N1lm1=N1lm1, Nl=Nl, RV=RV, Rphi=Rphi)
+    return Selectors(N0_1=N0_1, N1lm1=N1lm1, Nl=Nl, RV=RV, Rphi=Rphi)
 
 
 def ref_sensitivity(nn: FeedForwardNN, ssmap: SteadyStateMap) -> RefSensitivity:
@@ -285,8 +283,12 @@ def _row_blocks(variables, rows: np.ndarray, d: np.ndarray) -> list:
             parts[v.name] = np.zeros((v.n_scalars, k, k))
             parts[v.name][:, s, s] = v.basis()
     coeffs = _coeffs(variables, k, **parts)
-    return [_block(f"roa_row_{j}", coeffs, -np.outer(row, row) / dj**2)
-            for j, (row, dj) in enumerate(zip(rows, d))]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        G0s = [-np.outer(row, row) / dj**2 for row, dj in zip(rows, d)]
+    if not np.all(np.isfinite(G0s)):
+        raise NonPositiveD(f"box half-width d = {np.min(d)!r} is too small: "
+                           f"a row constant row_j row_j'/d_j^2 overflows")
+    return [_block(f"roa_row_{j}", coeffs, G0) for j, G0 in enumerate(G0s)]
 
 
 def _trace_objective(variables, weights: dict) -> np.ndarray:
@@ -299,15 +301,6 @@ def _sector_vectors(sectors: SectorBounds, n: int):
     if sectors.n != n:
         raise DimensionMismatch("sector bounds do not match the neuron count")
     return sectors.alpha_phi, sectors.beta_phi
-
-
-def _half_widths(d, n_1: int) -> np.ndarray:
-    """d broadcast to one half-width per layer-1 neuron; the containment rows
-    divide by them, so they must be positive."""
-    d = np.broadcast_to(np.asarray(d, dtype=float), (n_1,))
-    if not np.all(d > 0.0):
-        raise NonPositiveD("box half-widths must be strictly positive")
-    return d
 
 
 def build_global(aug: AugmentedPlant, sel: Selectors,
@@ -326,7 +319,7 @@ def build_local_fixed(aug: AugmentedPlant, sel: Selectors,
     containment row per layer-1 neuron tying the box half-width to E_P;
     trace(P) is minimized."""
     n = sel.N1lm1.shape[0]
-    d = _half_widths(d, sel.N0_1.shape[0])
+    d = half_widths(d, sel.N0_1.shape[0])
     variables = (VarSpec("P", "sym", aug.n_xtil), VarSpec("Lambda", "diag", n))
     blocks = (_core_blocks(aug, sel, variables, *_sector_vectors(sectors, n))
               + _row_blocks(variables, sel.N0_1, d))
@@ -347,7 +340,7 @@ def build_local_range(aug: AugmentedPlant, sel: Selectors,
         raise NonPositiveGamma(f"gamma must be finite and positive, got {gamma!r}")
     n = sel.N1lm1.shape[0]
     n_1 = sel.N0_1.shape[0]
-    d = _half_widths(d, n_1)
+    d = half_widths(d, n_1)
     S = refsens.S
     if S.shape != (n_1, aug.n_r):
         raise DimensionMismatch("reference sensitivity must be n_1 x n_r")

@@ -133,7 +133,6 @@ class FeedForwardNN:
 class LayerTrace:
     """Per-layer pre-activations v, post-activations w, and output u."""
 
-    w0: np.ndarray
     v: tuple
     w: tuple
     u: np.ndarray
@@ -159,7 +158,6 @@ def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
     if r.shape != (nn.n_r,):
         raise DimensionMismatch(f"r must have shape ({nn.n_r},)")
     w = nn.Hx0 @ x + nn.Hr0 @ r
-    w0 = w
     vs, ws = [], []
     for W, b in nn.layers:
         v = W @ w + b
@@ -167,7 +165,7 @@ def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
         vs.append(v)
         ws.append(w)
     u = nn.Wl @ w + nn.bl
-    return LayerTrace(w0=w0, v=tuple(vs), w=tuple(ws), u=u)
+    return LayerTrace(v=tuple(vs), w=tuple(ws), u=u)
 
 
 def evaluate(nn: FeedForwardNN, x: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -28,12 +28,13 @@ COND_LIMIT = 1e12
 GRAVITY = 9.81
 
 
-def _frozen(a, shape=None) -> np.ndarray:
-    """Return a read-only float64 copy, optionally checking its shape."""
+def _frozen(a, shape=None, finite=True) -> np.ndarray:
+    """Return a read-only float64 copy, optionally checking its shape, and
+    that its entries are finite unless ``finite`` is false."""
     out = np.array(a, dtype=float)
     if shape is not None and out.shape != shape:
         raise DimensionMismatch(f"expected shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if finite and not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     out.flags.writeable = False
     return out

@@ -9,12 +9,6 @@ import numpy as np
 
 from .plant import _frozen, _rows, steady_state_map, xtil_star_map
 
-# Slice centers a joint set keeps, least recently used evicted first.  The
-# governor asks joint_quad only about the desired reference (its inside test)
-# and the clipped interval end, which repeat from step to step; bisection
-# midpoints go through stacked passes.  Without the memo the closed-loop
-# benchmark round takes 9% longer (2-core x86-64 virtual machine).
-CENTER_MEMO_SIZE = 64
 # References in the grid over the admissible interval on which the governor
 # brackets the feasible references before it bisects (n_r = 1).
 GRID_POINTS = 256
@@ -104,12 +98,10 @@ class JointEllipsoid:
     its reference, which the governor's bisection relies on.
 
     ``joint_quad`` keeps the center and reference term of the last
-    CENTER_MEMO_SIZE references it saw, keyed by the reference's bytes, so a
-    repeated reference costs one quadratic form instead of a network pass.
-    The stored values are the ones a fresh call computes, so every result is
-    bit-identical to recomputing them; the memo is not part of the set's
-    equality or repr.  It takes no lock, so one set is not to be queried
-    from several threads at once.
+    reference it saw, keyed by its bytes and replaced as a whole: the
+    governor asks it only about the desired reference, constant over a
+    schedule segment.  The kept values are those a fresh call computes, so
+    results are bit-identical; the entry is not part of equality or repr.
 
     Two joint sets are equal when P, Q and r_nom are and they share their
     slice-center map (the same function object); they are not hashable.
@@ -122,9 +114,8 @@ class JointEllipsoid:
     # (refs, centers, ref_quads) of grid_quads, built on first use; the set
     # is immutable, so the grid stays valid.
     _grid: tuple | None = field(default=None, init=False, repr=False)
-    # r.tobytes() -> (xtil_star(r), ref_quad(r)), least recently used first.
-    _center_memo: dict = field(default_factory=dict, init=False,
-                               repr=False)
+    # (r.tobytes(), xtil_star(r), ref_quad(r)) of joint_quad's last r.
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         P = _frozen(self.P)
@@ -164,14 +155,11 @@ class JointEllipsoid:
     def joint_quad(self, xtil, r) -> float:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         key = r.tobytes()
-        memo = self._center_memo
-        entry = memo.pop(key, None)
-        if entry is None:
-            entry = (self.xtil_star(r), self.ref_quad(r))
-            if len(memo) >= CENTER_MEMO_SIZE:
-                del memo[next(iter(memo))]
-        memo[key] = entry
-        center, ref_term = entry
+        last = self._last
+        if last is None or last[0] != key:
+            last = (key, self.xtil_star(r), self.ref_quad(r))
+            object.__setattr__(self, "_last", last)
+        _, center, ref_term = last
         e = np.asarray(xtil, dtype=float) - center
         return float(e @ self.P @ e) + ref_term
 

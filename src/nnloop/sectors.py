@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveD, StarOutsideBox
+from .errors import DimensionMismatch, NonPositiveD, StarOutsideBox
 from .network import Activation, FeedForwardNN, LayerTrace
 from .plant import _frozen
 
@@ -74,16 +74,27 @@ def global_sectors(activation: Activation, n: int) -> SectorBounds:
                         beta_phi=np.full(n, activation.beta))
 
 
+def half_widths(d, n_1: int) -> np.ndarray:
+    """The layer-1 box half-widths ``d``, a scalar or one per neuron, as n_1
+    entries; each must be finite and strictly positive."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim > 1 or d.size not in (1, n_1):
+        raise DimensionMismatch(
+            f"box half-width d must be a scalar or have one entry per "
+            f"layer-1 neuron ({n_1}), got shape {d.shape}")
+    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
+        raise NonPositiveD("box half-widths must be finite and strictly positive")
+    return np.broadcast_to(d, (n_1,))
+
+
 def propagate_box(nn: FeedForwardNN, v1_star_center, d) -> BoundBox:
     """Intervals for all layers from the layer-1 box ``v1_star_center +- d``.
 
     ``d`` may be a scalar (broadcast over the first hidden layer) or a vector
-    of per-neuron half-widths; every entry must be strictly positive.
+    of per-neuron half-widths (see :func:`half_widths`).
     """
     n_1 = nn.hidden_widths[0]
-    d = np.broadcast_to(np.asarray(d, dtype=float), (n_1,)).copy()
-    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-        raise NonPositiveD("box half-widths must be strictly positive")
+    d = half_widths(d, n_1)
     center = np.asarray(v1_star_center, dtype=float)
     if center.shape != (n_1,):
         raise NonPositiveD(f"v1 center must have shape ({n_1},)")

@@ -215,6 +215,19 @@ def test_simulate_governed_with_svg(tmp_path):
     assert len(polylines) >= 2  # ellipse slices plus the trajectory
 
 
+def test_simulate_overflowing_state_reports_divergence(tmp_path, capsys):
+    # The first step overflows to inf; the run is reported as diverged.
+    out = str(tmp_path / "out")
+    code = main(["simulate", "--pendulum", PENDULUM_FLAG,
+                 "--nn", example_nn_path(), "--r", "0",
+                 "--x0=1.79e308,1.79e308,1.79e308", "--out", out])
+    assert code == 0
+    assert "steps: 1  converged: False  diverged: True" in capsys.readouterr().out
+    with open(f"{out}/trajectory.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and float(rows[1][1]) == 1.79e308
+
+
 @pytest.fixture(scope="module")
 def range_report(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("range"))
@@ -233,7 +246,13 @@ BAD_NUMERIC_INPUT = [
     (["verify", "--theorem", "local-fixed", "--d", "0.345", "--r", "nan"], "finite"),
     (["verify", "--theorem", "local-range", "--d", "0.345", "--gamma", "inf"],
      "gamma must be finite and positive"),
+    (["verify", "--theorem", "local-fixed", "--r", "0", "--d", "0.345,0.3"],
+     "one entry per layer-1 neuron (5)"),
+    (["verify", "--theorem", "local-fixed", "--r", "0", "--d", "1e-160"],
+     "too small"),
     (["bounds", "--d", "0.345", "--r", "nan"], "finite"),
+    (["bounds", "--r", "0", "--d", "0.345,0.3"],
+     "one entry per layer-1 neuron (5)"),
     (["simulate", "--r", "0", "--steps", "0"], "--steps"),
     (["simulate", "--r", "0", "--steps=-3"], "--steps"),
     (["simulate", "--r", "nan"], "finite"),

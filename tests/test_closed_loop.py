@@ -173,23 +173,23 @@ def test_governed_simulation_in_range_reference(pendulum, pendulum_aug,
     assert traj.tracking_errors()[-1] <= 1e-9
 
 
-def _predicate_quads(feasible):
-    """The (quad, path_quads) pair of a feasibility predicate: quadratic 0
-    where it holds and 2 elsewhere."""
+def _closest_on_predicate(grid, mask, feasible, target):
+    """_closest_feasible_1d on the quadratics of a feasibility predicate, 0
+    where it holds and 2 elsewhere; on the grid, where ``mask`` holds."""
+    from nnloop.closed_loop import _closest_feasible_1d
+
     def quad(r):
         return 0.0 if feasible(r) else 2.0
 
-    return quad, lambda refs: np.array([quad(r) for r in refs])
+    return _closest_feasible_1d(
+        grid, np.where(mask, 0.0, 2.0),
+        lambda refs: np.array([quad(r) for r in refs]), target, quad(target))
 
 
 def test_closest_feasible_tie_breaks_to_smaller():
-    from nnloop.closed_loop import _closest_feasible_1d
-
     grid = np.linspace(-1.0, 1.0, 21)
     mask = np.abs(grid) >= 0.5 - 1e-12  # feasible outside (-0.5, 0.5)
-    got = _closest_feasible_1d(grid, np.where(mask, 0.0, 2.0),
-                               *_predicate_quads(lambda r: abs(r) >= 0.5),
-                               0.0, iters=40)
+    got = _closest_on_predicate(grid, mask, lambda r: abs(r) >= 0.5, 0.0)
     assert got == pytest.approx(-0.5)
 
 
@@ -265,8 +265,8 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, pendulum,
 def test_trajectory_csv_formats_rows_by_bytes(tmp_path):
     # Repeated rows are written once per occurrence; rows that compare equal
     # as floats but differ in bits (-0.0 and 0.0, two NaN payloads) keep
-    # their own text.  Trajectory refuses non-finite entries, so the
-    # formatter gets the four arrays it reads on a plain namespace.
+    # their own text.  The formatter gets the four arrays it reads on a
+    # plain namespace.
     inf = float("inf")
     nan_a, nan_b = np.array([0x7FF8000000000000, 0x7FF8000000000001],
                             dtype=np.uint64).view(np.float64)
@@ -323,7 +323,7 @@ def _reference_govern(J, xtil, r_des):
         float(r_des[0]), cl.REFINE_ITERS)])
 
 
-def _reference_run(aug, nn, xtil0, schedule, T, J=None, conv_tol=1e-6):
+def _reference_run(aug, nn, xtil0, schedule, T, J=None):
     xtil = np.asarray(xtil0, dtype=float)
     states, inputs, outputs, applied, desired = [xtil], [], [], [], []
     diverged = False
@@ -343,7 +343,8 @@ def _reference_run(aug, nn, xtil0, schedule, T, J=None, conv_tol=1e-6):
     outputs.append(aug.Ctil @ xtil)
     errs = [np.linalg.norm(y - r) for y, r in zip(outputs[:-1], applied)]
     converged = (not diverged and len(inputs) >= cl.CONVERGENCE_WINDOW
-                 and all(e < conv_tol for e in errs[-cl.CONVERGENCE_WINDOW:]))
+                 and all(e < cl.CONVERGENCE_TOL
+                         for e in errs[-cl.CONVERGENCE_WINDOW:]))
     return (np.array(states), np.array(inputs), np.array(outputs),
             np.array(applied), np.array(desired), converged, diverged)
 
@@ -381,11 +382,10 @@ def test_governed_simulation_matches_reference_loop(pendulum, pendulum_aug,
 
 def test_governor_bisects_in_stacked_passes(pendulum, pendulum_aug, joint_set,
                                             monkeypatch):
-    # joint_quad is asked only about the desired reference and the clipped
-    # interval end; bisection midpoints go through joint_quad_many, in at
-    # most 4 passes per bisecting govern call (2.82 measured).
+    # joint_quad is asked once per govern call, about the desired reference;
+    # bisection midpoints go through joint_quad_many, in at most 4 passes
+    # per bisecting govern call (2.82 measured).
     _plant, nn, _k = pendulum
-    lo, hi = nl.admissible_references(joint_set).interval
     calls = []  # per govern call: [desired, scalar references, passes]
     joint_quad = roa.JointEllipsoid.joint_quad
     joint_quad_many = roa.JointEllipsoid.joint_quad_many
@@ -409,7 +409,7 @@ def test_governor_bisects_in_stacked_passes(pendulum, pendulum_aug, joint_set,
     nl.simulate_with_governor(pendulum_aug, nn, joint_set, np.zeros(3),
                               [[0, -1.0], [1500, 0.1]], 3000)
     for desired, scalars, _passes in calls:
-        assert set(scalars) <= {desired, min(max(desired, lo), hi)}
+        assert scalars == [desired]
     bisecting = [passes for _r, _s, passes in calls if passes]
     assert bisecting and sum(bisecting) <= 4 * len(bisecting)
 
@@ -422,15 +422,22 @@ def test_diverging_run_matches_reference_loop(pendulum, pendulum_aug):
     assert traj.diverged and traj.steps == len(ref[1]) < 30000
 
 
-@pytest.mark.parametrize("big", [1e200, 1e308])
+@pytest.mark.parametrize("x0", [
+    pytest.param([1e200, -1e200, 0.0], id="1e+200"),
+    pytest.param([1e308, -1e308, 0.0], id="1e+308"),
+    pytest.param([1.79e308] * 3, id="1.79e308-all"),
+])
 def test_divergence_near_float_limit_warns_nothing(recwarn, pendulum,
-                                                   pendulum_aug, big):
+                                                   pendulum_aug, x0):
     # x . x overflows in the divergence test; inf still flags divergence.
+    # From the last start the first step itself overflows: the run keeps its
+    # non-finite row, and its outputs are computed without a warning.
     _plant, nn, _k = pendulum
-    traj = nl.simulate(pendulum_aug, nn, np.array([big, -big, 0.0]),
-                       np.zeros(1), 100)
+    traj = nl.simulate(pendulum_aug, nn, np.array(x0), np.zeros(1), 100)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert traj.diverged and traj.steps == 1
+    assert traj.states.shape == (2, 3) and traj.outputs.shape == (2, 1)
+    assert np.array_equal(traj.states[0], x0)
 
 
 def test_grid_quads_match_joint_quad_many(joint_set):
@@ -449,8 +456,6 @@ def test_grid_quads_match_joint_quad_many(joint_set):
 
 
 def test_closest_feasible_early_stop_matches_full_bisection():
-    from nnloop.closed_loop import _closest_feasible_1d
-
     rng = np.random.default_rng(12)
     grid = np.linspace(-1.0, 1.0, 33)
     for _ in range(200):
@@ -463,9 +468,7 @@ def test_closest_feasible_early_stop_matches_full_bisection():
             def feasible(r, t=t):
                 return r >= t
         mask = np.array([feasible(g) for g in grid])
-        got = _closest_feasible_1d(grid, np.where(mask, 0.0, 2.0),
-                                   *_predicate_quads(feasible), target,
-                                   iters=60)
+        got = _closest_on_predicate(grid, mask, feasible, target)
         want = _full_bisection(grid, mask, feasible, target, 60)
         assert got == want
 
@@ -474,29 +477,26 @@ def test_closest_feasible_early_stop_matches_full_bisection():
 
     mask = np.array([wavy(g) for g in grid])
     for target in (-2.0, -0.37, 0.0, 0.51, 2.0):
-        got = _closest_feasible_1d(grid, np.where(mask, 0.0, 2.0),
-                                   *_predicate_quads(wavy), target, iters=60)
+        got = _closest_on_predicate(grid, mask, wavy, target)
         assert got == _full_bisection(grid, mask, wavy, target, 60)
 
 
 def _path_bisection(grid, quad_fn, target):
     """_closest_feasible_1d on the quadratics quad_fn (vectorized), with the
-    references of every path pass and the scalar references asked for."""
+    references of every path pass."""
     from nnloop.closed_loop import _closest_feasible_1d
 
-    passes, scalars = [], []
-
-    def quad(r):
-        scalars.append(r)
-        return float(quad_fn(np.array([r]))[0])
+    passes = []
 
     def path_quads(refs):
         passes.append(refs.tolist())
         return quad_fn(refs)
 
-    got = _closest_feasible_1d(grid, quad_fn(grid), quad, path_quads, target,
-                               60)
-    return got, passes, scalars
+    # A target beyond the grid is clipped, and its own quadratic goes unused.
+    goal = float(np.clip(target, grid[0], grid[-1]))
+    got = _closest_feasible_1d(grid, quad_fn(grid), path_quads, target,
+                               float(quad_fn(np.array([goal]))[0]))
+    return got, passes
 
 
 def test_path_bisection_matches_full_bisection():
@@ -522,12 +522,11 @@ def test_path_bisection_matches_full_bisection():
 
         mask = quad_fn(grid) <= 1.0
         want = _full_bisection(grid, mask, feasible, target, 60)
-        got, passes, scalars = _path_bisection(grid, quad_fn, target)
+        got, passes = _path_bisection(grid, quad_fn, target)
         assert got == want
-        # Only the clipped target is asked for alone; every midpoint plain
-        # bisection tests before its bracket stops shrinking is in a pass.
+        # Every midpoint plain bisection tests before its bracket stops
+        # shrinking is in a pass; the clipped target's quadratic is given.
         goal = float(np.clip(target, grid[0], grid[-1]))
-        assert scalars == [goal]
         evaluated = {r for refs in passes for r in refs} | {goal}
         assert set(mids) - evaluated <= set(grid.tolist())
         if convex:

@@ -257,19 +257,6 @@ def test_joint_quad_memo_is_bit_identical(joint_set):
     assert len(calls) == 200
 
 
-def test_joint_quad_memo_is_bounded_and_keeps_recent(joint_set):
-    J, calls = _counting_copy(joint_set)
-    x = np.zeros(3)
-    r0 = np.zeros(1)
-    refs = np.linspace(0.01, 0.25, 10 * roa.CENTER_MEMO_SIZE)
-    for r in refs:
-        J.joint_quad(x, r0)
-        J.joint_quad(x, np.array([r]))
-        assert len(J._center_memo) <= roa.CENTER_MEMO_SIZE
-    # r0, asked for before every new reference, is never the one evicted
-    assert len(calls) == 1 + len(refs)
-
-
 def test_joint_quad_memo_ignored_by_eq_and_repr():
     def center(r):
         return 2.0 * r
@@ -278,7 +265,10 @@ def test_joint_quad_memo_ignored_by_eq_and_repr():
     J2 = roa.JointEllipsoid(P=[[2.0]], Q=[[4.0]], r_nom=[0.0], xtil_star=center)
     for r in (0.1, -0.2, 0.3):
         J1.joint_quad([0.5], r)
-    assert len(J1._center_memo) == 3 and not J2._center_memo
+    # one entry, the last reference's, replaced as a whole
+    key, centre, ref_term = J1._last
+    assert key == np.array([0.3]).tobytes() and J2._last is None
+    assert np.array_equal(centre, [0.6]) and ref_term == J1.ref_quad(0.3)
     assert J1 == J2
     assert repr(J1) == repr(J2)
 
