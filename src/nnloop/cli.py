@@ -313,7 +313,10 @@ def cmd_simulate(args) -> int:
         svg_path = os.path.join(args.out, "trajectory.svg")
         curves = [] if J is None else _slice_curves(
             J, (-0.99, -0.5, 0.0, 0.5, 0.99), (0, 1))
-        curves.append((traj.states[:, :2], "#1565c0"))
+        # A diverged run may end in non-finite rows; they are not drawn.
+        finite = traj.states[np.isfinite(traj.states).all(axis=1), :2]
+        if finite.shape[0] >= 2:
+            curves.append((finite, "#1565c0"))
         roa.polylines_to_svg(svg_path, curves)
         print(f"svg: {svg_path}")
     return EXIT_FEASIBLE

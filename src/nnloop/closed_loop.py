@@ -1,10 +1,11 @@
 """Closed-loop simulation and the reference governor.
 
 There is one simulation loop, shared by the plain and the governed run.  The
-reference schedule is turned into a (T, n_r) array before it starts, and each
-step then costs one trace-free network pass (:func:`network.evaluate`) and a
-few small matrix products; outputs and tracking errors are computed from the
-stored states after the loop.
+reference schedule is turned into a (T, n_r) array before it starts.  A step
+makes one trace-free network pass and a few small matrix products: the
+reference terms Hr0 r and Br r are formed once per applied reference, told
+apart by its bytes, and the plant inputs k_xi xi + u_nn, the outputs and the
+tracking errors in stacked passes over the stored rows after the loop.
 
 Offset-free tracking settles a run onto the steady state of its reference
 segment, and in floating point a settled run is an exact periodic orbit of
@@ -54,8 +55,8 @@ import numpy as np
 from .errors import BadSchedule, DimensionMismatch, GovernorInfeasible
 # ``forward`` is imported so that ``closed_loop.forward`` remains a name that
 # perfbench/tracing.py can wrap; the loop itself makes trace-free passes.
-from .network import FeedForwardNN, evaluate, forward  # noqa: F401
-from .plant import AugmentedPlant, _frozen
+from .network import FeedForwardNN, _output, forward  # noqa: F401
+from .plant import AugmentedPlant, _frozen, _matvecs, _rows
 from .roa import JointEllipsoid, admissible_references
 
 DIVERGENCE_NORM = 1e9
@@ -102,15 +103,11 @@ class Trajectory:
         return np.linalg.norm(self.outputs[:-1] - self.applied_refs, axis=1)
 
 
-def _transition(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r):
-    """One network pass: plant input u = k_xi xi + kappa(x, r) and xtil+.
-
-    xtil and r must be float arrays of shapes (n_xtil,) and (n_r,).
-    """
-    n_x = nn.n_x
-    u_nn = evaluate(nn, xtil[:n_x], r)
-    u = aug.k_xi @ xtil[n_x:] + u_nn
-    return u, aug.Atil @ xtil + aug.Btil @ u_nn + aug.Br @ r
+def _transition(aug: AugmentedPlant, nn: FeedForwardNN, xtil, hr, br):
+    """One network pass: u_nn = kappa(x, r) and xtil+, from a float state
+    xtil (n_xtil,) and the terms hr = Hr0 r, br = Br r of the reference."""
+    u_nn = _output(nn, nn.Hx0 @ xtil[:nn.n_x] + hr)
+    return u_nn, aug.Atil @ xtil + aug.Btil @ u_nn + br
 
 
 def _check_dims(aug: AugmentedPlant, nn: FeedForwardNN, xtil) -> None:
@@ -127,7 +124,7 @@ def step(aug: AugmentedPlant, nn: FeedForwardNN, xtil, r) -> np.ndarray:
     _check_dims(aug, nn, xtil)
     if r.shape != (aug.n_r,):
         raise DimensionMismatch(f"r must have shape ({aug.n_r},)")
-    return _transition(aug, nn, xtil, r)[1]
+    return _transition(aug, nn, xtil, nn.Hr0 @ r, aug.Br @ r)[1]
 
 
 def _parse_schedule(schedule, n_r: int):
@@ -207,7 +204,7 @@ def _run(aug, nn, xtil0, desired, governor):
     xtil = np.asarray(xtil0, dtype=float)
     _check_dims(aug, nn, xtil)
     states = np.empty((T + 1, aug.n_xtil))
-    inputs = np.empty((T, aug.k_xi.shape[0]))
+    u_nns = np.empty((T, aug.k_xi.shape[0]))
     applied = desired if governor is None else np.empty_like(desired)
     states[0] = xtil
     # Segments end where the desired reference changes bits, and at T.
@@ -224,6 +221,8 @@ def _run(aug, nn, xtil0, desired, governor):
             # segment's last REPLAY_WINDOW to 2 * REPLAY_WINDOW steps.
             recent, older = {}, {}
             swap_at = k + REPLAY_WINDOW
+            r = desired[k]
+            ref_key, hr, br = r.tobytes(), nn.Hr0 @ r, aug.Br @ r
             while k < end:
                 key = xtil.tobytes()
                 j = recent.setdefault(key, k)
@@ -232,7 +231,7 @@ def _run(aug, nn, xtil0, desired, governor):
                 if j < k:
                     # Replay rows j..k-1 with period k - j to the segment end.
                     src = j + np.arange(end - k) % (k - j)
-                    inputs[k:end] = inputs[src]
+                    u_nns[k:end] = u_nns[src]
                     states[k + 1:end + 1] = states[src + 1]
                     if governor is not None:
                         applied[k:end] = applied[src]
@@ -241,12 +240,13 @@ def _run(aug, nn, xtil0, desired, governor):
                     break
                 if k == swap_at:
                     older, recent, swap_at = recent, {}, k + REPLAY_WINDOW
-                r = desired[k] if governor is None else governor(xtil, desired[k])
-                u, xtil = _transition(aug, nn, xtil, r)
-                inputs[k] = u
-                states[k + 1] = xtil
                 if governor is not None:
+                    r = governor(xtil, desired[k])
                     applied[k] = r
+                    if r.tobytes() != ref_key:
+                        ref_key, hr, br = r.tobytes(), nn.Hr0 @ r, aug.Br @ r
+                u_nns[k], xtil = _transition(aug, nn, xtil, hr, br)
+                states[k + 1] = xtil
                 # sqrt(x . x) is the value np.linalg.norm returns for a vector
                 if math.sqrt(xtil.dot(xtil)) > DIVERGENCE_NORM:
                     n_done, diverged = k + 1, True
@@ -254,6 +254,11 @@ def _run(aug, nn, xtil0, desired, governor):
                 k += 1
             if diverged:
                 break
+        # The plant inputs k_xi xi_k + u_nn,k, in place of u_nn,k; each product
+        # is made on a state row laid out as a fresh vector is.
+        inputs = u_nns[:n_done]
+        np.add(_matvecs(aug.k_xi, _rows(states[:n_done])[:, aug.n_x:]), inputs,
+               out=inputs)
     states = states[: n_done + 1]
     applied = applied[:n_done]
     # inf in a diverged run's last state times a zero of C is NaN.
@@ -268,7 +273,7 @@ def _run(aug, nn, xtil0, desired, governor):
     )
     return Trajectory(
         states=states,
-        inputs=inputs[:n_done],
+        inputs=inputs,
         outputs=outputs,
         applied_refs=applied,
         desired_refs=desired[:n_done],

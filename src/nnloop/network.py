@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .plant import _frozen, _matvecs
+
+
+# Each kind as (ufunc, trailing arguments), applied as ufunc(v, *arguments):
+# relu is np.maximum(v, 0.0) in that argument order, linear a bit-exact copy.
+_UFUNCS = {"tanh": (np.tanh, ()), "relu": (np.maximum, (0.0,)),
+           "linear": (np.positive, ())}
 
 
 @dataclass(frozen=True)
@@ -23,10 +30,12 @@ class Activation:
     kind: str
     alpha: float
     beta: float
+    ufunc: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("tanh", "relu", "linear"):
+        if self.kind not in _UFUNCS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
+        object.__setattr__(self, "ufunc", _UFUNCS[self.kind])
         if self.kind == "linear":
             if not (self.alpha == self.beta == 1.0):
                 raise ValueError("linear activation has alpha = beta = 1")
@@ -46,11 +55,8 @@ class Activation:
         return cls(kind="linear", alpha=1.0, beta=1.0)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "tanh":
-            return np.tanh(v)
-        if self.kind == "relu":
-            return np.maximum(v, 0.0)
-        return np.asarray(v, dtype=float)
+        fn, args = self.ufunc
+        return fn(np.asarray(v, dtype=float), *args)
 
     def deriv(self, v: np.ndarray) -> np.ndarray:
         if self.kind == "tanh":
@@ -157,37 +163,37 @@ def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
         raise DimensionMismatch(f"x must have shape ({nn.n_x},)")
     if r.shape != (nn.n_r,):
         raise DimensionMismatch(f"r must have shape ({nn.n_r},)")
-    w = nn.Hx0 @ x + nn.Hr0 @ r
-    vs, ws = [], []
-    for W, b in nn.layers:
-        v = W @ w + b
-        w = nn.activation(v)
-        vs.append(v)
-        ws.append(w)
-    u = nn.Wl @ w + nn.bl
-    return LayerTrace(v=tuple(vs), w=tuple(ws), u=u)
+    trace = []
+    u = _output(nn, nn.Hx0 @ x + nn.Hr0 @ r, operator.matmul, trace)
+    vs, ws = zip(*trace)
+    return LayerTrace(v=vs, w=ws, u=u)
 
 
 def evaluate(nn: FeedForwardNN, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Control output kappa(x, r) without a trace.
 
-    x and r are float arrays of shapes (n_x,) and (n_r,), or column stacks
-    (n_x, N) and (n_r, N) of N points, giving u of shape (n_u,) or (n_u, N).
-    Nothing is checked or converted.  The arithmetic is that of
-    :func:`forward` step for step, and a stack forms each product one column
-    at a time (:func:`plant._matvecs`), so every column of a stack is bit for
-    bit ``forward(nn, x_j, r_j).u``.
+    x and r are float arrays of shapes (n_x,) and (n_r,), or stacks (N, n_x)
+    and (N, n_r) of N points, one per row, each a fresh array or a
+    :func:`plant._rows` copy, giving u of shape (n_u,) or (N, n_u).  Nothing
+    is checked.  The arithmetic is that of :func:`forward` step for step,
+    and a stack forms each product one row at a time (:func:`plant._matvecs`),
+    so every row of a stack is bit for bit ``forward(nn, x_j, r_j).u``.
     """
-    if x.ndim == 2:
-        w = _matvecs(nn.Hx0, x) + _matvecs(nn.Hr0, r)
-        for W, b in nn.layers:
-            w = nn.activation(_matvecs(W, w) + b[:, None])
-        return _matvecs(nn.Wl, w) + nn.bl[:, None]
-    # One point, the simulation loop's pass: ``@`` is the quickest form.
-    w = nn.Hx0 @ x + nn.Hr0 @ r
+    mv = _matvecs if x.ndim == 2 else operator.matmul
+    return _output(nn, mv(nn.Hx0, x) + mv(nn.Hr0, r), mv)
+
+
+def _output(nn: FeedForwardNN, w, mv=operator.matmul, trace=None):
+    """Output from the first layer's input w, the layer loop of every pass:
+    ``mv`` is ``@`` for one point and :func:`plant._matvecs` for a stack of
+    rows, and a list ``trace`` receives each hidden layer's (v, w)."""
+    act, args = nn.activation.ufunc
     for W, b in nn.layers:
-        w = nn.activation(W @ w + b)
-    return nn.Wl @ w + nn.bl
+        v = mv(W, w) + b
+        w = act(v, *args)
+        if trace is not None:
+            trace.append((v, w))
+    return mv(nn.Wl, w) + nn.bl
 
 
 def steady_forward(nn: FeedForwardNN, x_star, r) -> LayerTrace:

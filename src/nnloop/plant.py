@@ -54,15 +54,18 @@ def _rows(X) -> np.ndarray:
     return rows
 
 
-def _matvecs(A, X) -> np.ndarray:
-    """The (m, N) stack of the products A @ X[:, j] of a (k, N) column stack.
+def _matvecs(A, rows) -> np.ndarray:
+    """The (N, m) stack of the products A @ rows[j] of an (N, k) stack of rows.
 
-    Each column is bit for bit the single product ``A @ X[:, j]``: np.matmul
-    over the (N, k, 1) stack of aligned rows makes one BLAS gemv (a dot when
-    A has one row) per column, the call a single product makes, where one
-    gemm over the stack would sum in another order.
+    Each row is bit for bit the single product ``A @ rows[j]``: np.matmul
+    over the (N, k, 1) stack makes one BLAS gemv (a dot when A has one row)
+    per row, the call a single product makes, where one gemm over the stack
+    would sum in another order.  Rows of a fresh array of odd width, which
+    do not all start on 16-byte boundaries, are copied with :func:`_rows`.
     """
-    return np.matmul(A, _rows(X.T)[:, :, None])[:, :, 0].T
+    if rows.strides[0] % 16:
+        rows = _rows(rows)
+    return np.matmul(A, rows[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -203,10 +206,11 @@ def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
     """The steady-state map r -> xtil_*(r) = (M r, k_xi^-1 (M_u r - kappa(M r, r))).
 
     The returned function takes a reference (n_r,) and gives its steady state
-    (n_xtil,), or takes a column stack (n_r, N) of references and gives the
-    (n_xtil, N) stack of theirs in one network pass, each column bit for bit
-    the steady state of that reference alone.  k_xi is checked and inverted
-    once, here; raises SingularGain when it is numerically singular.
+    (n_xtil,), or takes a stack (N, n_r) of references, one per row, and
+    gives the (N, n_xtil) stack of theirs in one network pass, each row bit
+    for bit the steady state of that reference alone; one aligned copy of
+    the stack serves M, M_u and the network's Hr0.  k_xi is checked and
+    inverted once, here; raises SingularGain when it is numerically singular.
     """
     from .network import evaluate  # local import to avoid a cycle
 
@@ -221,10 +225,10 @@ def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
 
     def xtil_star(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        mv = _matvecs if r.ndim == 2 else np.matmul
+        r, mv = (_rows(r), _matvecs) if r.ndim == 2 else (r, np.matmul)
         x_star = mv(M, r)
         xi_star = mv(k_xi_inv, mv(M_u, r) - evaluate(nn, x_star, r))
-        return np.concatenate([x_star, xi_star])
+        return np.concatenate([x_star, xi_star], axis=-1)
 
     return xtil_star
 

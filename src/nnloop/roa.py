@@ -90,12 +90,13 @@ class JointEllipsoid:
 
     where xtil_*(r) is evaluated through the true (network-dependent) steady
     state, not a linearization.  ``xtil_star`` maps a reference (n_r,) to its
-    slice center (n_xtil,), and a column stack (n_r, N) of references to the
-    (n_xtil, N) stack of their centers, each column bit for bit the center of
-    its reference alone, as :func:`plant.xtil_star_map` gives them.  The
-    governor's grid and ``joint_quad_many`` evaluate a whole stack in one
-    call, and every entry is then bit for bit what ``joint_quad`` gives for
-    its reference, which the governor's bisection relies on.
+    slice center (n_xtil,), and a stack (N, n_r) of references, one per row,
+    to the (N, n_xtil) stack of their centers, each row bit for bit the
+    center of its reference alone, as :func:`plant.xtil_star_map` gives
+    them.  The governor's grid and ``joint_quad_many`` evaluate a whole
+    stack in one call, and every entry is then bit for bit what
+    ``joint_quad`` gives for its reference, which the governor's bisection
+    relies on.
 
     ``joint_quad`` keeps the center and reference term of the last
     reference it saw, keyed by its bytes and replaced as a whole: the
@@ -146,7 +147,7 @@ class JointEllipsoid:
 
     def xtil_star_batch(self, R) -> np.ndarray:
         """Slice centers (N, n_xtil) of a stack of references (N, n_r)."""
-        return self.xtil_star(np.asarray(R, dtype=float).T).T
+        return self.xtil_star(np.asarray(R, dtype=float))
 
     def ref_quad(self, r) -> float:
         dr = np.atleast_1d(np.asarray(r, dtype=float)) - self.r_nom
@@ -314,7 +315,8 @@ def polylines_to_svg(path, polylines, size: int = 640, pad: float = 0.08) -> Non
 
     ``polylines`` is a sequence of (points, color) pairs; points are (n, 2).
     """
-    all_pts = np.vstack([np.asarray(p, dtype=float) for p, _ in polylines])
+    all_pts = np.vstack([np.asarray(p, dtype=float) for p, _ in polylines]
+                        or [np.zeros((1, 2))])
     lo = all_pts.min(axis=0)
     hi = all_pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)

@@ -228,6 +228,21 @@ def test_simulate_overflowing_state_reports_divergence(tmp_path, capsys):
     assert len(rows) == 2 and float(rows[1][1]) == 1.79e308
 
 
+def test_simulate_overflowing_state_svg_draws_finite_rows(tmp_path, recwarn):
+    # Only rows whose entries are all finite are drawn; the one finite row of
+    # this run is no curve, so the picture is empty and holds no NaN.
+    out = tmp_path / "out"
+    code = main(["simulate", "--pendulum", PENDULUM_FLAG,
+                 "--nn", example_nn_path(), "--r", "0",
+                 "--x0=1.79e308,1.79e308,1.79e308", "--svg", "--out", str(out)])
+    assert code == 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    svg = (out / "trajectory.svg").read_text()
+    assert "nan" not in svg
+    root = ET.fromstring(svg)
+    assert not [c for c in root if c.tag.endswith("polyline")]
+
+
 @pytest.fixture(scope="module")
 def range_report(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("range"))

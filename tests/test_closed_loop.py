@@ -195,9 +195,9 @@ def test_closest_feasible_tie_breaks_to_smaller():
 
 def test_governor_descent_2d_smoke():
     # two-reference joint set with an affine steady map; like every slice
-    # center map it takes a reference (2,) or a column stack (2, N)
+    # center map it takes a reference (2,) or a stack (N, 2), one per row
     def xtil_star(r):
-        return np.concatenate([r, np.zeros((1,) + r.shape[1:])])
+        return np.concatenate([r, np.zeros(r.shape[:-1] + (1,))], axis=-1)
 
     J = nl.JointEllipsoid(P=np.eye(3), Q=np.eye(2) * 4.0, r_nom=np.zeros(2),
                           xtil_star=xtil_star)
@@ -350,12 +350,13 @@ def _reference_run(aug, nn, xtil0, schedule, T, J=None):
 
 
 def _assert_same_run(traj, ref):
+    # Bytes, not values: a moved signed zero or NaN payload is a difference.
     states, inputs, outputs, applied, desired, converged, diverged = ref
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.inputs, inputs)
-    assert np.array_equal(traj.outputs, outputs)
-    assert np.array_equal(traj.applied_refs, applied)
-    assert np.array_equal(traj.desired_refs, desired)
+    for got, want in ((traj.states, states), (traj.inputs, inputs),
+                      (traj.outputs, outputs), (traj.applied_refs, applied),
+                      (traj.desired_refs, desired)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     assert (traj.converged, traj.diverged) == (converged, diverged)
 
 
@@ -366,6 +367,21 @@ def test_simulate_matches_reference_loop(pendulum, pendulum_aug):
     traj = nl.simulate(pendulum_aug, nn, x0, sched, 400)
     _assert_same_run(traj, _reference_run(pendulum_aug, nn, x0, sched, 400))
     assert traj.converged
+
+
+def test_signed_zero_segments_match_reference_loop(pendulum, pendulum_aug,
+                                                   nominal_slice):
+    # 0.0 and -0.0 compare equal but differ in bits, so every entry of this
+    # schedule starts a segment that computes its own reference terms; the
+    # applied and desired references keep each sign.
+    _plant, nn, _k = pendulum
+    x0 = _slice_point(nominal_slice)
+    sched = [(0, 0.0), (40, -0.0), (90, 0.0), (91, -0.0), (300, 0.0)]
+    traj = nl.simulate(pendulum_aug, nn, x0, sched, 400)
+    ref = _reference_run(pendulum_aug, nn, x0, sched, 400)
+    _assert_same_run(traj, ref)
+    assert np.signbit(traj.applied_refs[[0, 40, 90, 91, 300], 0]).tolist() == \
+        [False, True, False, True, False]
 
 
 def test_governed_simulation_matches_reference_loop(pendulum, pendulum_aug,

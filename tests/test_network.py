@@ -8,13 +8,35 @@ from hypothesis import strategies as st
 import nnloop as nl
 from nnloop.errors import DimensionMismatch
 from nnloop.network import evaluate, load_nn, save_nn
+from nnloop.plant import xtil_star_map
 from test_metamorphic import duplicated_nn
 
 
-def _shipped_and_wide(pendulum):
-    """The shipped 10-neuron controller and its 40-neuron duplicate."""
+def _small_nn(rng, widths, activation):
+    """A random network on the pendulum's dimensions (n_x = 2, n_r = n_u = 1)
+    with the given hidden widths."""
+    layers, width = [], 3
+    for n in widths:
+        layers.append((rng.normal(size=(n, width)), rng.normal(size=n)))
+        width = n
+    return nl.FeedForwardNN(Hx0=rng.normal(size=(3, 2)),
+                            Hr0=rng.normal(size=(3, 1)), layers=tuple(layers),
+                            Wl=rng.normal(size=(1, width)),
+                            bl=rng.normal(size=1), activation=activation)
+
+
+def _stack_networks(pendulum):
+    """Networks whose stacked passes must match single calls byte for byte:
+    the shipped 10-neuron tanh controller, its 20- and 40-neuron duplicates,
+    and small relu and tanh networks whose layers have odd and even widths
+    (an odd width is copied to aligned rows before the next product)."""
     _plant, nn, _k_xi = pendulum
-    return nn, duplicated_nn(nn, 4, np.random.default_rng(2024))
+    rng = np.random.default_rng(33)
+    return [nn, duplicated_nn(nn, 2, np.random.default_rng(2024)),
+            duplicated_nn(nn, 4, np.random.default_rng(2024)),
+            _small_nn(rng, (3,), nl.Activation.relu()),
+            _small_nn(rng, (4,), nl.Activation.relu()),
+            _small_nn(rng, (3, 4), nl.Activation.tanh())]
 
 
 def test_zero_network_forward():
@@ -108,33 +130,48 @@ def test_io_maps_classification():
     assert nl.io_maps(dense, C) == (False, False)
 
 
-def test_evaluate_column_of_one_is_bit_identical(pendulum):
+def test_evaluate_row_of_one_is_bit_identical(pendulum):
     # The steady-state map evaluates stacks and single references through the
-    # same pass; with one column it must give the vector call's bits.
+    # same pass; with one row it must give the vector call's bits.
     rng = np.random.default_rng(31)
-    for nn in _shipped_and_wide(pendulum):
-        assert nn.n_hidden in (10, 40)
+    for nn in _stack_networks(pendulum):
         for _ in range(200):
             scale = 10.0 ** rng.uniform(-3.0, 1.0)
             x = rng.normal(scale=scale, size=nn.n_x)
             r = rng.normal(scale=scale, size=nn.n_r)
             u = evaluate(nn, x, r)
-            U = evaluate(nn, x[:, None], r[:, None])
-            assert U.shape == (nn.n_u, 1)
-            assert U[:, 0].tobytes() == u.tobytes()
+            U = evaluate(nn, x[None, :], r[None, :])
+            assert U.shape == (1, nn.n_u)
+            assert U[0].tobytes() == u.tobytes()
             assert u.tobytes() == nl.forward(nn, x, r).u.tobytes()
 
 
-def test_evaluate_stack_matches_columns(pendulum):
+def test_evaluate_stack_matches_rows(pendulum):
     rng = np.random.default_rng(32)
-    for nn in _shipped_and_wide(pendulum):
-        X = rng.normal(scale=0.5, size=(nn.n_x, 256))
-        R = rng.normal(scale=0.5, size=(nn.n_r, 256))
+    for nn in _stack_networks(pendulum):
+        X = rng.normal(scale=0.5, size=(256, nn.n_x))
+        R = rng.normal(scale=0.5, size=(256, nn.n_r))
         U = evaluate(nn, X, R)
-        cols = np.column_stack([evaluate(nn, X[:, j], R[:, j])
-                                for j in range(256)])
-        assert U.shape == cols.shape == (nn.n_u, 256)
-        assert U.tobytes() == cols.tobytes()
+        rows = np.array([evaluate(nn, x, r) for x, r in zip(X, R)])
+        assert U.shape == rows.shape == (256, nn.n_u)
+        assert U.tobytes() == rows.tobytes()
+
+
+def test_xtil_star_stack_matches_single_calls(pendulum):
+    # Stack mode of the steady-state map: one aligned copy of the references
+    # serves M, M_u and the network; each row is the single call's bytes,
+    # for a strided column view of references and for a fresh stack.
+    plant, _nn, k_xi = pendulum
+    ssmap = nl.steady_state_map(plant)
+    rng = np.random.default_rng(34)
+    for nn in _stack_networks(pendulum):
+        xtil_star = xtil_star_map(ssmap, nn, k_xi)
+        for R in (np.linspace(-0.4, 0.4, 61)[:, None],
+                  rng.uniform(-0.4, 0.4, size=(64, 1))):
+            stack = xtil_star(R)
+            single = np.array([xtil_star(r) for r in R])
+            assert stack.shape == single.shape == (R.shape[0], 3)
+            assert stack.tobytes() == single.tobytes()
 
 
 def test_forward_dimension_mismatch(pendulum):

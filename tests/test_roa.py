@@ -32,10 +32,10 @@ def test_ellipsoid_validation():
 
 
 def make_joint(q=25.0, r_nom=0.0):
-    # affine steady map for a standalone joint set; r[0] is a scalar for one
-    # reference and a row for a column stack of them
+    # affine steady map for a standalone joint set, for one reference (1,)
+    # or a stack (N, 1) of them, one per row
     def xtil_star(r):
-        return np.array([r[0], 0.5 * r[0]])
+        return np.concatenate([r, 0.5 * r], axis=-1)
 
     return nl.JointEllipsoid(P=np.eye(2), Q=np.array([[q]]),
                              r_nom=np.array([r_nom]), xtil_star=xtil_star)
