@@ -79,7 +79,11 @@ def _parse_pendulum(text: str) -> Plant:
         key = key.strip()
         val = val.strip()
         if key in ("m", "L", "mu", "g", "Ts"):
-            kwargs["T_s" if key == "Ts" else key] = float(val)
+            try:
+                kwargs["T_s" if key == "Ts" else key] = float(val)
+            except ValueError as exc:
+                raise CliError(f"pendulum parameter {key!r} must be a number, "
+                               f"got {val!r}") from exc
         elif key == "disc":
             kwargs["method"] = val
         elif key == "out":

@@ -442,15 +442,14 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     # A settled run repeats its rows, so each distinct row is formatted once.
     # Rows are told apart by their bytes: -0.0 and 0.0, or two NaN payloads,
     # stay different rows even though they compare equal as floats.
-    width = table.shape[1]
-    rows = table.view(np.dtype((np.void, table.itemsize * width))).ravel()
-    distinct, which = np.unique(rows, return_inverse=True)
-    texts = [",".join(map(repr, row)) for row in
-             distinct.view(table.dtype).reshape(-1, width).tolist()]
+    formatted = {}
     # The bytes of csv.writer's default dialect: no field needs quoting, rows
-    # end in CRLF.  Rows are streamed; the file joined into one string would
-    # hold all of it in memory at once.
+    # end in CRLF.  Rows are streamed, one at a time.
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(f"{k},{texts[i]}\r\n"
-                      for k, i in enumerate(which.tolist()))
+        for k, row in enumerate(table):
+            key = row.tobytes()
+            text = formatted.get(key)
+            if text is None:
+                text = formatted[key] = ",".join(map(repr, row.tolist()))
+            fh.write(f"{k},{text}\r\n")

@@ -39,5 +39,9 @@ class BadSchedule(NNLoopError, ValueError):
     """A reference schedule is empty or malformed."""
 
 
+class BadModelFile(NNLoopError, ValueError):
+    """A plant or network file lacks a key or names an unknown activation."""
+
+
 class UnattainableTolerance(NNLoopError):
     """A solver tolerance lies below what double precision can reach."""

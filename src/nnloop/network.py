@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import BadModelFile, DimensionMismatch
 from .plant import _frozen, _matvecs
 
 
@@ -221,23 +221,28 @@ def io_maps(nn: FeedForwardNN, C=None) -> IOMaps:
 
 
 def load_nn(path) -> FeedForwardNN:
-    """Read a network from its JSON schema (row-major weight lists)."""
+    """Read a network from its JSON schema (row-major weight lists).
+
+    A missing key or an unknown activation raises BadModelFile naming it.
+    """
     with open(path) as fh:
         data = json.load(fh)
-    act = {"tanh": Activation.tanh, "relu": Activation.relu,
-           "linear": Activation.linear}[data["activation"]]()
-    layers = tuple(
-        (np.array(layer["W"], dtype=float), np.array(layer["b"], dtype=float))
-        for layer in data["layers"]
-    )
-    return FeedForwardNN(
-        Hx0=np.array(data["Hx0"], dtype=float),
-        Hr0=np.array(data["Hr0"], dtype=float),
-        layers=layers,
-        Wl=np.array(data["Wl"], dtype=float),
-        bl=np.array(data["bl"], dtype=float),
-        activation=act,
-    )
+    kinds = {"tanh": Activation.tanh, "relu": Activation.relu,
+             "linear": Activation.linear}
+    try:
+        kind = data["activation"]
+        layers = tuple(
+            (np.array(layer["W"], dtype=float), np.array(layer["b"], dtype=float))
+            for layer in data["layers"]
+        )
+        arrays = {key: np.array(data[key], dtype=float)
+                for key in ("Hx0", "Hr0", "Wl", "bl")}
+    except KeyError as exc:
+        raise BadModelFile(f"network file {path} has no key {exc.args[0]!r}") from None
+    if kind not in kinds:
+        raise BadModelFile(f"network file {path} has unknown activation {kind!r}; "
+                           f"known: {', '.join(kinds)}")
+    return FeedForwardNN(layers=layers, activation=kinds[kind](), **arrays)
 
 
 def save_nn(nn: FeedForwardNN, path) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularAa, SingularGain
+from .errors import BadModelFile, DimensionMismatch, SingularAa, SingularGain
 
 # Condition number beyond which a matrix is treated as numerically singular.
 COND_LIMIT = 1e12
@@ -291,12 +291,18 @@ def build_pendulum(m: float = 0.15, L: float = 0.5, mu: float = 0.5,
 
 
 def load_plant(path) -> Plant:
-    """Read a plant from JSON: {"A": [[..]], "B": [[..]], "C": [[..]]}."""
+    """Read a plant from JSON: {"A": [[..]], "B": [[..]], "C": [[..]]}.
+
+    A missing key raises BadModelFile naming it.
+    """
     with open(path) as fh:
         data = json.load(fh)
-    return Plant(A=np.array(data["A"], dtype=float),
-                 B=np.array(data["B"], dtype=float),
-                 C=np.array(data["C"], dtype=float))
+    try:
+        return Plant(A=np.array(data["A"], dtype=float),
+                     B=np.array(data["B"], dtype=float),
+                     C=np.array(data["C"], dtype=float))
+    except KeyError as exc:
+        raise BadModelFile(f"plant file {path} has no key {exc.args[0]!r}") from None
 
 
 def save_plant(plant: Plant, path) -> None:

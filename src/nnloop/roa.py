@@ -12,6 +12,9 @@ from .plant import _frozen, _rows, steady_state_map, xtil_star_map
 # References in the grid over the admissible interval on which the governor
 # brackets the feasible references before it bisects (n_r = 1).
 GRID_POINTS = 256
+# Side of the square SVG in pixels, and its margin as a share of the span.
+SVG_SIZE = 640
+SVG_PAD = 0.08
 
 
 class Membership(NamedTuple):
@@ -310,7 +313,7 @@ def boundary_polyline(E: Ellipsoid, dims: tuple = (0, 1),
     return np.vstack([pts, pts[:1]])
 
 
-def polylines_to_svg(path, polylines, size: int = 640, pad: float = 0.08) -> None:
+def polylines_to_svg(path, polylines) -> None:
     """Write a minimal standalone SVG with one <polyline> per input curve.
 
     ``polylines`` is a sequence of (points, color) pairs; points are (n, 2).
@@ -320,21 +323,16 @@ def polylines_to_svg(path, polylines, size: int = 640, pad: float = 0.08) -> Non
     lo = all_pts.min(axis=0)
     hi = all_pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    lo = lo - pad * span
-    hi = hi + pad * span
+    lo, hi = lo - SVG_PAD * span, hi + SVG_PAD * span
     span = hi - lo
-
-    def to_px(p):
-        x = (p[:, 0] - lo[0]) / span[0] * size
-        y = size - (p[:, 1] - lo[1]) / span[1] * size
-        return x, y
-
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
     ]
     for pts, color in polylines:
-        x, y = to_px(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        x = (pts[:, 0] - lo[0]) / span[0] * SVG_SIZE
+        y = SVG_SIZE - (pts[:, 1] - lo[1]) / span[1] * SVG_SIZE
         coords = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

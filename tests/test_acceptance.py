@@ -4,13 +4,11 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 import time
 
 import numpy as np
-import pytest
 
 from conftest import stable_tanh_chords
 
 import nnloop as nl
-from nnloop import closed_loop as cl
-from nnloop import roa, sdp
+from nnloop import sdp
 from nnloop.lmi import build_selectors
 from nnloop.sectors import local_sectors, propagate_box
 
@@ -146,13 +144,11 @@ def test_criterion_4_thm2_invariance(pendulum, pendulum_aug, thm2_report):
     not_converged = 0
     for _ in range(100):
         u = rng.normal(size=3)
-        xt = E.point_at(u)
-        for _ in range(2000):
-            xt = nl.step(pendulum_aug, nn, xt, np.zeros(1))
-            if E.quad(xt) > 1.0 + 1e-9:
-                escapes += 1
-                break
-        err = float(np.abs(pendulum_aug.Ctil @ xt)[0])
+        states = nl.simulate(pendulum_aug, nn, E.point_at(u), np.zeros(1),
+                             2000).states
+        if any(E.quad(xt) > 1.0 + 1e-9 for xt in states[1:]):
+            escapes += 1
+        err = float(np.abs(pendulum_aug.Ctil @ states[-1])[0])
         if err >= 1e-6:
             not_converged += 1
     elapsed = time.perf_counter() - t0
@@ -176,14 +172,11 @@ def test_criterion_5_thm3_joint_set(pendulum, pendulum_aug, thm3_report,
         u /= np.linalg.norm(u)
         z = rng.uniform(0.0, 0.99) * (half @ u)
         r = z[3:] + joint_set.r_nom
-        xt = joint_set.xtil_star(r) + z[:3]
-        ok_member = joint_set.joint_quad(xt, r) <= 1.0 + 1e-9
-        for _ in range(3000):
-            xt = nl.step(pendulum_aug, nn, xt, r)
-            if joint_set.joint_quad(xt, r) > 1.0 + 1e-9:
-                ok_member = False
-                break
-        err = float(np.abs(pendulum_aug.Ctil @ xt - r)[0])
+        xt0 = joint_set.xtil_star(r) + z[:3]
+        states = nl.simulate(pendulum_aug, nn, xt0, r, 3000).states
+        ok_member = all(joint_set.joint_quad(xt, r) <= 1.0 + 1e-9
+                        for xt in states)
+        err = float(np.abs(pendulum_aug.Ctil @ states[-1] - r)[0])
         if not ok_member or err >= 1e-6:
             bad += 1
     report(5, "Thm-3 joint set", nonempty and bad == 0)

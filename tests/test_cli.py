@@ -272,6 +272,8 @@ BAD_NUMERIC_INPUT = [
     (["simulate", "--r", "0", "--steps=-3"], "--steps"),
     (["simulate", "--r", "nan"], "finite"),
     (["simulate", "--r", "0", "--x0", "nan,0,0"], "finite"),
+    (["verify", "--theorem", "global", "--pendulum", "m=abc"],
+     "pendulum parameter 'm' must be a number"),
     (["roa-plot", "--dims", "0,7"], "--dims"),
     (["roa-plot", "--dims", "0"], "--dims"),
     (["roa-plot", "--dims", "1,1"], "--dims"),
@@ -314,10 +316,33 @@ def test_bad_numeric_input_exit_three(tmp_path, capsys, range_report, argv, mess
         argv = argv[:i] + [str(path)] + argv[i + 1:]
     elif argv[0] == "roa-plot":
         argv = argv + ["--report", range_report]
-    code = main(argv + ["--pendulum", PENDULUM_FLAG,
-                        "--nn", example_nn_path(), "--out", str(tmp_path)])
+    if "--pendulum" not in argv:
+        argv = argv + ["--pendulum", PENDULUM_FLAG]
+    code = main(argv + ["--nn", example_nn_path(), "--out", str(tmp_path)])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+def test_plant_file_without_key_exit_three(tmp_path, capsys):
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps({"A": [[0.5]], "B": [[1.0]]}))
+    code = main(["verify", "--plant", str(path), "--nn", example_nn_path(),
+                 "--theorem", "global", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "has no key 'C'" in capsys.readouterr().err
+
+
+def test_network_file_with_unknown_activation_exit_three(tmp_path, capsys):
+    with open(example_nn_path()) as fh:
+        data = json.load(fh)
+    data["activation"] = "sigmoid"
+    path = tmp_path / "nn.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", str(path),
+                 "--theorem", "global", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert ("unknown activation 'sigmoid'; known: tanh, relu, linear"
+            in capsys.readouterr().err)
 
 
 BAD_REF_SCHEDULES = [
