@@ -232,6 +232,15 @@ def cmd_verify(args) -> int:
     return _STATUS_EXIT[report["status"]]
 
 
+def _load_report(path) -> dict:
+    """A verification report read from JSON; anything but an object is refused."""
+    with open(path) as fh:
+        report = json.load(fh)
+    if not isinstance(report, dict):
+        raise CliError(f"report {path} is not a JSON object")
+    return report
+
+
 def _report_array(report: dict, key: str, shape: tuple) -> np.ndarray:
     """Field ``key`` of a verification report as a finite array of ``shape``."""
     try:
@@ -299,9 +308,7 @@ def cmd_simulate(args) -> int:
     if args.governed:
         if not args.report:
             raise CliError("--governed requires --report from a local-range run")
-        with open(args.report) as fh:
-            report = json.load(fh)
-        J = _joint_from_report(report, plant, nn, k_xi)
+        J = _joint_from_report(_load_report(args.report), plant, nn, k_xi)
         traj = closed_loop.simulate_with_governor(
             aug, nn, J, x0, schedule, args.steps)
     else:
@@ -365,8 +372,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_roa_plot(args) -> int:
     plant, nn, k_xi = _load_inputs(args)
-    with open(args.report) as fh:
-        report = json.load(fh)
+    report = _load_report(args.report)
     if report.get("P") is None:
         raise CliError("report has no P matrix (was the run feasible?)")
     P = _report_matrix(report, "P", plant.n_x + plant.n_r)

@@ -36,11 +36,17 @@ arrays, so each of these steps makes one numpy call per order, not per block.
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
 the returned y passes an independent eigenvalue check without a re-solve.
-The run stops at the first iterate that meets the tolerances and whose blocks,
-as given, pass a Cholesky factorization (for c = 0 any such iterate is
-optimal).  When the iterates stall short of the tolerances, or a
-factorization fails or overflows, the lowest-objective iterate that passed
-is returned instead of running on into a numerical breakdown.
+A run ends in one of five ways:
+
+* "optimal": an iterate meets the tolerances and its blocks, as given, pass
+  a Cholesky factorization (for c = 0 any such iterate is optimal);
+* "infeasible": the ray test above passes;
+* "stalled": a step is shorter than ``_STALL``;
+* "stalled": a factorization fails or the data overflow to inf or nan;
+* "max_iter": ``MAX_ITER`` iterations pass.
+
+A stalled or max_iter run returns the lowest-objective iterate whose blocks
+passed Cholesky, if any.
 """
 
 from __future__ import annotations
@@ -225,7 +231,6 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     Rinv = [Rg.copy() for Rg in R]
     lam = [np.ones(shape[:2]) for shape in shapes]
     best = None      # IPMResult of the lowest-objective iterate passing Cholesky
-    least_res = np.inf
     status = "max_iter"
 
     for it in range(MAX_ITER + 1):
@@ -259,13 +264,6 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
             if np.max(np.abs(resid) / col_scale, initial=0.0) <= tol:
                 return IPMResult("infeasible", None, _unstack(groups, ray),
                                  now.objective, now.rel_gap, now.pres, now.dres, it)
-        # Homogeneous residuals shrink by 1 - alpha * eta every step in exact
-        # arithmetic; a tenfold rise means rounding has taken over.  A rise
-        # that stays within tol is rounding noise the stopping test accepts.
-        least_res = min(least_res, max(p_res, d_res))
-        if max(p_res, d_res) > max(10.0 * least_res, tol):
-            status = "stalled"
-            break
         if it == MAX_ITER:
             break
 

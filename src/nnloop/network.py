@@ -223,7 +223,8 @@ def io_maps(nn: FeedForwardNN, C=None) -> IOMaps:
 def load_nn(path) -> FeedForwardNN:
     """Read a network from its JSON schema (row-major weight lists).
 
-    A missing key or an unknown activation raises BadModelFile naming it.
+    A missing key, a value of the wrong type or an unknown activation raises
+    BadModelFile naming the file.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -239,7 +240,9 @@ def load_nn(path) -> FeedForwardNN:
                 for key in ("Hx0", "Hr0", "Wl", "bl")}
     except KeyError as exc:
         raise BadModelFile(f"network file {path} has no key {exc.args[0]!r}") from None
-    if kind not in kinds:
+    except (TypeError, ValueError) as exc:
+        raise BadModelFile(f"network file {path} is malformed: {exc}") from None
+    if not isinstance(kind, str) or kind not in kinds:
         raise BadModelFile(f"network file {path} has unknown activation {kind!r}; "
                            f"known: {', '.join(kinds)}")
     return FeedForwardNN(layers=layers, activation=kinds[kind](), **arrays)

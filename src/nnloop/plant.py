@@ -293,16 +293,18 @@ def build_pendulum(m: float = 0.15, L: float = 0.5, mu: float = 0.5,
 def load_plant(path) -> Plant:
     """Read a plant from JSON: {"A": [[..]], "B": [[..]], "C": [[..]]}.
 
-    A missing key raises BadModelFile naming it.
+    A missing key, or a value that is not a numeric matrix, raises
+    BadModelFile naming the file.
     """
     with open(path) as fh:
         data = json.load(fh)
     try:
-        return Plant(A=np.array(data["A"], dtype=float),
-                     B=np.array(data["B"], dtype=float),
-                     C=np.array(data["C"], dtype=float))
+        A, B, C = (np.array(data[key], dtype=float) for key in "ABC")
     except KeyError as exc:
         raise BadModelFile(f"plant file {path} has no key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise BadModelFile(f"plant file {path} is malformed: {exc}") from None
+    return Plant(A=A, B=B, C=C)
 
 
 def save_plant(plant: Plant, path) -> None:

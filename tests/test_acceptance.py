@@ -8,7 +8,7 @@ import numpy as np
 from conftest import stable_tanh_chords
 
 import nnloop as nl
-from nnloop import sdp
+from nnloop import roa, sdp
 from nnloop.lmi import build_selectors
 from nnloop.sectors import local_sectors, propagate_box
 
@@ -174,8 +174,9 @@ def test_criterion_5_thm3_joint_set(pendulum, pendulum_aug, thm3_report,
         r = z[3:] + joint_set.r_nom
         xt0 = joint_set.xtil_star(r) + z[:3]
         states = nl.simulate(pendulum_aug, nn, xt0, r, 3000).states
-        ok_member = all(joint_set.joint_quad(xt, r) <= 1.0 + 1e-9
-                        for xt in states)
+        # one stacked form per trajectory, each row bit for bit joint_quad
+        quads = roa._quads(states - joint_set.xtil_star(r), P) + joint_set.ref_quad(r)
+        ok_member = bool(np.all(quads <= 1.0 + 1e-9))
         err = float(np.abs(pendulum_aug.Ctil @ states[-1] - r)[0])
         if not ok_member or err >= 1e-6:
             bad += 1

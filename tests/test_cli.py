@@ -332,6 +332,47 @@ def test_plant_file_without_key_exit_three(tmp_path, capsys):
     assert "has no key 'C'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [[[0.5], [1.0], [1.0]],
+                                  {"A": [[0.5]], "B": [[1.0]], "C": "x"}],
+                         ids=["top-level-list", "C-string"])
+def test_plant_file_with_wrong_type_exit_three(tmp_path, capsys, data):
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--plant", str(path), "--nn", example_nn_path(),
+                 "--theorem", "global", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"plant file {path} is malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda data: data["layers"][0].update(W="x"), "is malformed"),
+    (lambda data: data.update(activation=["tanh"]), "unknown activation ['tanh']"),
+], ids=["W-string", "activation-list"])
+def test_network_file_with_wrong_type_exit_three(tmp_path, capsys, edit, message):
+    with open(example_nn_path()) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "nn.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", str(path),
+                 "--theorem", "global", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"network file {path} " in err
+    assert message in err
+
+
+@pytest.mark.parametrize("command", [["roa-plot"], ["simulate", "--governed", "--r", "0"]],
+                         ids=["roa-plot", "simulate-governed"])
+def test_report_not_an_object_exit_three(tmp_path, capsys, command):
+    path = tmp_path / "report.json"
+    path.write_text("[1, 2]")
+    code = main(command + ["--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                           "--report", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"report {path} is not a JSON object" in capsys.readouterr().err
+
+
 def test_network_file_with_unknown_activation_exit_three(tmp_path, capsys):
     with open(example_nn_path()) as fh:
         data = json.load(fh)

@@ -8,7 +8,9 @@ import nnloop as nl
 from nnloop import sdp
 from nnloop.ipm import solve_conic
 from nnloop.sdp import check_farkas
+from nnloop.cli import run_verify
 from nnloop.lmi import LMIBlock, LMISystem, VarSpec, build_selectors
+from test_metamorphic import REF_HALF_INTERVAL, REF_TRACE_P, duplicated_nn
 
 
 def scalar_system(objective=True):
@@ -243,6 +245,47 @@ def test_tau_underflow_warns_nothing(pendulum, pendulum_aug, recwarn, d):
     assert sol.status == sdp.INFEASIBLE
     assert sol.farkas is not None
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+TOL_LADDER = [1e-12, 2e-12, 5e-12, 1e-11, 2e-11, 5e-11, 1e-10, 2e-10, 5e-10,
+              1e-9, 2e-9, 5e-9, 1e-8, 2e-8, 5e-8, 1e-7, 2e-7, 5e-7, 1e-6]
+# (theorem, tol, permutation seed of the shipped network or None)
+ACCEPTED_TOL_CASES = (
+    [(theorem, tol, None) for theorem in ("global", "local-fixed", "local-range")
+     for tol in TOL_LADDER]
+    + [("local-fixed", 1e-12, 36), ("local-fixed", 1e-12, 37),
+       ("local-range", 1e-12, 16), ("local-range", 1e-12, 40)])
+
+
+@pytest.mark.parametrize(
+    "theorem,tol,seed", ACCEPTED_TOL_CASES,
+    ids=[f"{th}-{tol:g}" + ("" if seed is None else f"-seed{seed}")
+         for th, tol, seed in ACCEPTED_TOL_CASES])
+def test_decided_at_every_accepted_tol(pendulum, pendulum_aug, d_ship,
+                                       theorem, tol, seed):
+    # Every tol down to MIN_TOL decides the shipped theorems and these
+    # permuted networks: the last iterates outside the cone must not end the
+    # run before its first certified interior iterate.
+    plant, nn, k_xi = pendulum
+    if seed is not None:
+        nn = duplicated_nn(nn, 1, np.random.default_rng(seed))
+    if theorem == "global":
+        sel = build_selectors(nn, pendulum_aug.n_xtil)
+        sol = sdp.solve(nl.build_global(pendulum_aug, sel, nn.activation.alpha,
+                                        nn.activation.beta), tol)
+        assert sol.status == sdp.INFEASIBLE
+        assert sol.farkas is not None
+        return
+    rep = run_verify(plant, nn, k_xi, theorem, r=np.zeros(1), r_nom=np.zeros(1),
+                     d=d_ship, tol=tol)
+    assert rep["status"] == "feasible"
+    if theorem == "local-fixed" and tol <= 1e-8:
+        # looser tolerances leave trace(P) further above its optimum
+        assert abs(np.trace(np.array(rep["P"])) - REF_TRACE_P) <= 1e-4
+    if theorem == "local-range":
+        lo, hi = rep["admissible_references"]["interval"]
+        assert abs(hi - REF_HALF_INTERVAL) <= 1e-4
+        assert abs(lo + REF_HALF_INTERVAL) <= 1e-4
 
 
 def test_ipm_simple_bound_problem():
