@@ -1,7 +1,7 @@
 """Command-line front end: verify, simulate, bounds, roa-plot.
 
 Exit codes: 0 feasible-certified (or successful non-verification command),
-1 infeasible, 2 inaccurate / solver error, 3 input error.
+1 infeasible, 2 inaccurate / solver error, 3 input error (usage errors too).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 from . import closed_loop, lmi, roa, sdp, sectors
 from .errors import NNLoopError, NonPositiveD
 from .network import io_maps, load_nn, steady_forward
-from .plant import Plant, augment, build_pendulum, load_plant, steady_state, steady_state_map
+from .plant import (Plant, _read_json, augment, build_pendulum, load_plant,
+                    steady_state, steady_state_map)
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -34,6 +35,15 @@ _STATUS_EXIT = {
 
 class CliError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors exit EXIT_INPUT; its own code, 2, is
+    EXIT_INACCURATE here.  Subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -234,8 +244,7 @@ def cmd_verify(args) -> int:
 
 def _load_report(path) -> dict:
     """A verification report read from JSON; anything but an object is refused."""
-    with open(path) as fh:
-        report = json.load(fh)
+    report = _read_json(path, "report", CliError)
     if not isinstance(report, dict):
         raise CliError(f"report {path} is not a JSON object")
     return report
@@ -295,8 +304,7 @@ def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise CliError(f"--steps must be at least 1, got {args.steps}")
     if args.ref_schedule:
-        with open(args.ref_schedule) as fh:
-            schedule = json.load(fh)
+        schedule = _read_json(args.ref_schedule, "reference schedule", CliError)
     elif args.r is not None:
         schedule = _parse_vector(args.r)
     else:
@@ -395,7 +403,7 @@ def cmd_roa_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nnloop",
         description="LMI certification of NN-controlled setpoint tracking loops",
     )
@@ -447,8 +455,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NNLoopError, FileNotFoundError, json.JSONDecodeError,
-            KeyError) as exc:
+    except (CliError, NNLoopError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

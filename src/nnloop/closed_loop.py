@@ -6,6 +6,11 @@ makes one trace-free network pass and a few small matrix products: the
 reference terms Hr0 r and Br r are formed once per applied reference, told
 apart by its bytes, and the plant inputs k_xi xi + u_nn, the outputs and the
 tracking errors in stacked passes over the stored rows after the loop.
+Each single-vector product of a step is made with ``ndarray.dot``, the BLAS
+call ``@`` makes at about half the dispatch cost: inline for the square
+Atil, and through :func:`plant._matvec` for the network's matrices and
+Btil, which keeps ``@`` for a matrix with one column (there the two can
+differ in the sign of a zero).
 
 Offset-free tracking settles a run onto the steady state of its reference
 segment, and in floating point a settled run is an exact periodic orbit of
@@ -56,7 +61,7 @@ from .errors import BadSchedule, DimensionMismatch, GovernorInfeasible
 # ``forward`` is imported so that ``closed_loop.forward`` remains a name that
 # perfbench/tracing.py can wrap; the loop itself makes trace-free passes.
 from .network import FeedForwardNN, _output, forward  # noqa: F401
-from .plant import AugmentedPlant, _frozen, _matvecs, _rows
+from .plant import AugmentedPlant, _frozen, _matvec, _matvecs, _rows
 from .roa import JointEllipsoid, admissible_references
 
 DIVERGENCE_NORM = 1e9
@@ -106,8 +111,8 @@ class Trajectory:
 def _transition(aug: AugmentedPlant, nn: FeedForwardNN, xtil, hr, br):
     """One network pass: u_nn = kappa(x, r) and xtil+, from a float state
     xtil (n_xtil,) and the terms hr = Hr0 r, br = Br r of the reference."""
-    u_nn = _output(nn, nn.Hx0 @ xtil[:nn.n_x] + hr)
-    return u_nn, aug.Atil @ xtil + aug.Btil @ u_nn + br
+    u_nn = _output(nn, _matvec(nn.Hx0, xtil[:nn.n_x]) + hr)
+    return u_nn, aug.Atil.dot(xtil) + _matvec(aug.Btil, u_nn) + br
 
 
 def _check_dims(aug: AugmentedPlant, nn: FeedForwardNN, xtil) -> None:

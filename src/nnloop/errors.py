@@ -40,8 +40,8 @@ class BadSchedule(NNLoopError, ValueError):
 
 
 class BadModelFile(NNLoopError, ValueError):
-    """A plant or network file lacks a key, holds a value of the wrong type
-    or names an unknown activation."""
+    """A plant or network file is not valid JSON, lacks a key, holds a value
+    of the wrong type or names an unknown activation."""
 
 
 class UnattainableTolerance(NNLoopError):

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadModelFile, DimensionMismatch
-from .plant import _frozen, _matvecs
+from .plant import _frozen, _matvec, _matvecs, _read_json
 
 
 # Each kind as (ufunc, trailing arguments), applied as ufunc(v, *arguments):
@@ -164,7 +163,7 @@ def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
     if r.shape != (nn.n_r,):
         raise DimensionMismatch(f"r must have shape ({nn.n_r},)")
     trace = []
-    u = _output(nn, nn.Hx0 @ x + nn.Hr0 @ r, operator.matmul, trace)
+    u = _output(nn, _matvec(nn.Hx0, x) + _matvec(nn.Hr0, r), _matvec, trace)
     vs, ws = zip(*trace)
     return LayerTrace(v=vs, w=ws, u=u)
 
@@ -179,14 +178,15 @@ def evaluate(nn: FeedForwardNN, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     and a stack forms each product one row at a time (:func:`plant._matvecs`),
     so every row of a stack is bit for bit ``forward(nn, x_j, r_j).u``.
     """
-    mv = _matvecs if x.ndim == 2 else operator.matmul
+    mv = _matvecs if x.ndim == 2 else _matvec
     return _output(nn, mv(nn.Hx0, x) + mv(nn.Hr0, r), mv)
 
 
-def _output(nn: FeedForwardNN, w, mv=operator.matmul, trace=None):
+def _output(nn: FeedForwardNN, w, mv=_matvec, trace=None):
     """Output from the first layer's input w, the layer loop of every pass:
-    ``mv`` is ``@`` for one point and :func:`plant._matvecs` for a stack of
-    rows, and a list ``trace`` receives each hidden layer's (v, w)."""
+    ``mv`` is :func:`plant._matvec` for one point and :func:`plant._matvecs`
+    for a stack of rows, and a list ``trace`` receives each hidden layer's
+    (v, w)."""
     act, args = nn.activation.ufunc
     for W, b in nn.layers:
         v = mv(W, w) + b
@@ -223,11 +223,10 @@ def io_maps(nn: FeedForwardNN, C=None) -> IOMaps:
 def load_nn(path) -> FeedForwardNN:
     """Read a network from its JSON schema (row-major weight lists).
 
-    A missing key, a value of the wrong type or an unknown activation raises
-    BadModelFile naming the file.
+    Malformed JSON, a missing key, a value of the wrong type or an unknown
+    activation raises BadModelFile naming the file.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path, "network file")
     kinds = {"tanh": Activation.tanh, "relu": Activation.relu,
              "linear": Activation.linear}
     try:

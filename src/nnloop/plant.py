@@ -40,6 +40,16 @@ def _frozen(a, shape=None, finite=True) -> np.ndarray:
     return out
 
 
+def _read_json(path, what: str, error=BadModelFile):
+    """The JSON value in file ``path``; malformed JSON raises ``error``
+    naming the file as ``what``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _rows(X) -> np.ndarray:
     """Copy of the (N, k) array X whose rows start on 16-byte boundaries.
 
@@ -54,14 +64,28 @@ def _rows(X) -> np.ndarray:
     return rows
 
 
+def _matvec(A, x) -> np.ndarray:
+    """The single product A @ x of a matrix and a vector, through ``A.dot``.
+
+    ``A.dot(x)`` makes the BLAS gemv (a dot when A has one row) that
+    ``A @ x`` makes, at about half the dispatch cost, and gives the same
+    bits, except for a matrix with one column, which keeps ``@``: ``dot``
+    multiplies a 1x1 matrix as a scalar (``[[-2.0]]`` times ``[0.0]`` is
+    -0.0 where ``@`` gives 0.0), and ``@`` forms an (m, 1) product in
+    numpy's own loop, which can differ from gemv in the sign of a zero.
+    """
+    return A @ x if A.shape[1] == 1 else A.dot(x)
+
+
 def _matvecs(A, rows) -> np.ndarray:
     """The (N, m) stack of the products A @ rows[j] of an (N, k) stack of rows.
 
-    Each row is bit for bit the single product ``A @ rows[j]``: np.matmul
-    over the (N, k, 1) stack makes one BLAS gemv (a dot when A has one row)
-    per row, the call a single product makes, where one gemm over the stack
-    would sum in another order.  Rows of a fresh array of odd width, which
-    do not all start on 16-byte boundaries, are copied with :func:`_rows`.
+    Each row is bit for bit the single product ``_matvec(A, rows[j])``:
+    np.matmul over the (N, k, 1) stack makes one BLAS gemv (a dot when A
+    has one row) per row, the call a single product makes, where one gemm
+    over the stack would sum in another order.  Rows of a fresh array of
+    odd width, which do not all start on 16-byte boundaries, are copied with
+    :func:`_rows`.
     """
     if rows.strides[0] % 16:
         rows = _rows(rows)
@@ -225,7 +249,7 @@ def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
 
     def xtil_star(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        r, mv = (_rows(r), _matvecs) if r.ndim == 2 else (r, np.matmul)
+        r, mv = (_rows(r), _matvecs) if r.ndim == 2 else (r, _matvec)
         x_star = mv(M, r)
         xi_star = mv(k_xi_inv, mv(M_u, r) - evaluate(nn, x_star, r))
         return np.concatenate([x_star, xi_star], axis=-1)
@@ -293,11 +317,10 @@ def build_pendulum(m: float = 0.15, L: float = 0.5, mu: float = 0.5,
 def load_plant(path) -> Plant:
     """Read a plant from JSON: {"A": [[..]], "B": [[..]], "C": [[..]]}.
 
-    A missing key, or a value that is not a numeric matrix, raises
-    BadModelFile naming the file.
+    Malformed JSON, a missing key, or a value that is not a numeric matrix
+    raises BadModelFile naming the file.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path, "plant file")
     try:
         A, B, C = (np.array(data[key], dtype=float) for key in "ABC")
     except KeyError as exc:

@@ -165,7 +165,8 @@ class JointEllipsoid:
             object.__setattr__(self, "_last", last)
         _, center, ref_term = last
         e = np.asarray(xtil, dtype=float) - center
-        return float(e @ self.P @ e) + ref_term
+        # P is at least 2x2, so ndarray.dot makes the gemv and dot of @.
+        return float(e.dot(self.P).dot(e)) + ref_term
 
     def joint_quad_many(self, xtil, R) -> np.ndarray:
         """Joint quadratic for one state against a stack of references (N, n_r),

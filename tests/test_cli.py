@@ -373,6 +373,57 @@ def test_report_not_an_object_exit_three(tmp_path, capsys, command):
     assert f"report {path} is not a JSON object" in capsys.readouterr().err
 
 
+MALFORMED_JSON = {
+    "--plant": (["verify", "--theorem", "global", "--nn", example_nn_path()],
+                "plant file"),
+    "--nn": (["verify", "--theorem", "global", "--pendulum", PENDULUM_FLAG],
+             "network file"),
+    "--report": (["roa-plot", "--pendulum", PENDULUM_FLAG,
+                  "--nn", example_nn_path()], "report"),
+    "--ref-schedule": (["simulate", "--pendulum", PENDULUM_FLAG,
+                        "--nn", example_nn_path()], "reference schedule"),
+}
+
+
+@pytest.mark.parametrize("flag", list(MALFORMED_JSON))
+def test_malformed_json_names_file_exit_three(tmp_path, capsys, flag):
+    path = tmp_path / "bad.json"
+    path.write_text("{'A': [[0.5]]}")
+    argv, what = MALFORMED_JSON[flag]
+    code = main(argv + [flag, str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert (f"{what} {path} is not valid JSON: Expecting property name"
+            in capsys.readouterr().err)
+
+
+USAGE_ERRORS = [
+    (["simulate", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+    (["verify", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["verify", "--theorem", "bogus"], "argument --theorem: invalid choice: 'bogus'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_exit_three(capsys, argv, message):
+    # argparse's own exit code 2 would read as an inaccurate verdict.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nnloop")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nnloop")
+
+
 def test_network_file_with_unknown_activation_exit_three(tmp_path, capsys):
     with open(example_nn_path()) as fh:
         data = json.load(fh)

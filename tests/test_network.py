@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nnloop as nl
+from nnloop.closed_loop import _transition
 from nnloop.errors import DimensionMismatch
 from nnloop.network import evaluate, load_nn, save_nn
 from nnloop.plant import xtil_star_map
@@ -28,15 +29,25 @@ def _small_nn(rng, widths, activation):
 def _stack_networks(pendulum):
     """Networks whose stacked passes must match single calls byte for byte:
     the shipped 10-neuron tanh controller, its 20- and 40-neuron duplicates,
-    and small relu and tanh networks whose layers have odd and even widths
-    (an odd width is copied to aligned rows before the next product)."""
+    small relu and tanh networks whose layers have odd and even widths
+    (an odd width is copied to aligned rows before the next product), and a
+    width-1 relu network whose H_r0, layer and output matrices are 1x1.
+
+    The width-1 network's output bias is -0.0, so an inactive neuron gives
+    u = W_l 0.0 + (-0.0): 0.0 from a matrix product, but -0.0 from
+    ``ndarray.dot``, which multiplies a 1x1 matrix as a scalar."""
     _plant, nn, _k_xi = pendulum
     rng = np.random.default_rng(33)
+    width1 = nl.FeedForwardNN(Hx0=np.array([[0.8, -0.3]]),
+                              Hr0=np.array([[-1.5]]),
+                              layers=((np.array([[-2.0]]), np.array([-0.0])),),
+                              Wl=np.array([[-0.7]]), bl=np.array([-0.0]),
+                              activation=nl.Activation.relu())
     return [nn, duplicated_nn(nn, 2, np.random.default_rng(2024)),
             duplicated_nn(nn, 4, np.random.default_rng(2024)),
             _small_nn(rng, (3,), nl.Activation.relu()),
             _small_nn(rng, (4,), nl.Activation.relu()),
-            _small_nn(rng, (3, 4), nl.Activation.tanh())]
+            _small_nn(rng, (3, 4), nl.Activation.tanh()), width1]
 
 
 def test_zero_network_forward():
@@ -132,7 +143,10 @@ def test_io_maps_classification():
 
 def test_evaluate_row_of_one_is_bit_identical(pendulum):
     # The steady-state map evaluates stacks and single references through the
-    # same pass; with one row it must give the vector call's bits.
+    # same pass; with one row it must give the vector call's bits, and so
+    # must the closed loop's step.
+    plant, _nn, k_xi = pendulum
+    aug = nl.augment(plant, k_xi)
     rng = np.random.default_rng(31)
     for nn in _stack_networks(pendulum):
         for _ in range(200):
@@ -144,6 +158,9 @@ def test_evaluate_row_of_one_is_bit_identical(pendulum):
             assert U.shape == (1, nn.n_u)
             assert U[0].tobytes() == u.tobytes()
             assert u.tobytes() == nl.forward(nn, x, r).u.tobytes()
+            u_nn, _ = _transition(aug, nn, np.concatenate([x, r]),
+                                  nn.Hr0 @ r, aug.Br @ r)
+            assert u_nn.tobytes() == u.tobytes()
 
 
 def test_evaluate_stack_matches_rows(pendulum):
@@ -160,14 +177,17 @@ def test_evaluate_stack_matches_rows(pendulum):
 def test_xtil_star_stack_matches_single_calls(pendulum):
     # Stack mode of the steady-state map: one aligned copy of the references
     # serves M, M_u and the network; each row is the single call's bytes,
-    # for a strided column view of references and for a fresh stack.
+    # for a strided column view of references, for a fresh stack, and at
+    # r = +-0.0, where a 1x1 M_u or k_xi^-1 multiplied as a scalar would
+    # give -0.0 where a matrix product gives 0.0.
     plant, _nn, k_xi = pendulum
     ssmap = nl.steady_state_map(plant)
     rng = np.random.default_rng(34)
     for nn in _stack_networks(pendulum):
         xtil_star = xtil_star_map(ssmap, nn, k_xi)
         for R in (np.linspace(-0.4, 0.4, 61)[:, None],
-                  rng.uniform(-0.4, 0.4, size=(64, 1))):
+                  rng.uniform(-0.4, 0.4, size=(64, 1)),
+                  np.array([[0.0], [-0.0]])):
             stack = xtil_star(R)
             single = np.array([xtil_star(r) for r in R])
             assert stack.shape == single.shape == (R.shape[0], 3)
