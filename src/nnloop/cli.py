@@ -1,7 +1,8 @@
 """Command-line front end: verify, simulate, bounds, roa-plot.
 
 Exit codes: 0 feasible-certified (or successful non-verification command),
-1 infeasible, 2 inaccurate / solver error, 3 input error (usage errors too).
+1 infeasible, 2 inaccurate / solver error (and any unexpected exception),
+3 input error (usage errors, unreadable or malformed files too).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -109,16 +111,9 @@ def _parse_pendulum(text: str) -> Plant:
 def _load_inputs(args):
     if bool(args.plant) == bool(args.pendulum):
         raise CliError("exactly one of --plant / --pendulum is required")
-    if args.plant:
-        if not os.path.exists(args.plant):
-            raise CliError(f"plant file not found: {args.plant}")
-        plant = load_plant(args.plant)
-    else:
-        plant = _parse_pendulum(args.pendulum)
+    plant = load_plant(args.plant) if args.plant else _parse_pendulum(args.pendulum)
     if not args.nn:
         raise CliError("--nn is required")
-    if not os.path.exists(args.nn):
-        raise CliError(f"nn file not found: {args.nn}")
     nn = load_nn(args.nn)
     k_xi = _parse_matrix(args.kxi)
     if k_xi.shape == (1, 1) and plant.n_r > 1:
@@ -252,6 +247,8 @@ def _load_report(path) -> dict:
 
 def _report_array(report: dict, key: str, shape: tuple) -> np.ndarray:
     """Field ``key`` of a verification report as a finite array of ``shape``."""
+    if key not in report:
+        raise CliError(f"report has no field {key!r}")
     try:
         arr = np.array(report[key], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -455,13 +452,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NNLoopError, FileNotFoundError, KeyError) as exc:
+    except (CliError, NNLoopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: ``main``'s exit code, or EXIT_INACCURATE with the
+    traceback for any other exception (Python's own 1 reads as infeasible)."""
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_INACCURATE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -27,22 +27,24 @@ would compute; they make no network pass and no governor call.
 
 The governor replaces the desired reference by the nearest surrogate for
 which the pair (current state, surrogate) stays inside the certified joint
-set.  Since the steady state depends on the network nonlinearly, the scalar
-case is solved globally by bracketing on a grid over the admissible interval
-followed by bisection onto the feasibility boundary.  The grid, its slice
-centers (one stacked pass of the steady-state map) and reference terms are
-built once per joint set (:meth:`JointEllipsoid.grid_quads`).  The bisection
-runs along predicted paths (:func:`_closest_feasible_1d`): the midpoints it
-would visit if the boundary lay at a secant guess are evaluated in one
-stacked pass (:meth:`JointEllipsoid.joint_quad_many`), each entry bit for bit
-the single :meth:`JointEllipsoid.joint_quad`, and a new path starts at the
-first wrong prediction, so the result is that of plain bisection at about
-three passes per bisecting call.  A step asks
-:meth:`JointEllipsoid.joint_quad` about the desired reference only, whose
-slice center the set keeps while it stays the same.  The multi-reference
-case uses multi-start projected descent, whose bisections run in lockstep,
-one stacked pass per step.  A run whose state grows past the float limit is
-flagged as diverged without a warning, and keeps its non-finite last row.
+set: every reference it applies, the desired one included, has a joint
+quadratic of at most 1, exactly.  Since the steady state depends on the
+network nonlinearly, the scalar case is solved globally by bracketing on a
+grid over the admissible interval followed by bisection onto the feasibility
+boundary.  The grid, its slice centers (one stacked pass of the steady-state
+map) and reference terms are built once per joint set
+(:meth:`JointEllipsoid.grid_quads`).  The bisection runs along predicted
+paths (:func:`_closest_feasible_1d`): the midpoints it would visit if the
+boundary lay at a secant guess are evaluated in one stacked pass
+(:meth:`JointEllipsoid.joint_quad_many`), each entry bit for bit the single
+:meth:`JointEllipsoid.joint_quad`, and a new path starts at the first wrong
+prediction, so the result is that of plain bisection at about three passes
+per bisecting call.  A step asks :meth:`JointEllipsoid.joint_quad` about the
+desired reference only, whose slice center the set keeps while it stays the
+same.  The multi-reference case uses multi-start projected descent, whose
+bisections run in lockstep, one stacked pass per step.  A run whose state
+grows past the float limit is flagged as diverged without a warning, and
+keeps its non-finite last row.
 
 :func:`write_trajectory_csv` formats each distinct row (distinct bytes) once
 and streams the rows to the file, with the bytes ``csv.writer`` would write:
@@ -74,9 +76,8 @@ CONVERGENCE_TOL = 1e-6
 # orbit whose period is at most this.  The pendulum loop settles at r = 0 onto
 # a period-70 orbit of subnormal states.
 REPLAY_WINDOW = 128
-# Governor: slack of the desired reference's inside test, bisection steps
-# onto the feasibility boundary, and half the descent's starting points.
-GOVERNOR_TOLERANCE = 1e-9
+# Governor: bisection steps onto the feasibility boundary, and half the
+# descent's starting points.
 REFINE_ITERS = 60
 DESCENT_STARTS = 8
 
@@ -376,12 +377,12 @@ def _closest_feasible_1d(grid, grid_quads, path_quads, target: float,
 
 
 def govern(J: JointEllipsoid, xtil, r_desired):
-    """Surrogate reference: argmin |r - rhat|^2 subject to joint membership."""
+    """Surrogate reference: argmin |r - rhat|^2 s.t. J.joint_quad(xtil, r) <= 1."""
     xtil = np.asarray(xtil, dtype=float)
     r_desired = np.atleast_1d(np.asarray(r_desired, dtype=float))
 
     q_desired = J.joint_quad(xtil, r_desired)
-    if q_desired <= 1.0 + GOVERNOR_TOLERANCE:
+    if q_desired <= 1.0:
         return r_desired
 
     if J.n_r == 1:

@@ -40,8 +40,9 @@ class BadSchedule(NNLoopError, ValueError):
 
 
 class BadModelFile(NNLoopError, ValueError):
-    """A plant or network file is not valid JSON, lacks a key, holds a value
-    of the wrong type or names an unknown activation."""
+    """A plant or network file cannot be read, is not valid JSON, lacks a
+    key, holds a value of the wrong type, shape or finiteness, or names an
+    unknown activation."""
 
 
 class UnattainableTolerance(NNLoopError):

@@ -43,8 +43,8 @@ from .network import FeedForwardNN
 from .plant import AugmentedPlant, SteadyStateMap, _frozen
 from .sectors import SectorBounds, half_widths
 
-# Strictness margin scale: strict blocks hold G0 + sum_i theta_i coeffs[i]
-# >= delta I with delta = MARGIN_COEFF * (1 + max|G0|).
+# Strictness margin: strict blocks hold G0 + sum_i theta_i coeffs[i]
+# >= delta I with delta = MARGIN_COEFF.
 MARGIN_COEFF = 1e-7
 
 
@@ -233,12 +233,11 @@ def _coeffs(variables, k: int, **parts) -> np.ndarray:
 
 
 def _block(name: str, coeffs: np.ndarray, G0=None, strict=False) -> LMIBlock:
-    """A block with constant term G0 (zero by default); a strict one gets the
-    margin delta of the MARGIN_COEFF rule."""
+    """A block with constant term G0 (zero by default); a strict one, which
+    has no G0, gets the margin MARGIN_COEFF."""
     k = coeffs.shape[1]
     G0 = np.zeros((k, k)) if G0 is None else G0
-    delta = MARGIN_COEFF * (1.0 + float(np.max(np.abs(G0)))) if strict else 0.0
-    return LMIBlock(name, G0, coeffs, delta)
+    return LMIBlock(name, G0, coeffs, MARGIN_COEFF if strict else 0.0)
 
 
 def _congruence(X: np.ndarray, E: np.ndarray) -> np.ndarray:

@@ -12,46 +12,47 @@ from .errors import BadModelFile, DimensionMismatch
 from .plant import _frozen, _matvec, _matvecs, _read_json
 
 
-# Each kind as (ufunc, trailing arguments), applied as ufunc(v, *arguments):
-# relu is np.maximum(v, 0.0) in that argument order, linear a bit-exact copy.
-_UFUNCS = {"tanh": (np.tanh, ()), "relu": (np.maximum, (0.0,)),
-           "linear": (np.positive, ())}
+# Each kind as (ufunc, trailing arguments, alpha, beta): applied as
+# ufunc(v, *arguments), relu is np.maximum(v, 0.0) in that argument order and
+# linear a bit-exact copy; every chord slope lies in [alpha, beta].
+_KINDS = {"tanh": (np.tanh, (), 0.0, 1.0), "relu": (np.maximum, (0.0,), 0.0, 1.0),
+          "linear": (np.positive, (), 1.0, 1.0)}
 
 
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise activation with global incremental slope bounds [alpha, beta].
+    """Elementwise activation of one kind, whose global incremental slope
+    bounds [alpha, beta] the kind fixes.
 
     "linear" (slope exactly one everywhere) exists only to support exact
     affine-reduction oracles in tests; it is not a controller activation.
     """
 
     kind: str
-    alpha: float
-    beta: float
+    alpha: float = field(init=False)
+    beta: float = field(init=False)
     ufunc: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _UFUNCS:
-            raise ValueError(f"unknown activation kind {self.kind!r}")
-        object.__setattr__(self, "ufunc", _UFUNCS[self.kind])
-        if self.kind == "linear":
-            if not (self.alpha == self.beta == 1.0):
-                raise ValueError("linear activation has alpha = beta = 1")
-        elif not (0.0 <= self.alpha < self.beta):
-            raise ValueError("require 0 <= alpha < beta")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ValueError(f"unknown activation {self.kind!r}; "
+                             f"known: {', '.join(_KINDS)}")
+        fn, args, alpha, beta = _KINDS[self.kind]
+        object.__setattr__(self, "ufunc", (fn, args))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def tanh(cls) -> "Activation":
-        return cls(kind="tanh", alpha=0.0, beta=1.0)
+        return cls("tanh")
 
     @classmethod
     def relu(cls) -> "Activation":
-        return cls(kind="relu", alpha=0.0, beta=1.0)
+        return cls("relu")
 
     @classmethod
     def linear(cls) -> "Activation":
-        return cls(kind="linear", alpha=1.0, beta=1.0)
+        return cls("linear")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         fn, args = self.ufunc
@@ -223,28 +224,23 @@ def io_maps(nn: FeedForwardNN, C=None) -> IOMaps:
 def load_nn(path) -> FeedForwardNN:
     """Read a network from its JSON schema (row-major weight lists).
 
-    Malformed JSON, a missing key, a value of the wrong type or an unknown
-    activation raises BadModelFile naming the file.
+    An unreadable file, malformed JSON, a missing key, a value of the wrong
+    type or shape, a non-finite entry or an unknown activation raises
+    BadModelFile naming the file.
     """
     data = _read_json(path, "network file")
-    kinds = {"tanh": Activation.tanh, "relu": Activation.relu,
-             "linear": Activation.linear}
     try:
-        kind = data["activation"]
-        layers = tuple(
-            (np.array(layer["W"], dtype=float), np.array(layer["b"], dtype=float))
-            for layer in data["layers"]
-        )
-        arrays = {key: np.array(data[key], dtype=float)
-                for key in ("Hx0", "Hr0", "Wl", "bl")}
+        return FeedForwardNN(
+            activation=Activation(data["activation"]),
+            layers=tuple((np.array(layer["W"], dtype=float),
+                          np.array(layer["b"], dtype=float))
+                         for layer in data["layers"]),
+            **{key: np.array(data[key], dtype=float)
+               for key in ("Hx0", "Hr0", "Wl", "bl")})
     except KeyError as exc:
         raise BadModelFile(f"network file {path} has no key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise BadModelFile(f"network file {path} is malformed: {exc}") from None
-    if not isinstance(kind, str) or kind not in kinds:
-        raise BadModelFile(f"network file {path} has unknown activation {kind!r}; "
-                           f"known: {', '.join(kinds)}")
-    return FeedForwardNN(layers=layers, activation=kinds[kind](), **arrays)
 
 
 def save_nn(nn: FeedForwardNN, path) -> None:

@@ -28,12 +28,10 @@ COND_LIMIT = 1e12
 GRAVITY = 9.81
 
 
-def _frozen(a, shape=None, finite=True) -> np.ndarray:
-    """Return a read-only float64 copy, optionally checking its shape, and
-    that its entries are finite unless ``finite`` is false."""
+def _frozen(a, finite=True) -> np.ndarray:
+    """Return a read-only float64 copy, checking that its entries are finite
+    unless ``finite`` is false."""
     out = np.array(a, dtype=float)
-    if shape is not None and out.shape != shape:
-        raise DimensionMismatch(f"expected shape {shape}, got {out.shape}")
     if finite and not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     out.flags.writeable = False
@@ -41,13 +39,15 @@ def _frozen(a, shape=None, finite=True) -> np.ndarray:
 
 
 def _read_json(path, what: str, error=BadModelFile):
-    """The JSON value in file ``path``; malformed JSON raises ``error``
-    naming the file as ``what``."""
-    with open(path) as fh:
-        try:
+    """The JSON value in file ``path``; a file that cannot be read or does
+    not hold valid JSON raises ``error`` naming the file as ``what``."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise error(f"{what} {path} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:  # a json.JSONDecodeError or a UnicodeDecodeError
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def _rows(X) -> np.ndarray:
@@ -317,17 +317,17 @@ def build_pendulum(m: float = 0.15, L: float = 0.5, mu: float = 0.5,
 def load_plant(path) -> Plant:
     """Read a plant from JSON: {"A": [[..]], "B": [[..]], "C": [[..]]}.
 
-    Malformed JSON, a missing key, or a value that is not a numeric matrix
-    raises BadModelFile naming the file.
+    An unreadable file, malformed JSON, a missing key, or a value that is not
+    a finite numeric matrix of a fitting shape raises BadModelFile naming the
+    file.
     """
     data = _read_json(path, "plant file")
     try:
-        A, B, C = (np.array(data[key], dtype=float) for key in "ABC")
+        return Plant(*(np.array(data[key], dtype=float) for key in "ABC"))
     except KeyError as exc:
         raise BadModelFile(f"plant file {path} has no key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise BadModelFile(f"plant file {path} is malformed: {exc}") from None
-    return Plant(A=A, B=B, C=C)
 
 
 def save_plant(plant: Plant, path) -> None:

@@ -1,19 +1,20 @@
 """Decide LMI systems with one interior-point run each, and check the verdict.
 
 :func:`solve` scale-normalizes the margin-shifted blocks and hands them to the
-homogeneous self-dual solver in :mod:`nnloop.ipm` once.  The run ends in
+homogeneous self-dual solver in :mod:`nnloop.ipm` once.  The verdict comes
+from the evidence the run returns, never from how the run ended:
 
-* an optimum (or, when the iterates stall, the best iterate whose blocks
-  pass a Cholesky factorization): feasible, once :func:`certify` confirms it;
-* an infeasibility ray: infeasible, but only after the ray, mapped back to the
-  raw unshifted block data, passes :func:`check_farkas`;
-* anything else: inaccurate, or solver error when no point was found.
+* a ray that, mapped back to the raw unshifted block data, passes
+  :func:`check_farkas`: infeasible;
+* a point (an optimum, or the best iterate whose blocks passed a Cholesky
+  factorization) that passes :func:`certify`: feasible;
+* a ray or a point that fails its check: inaccurate;
+* neither a ray nor a point: solver error.
 
 Both checks read only the raw :class:`nnloop.lmi.LMIBlock` data, not the
-solver's.  :func:`certify` runs once on every result that has a point: it
-substitutes the point into each block and takes the smallest eigenvalue with
-a plain symmetric eigensolver; a negative one downgrades the verdict to
-inaccurate.
+solver's.  :func:`certify` substitutes the point into each block and takes
+the smallest eigenvalue with a plain symmetric eigensolver; a negative one
+makes the verdict inaccurate.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def certify(system: LMISystem, solution: SDPSolution) -> SDPSolution:
 
     Substitutes ``solution.values`` into every block and takes the smallest
     eigenvalue per block with a plain symmetric eigensolver.  Any negative
-    margin downgrades the status to "inaccurate".
+    margin makes the status "inaccurate".
     """
     if not solution.values:
         raise ValueError("certify expects a solution with a point")
@@ -122,25 +123,20 @@ def solve(system: LMISystem, tol: float = 1e-8) -> SDPSolution:
     blocks, scales = _solver_blocks(system)
     c = np.zeros(system.n_scalars) if system.objective is None else system.objective
     res = solve_conic(blocks, c, tol=tol)
-
-    farkas = None
     if res.status == "infeasible":
         # Undo the per-block scaling, then renormalize to unit trace.
         X = [Zb / s for Zb, s in zip(res.Z, scales)]
         tr = sum(float(np.trace(Xb)) for Xb in X)
         farkas = check_farkas(system.blocks, [Xb / tr for Xb in X],
                               min(tol, _FARKAS_TOL))
-        status = INFEASIBLE if farkas is not None else INACCURATE
-    elif res.status == "max_iter":
-        status = INACCURATE
-    else:  # an optimum, or the best certified iterate of a stalled run
-        status = FEASIBLE if res.y is not None else SOLVER_ERROR
-    sol = SDPSolution(status=status, iterations=res.iterations, farkas=farkas)
+        return SDPSolution(status=INACCURATE if farkas is None else INFEASIBLE,
+                           iterations=res.iterations, farkas=farkas)
     if res.y is None:
-        return sol
+        return SDPSolution(status=SOLVER_ERROR, iterations=res.iterations)
     objective = None if system.objective is None else float(system.objective @ res.y)
-    return certify(system, replace(sol, values=system.unpack(res.y),
-                                   objective_value=objective, y=res.y))
+    return certify(system, SDPSolution(
+        status=FEASIBLE, values=system.unpack(res.y), objective_value=objective,
+        iterations=res.iterations, y=res.y))
 
 
 # The CLI decides through this name because perfbench/tracing.py times the

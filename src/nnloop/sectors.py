@@ -97,7 +97,7 @@ def propagate_box(nn: FeedForwardNN, v1_star_center, d) -> BoundBox:
     d = half_widths(d, n_1)
     center = np.asarray(v1_star_center, dtype=float)
     if center.shape != (n_1,):
-        raise NonPositiveD(f"v1 center must have shape ({n_1},)")
+        raise DimensionMismatch(f"v1 center must have shape ({n_1},)")
 
     act = nn.activation
     v_lo, v_hi = [center - d], [center + d]

@@ -227,7 +227,7 @@ def test_criterion_7_governor(pendulum, pendulum_aug, joint_set):
             continue
         queries += 1
         rhat = nl.govern(joint_set, xt, np.array([r_des]))
-        opt_ok = opt_ok and joint_set.joint_quad(xt, rhat) <= 1.0 + 1e-9
+        opt_ok = opt_ok and joint_set.joint_quad(xt, rhat) <= 1.0
         if inside:
             opt_ok = opt_ok and rhat[0] == r_des
             continue
@@ -249,7 +249,7 @@ def test_criterion_7_governor(pendulum, pendulum_aug, joint_set):
         margins = [nl.joint_contains(joint_set, traj.states[k],
                                      traj.applied_refs[k]).margin
                    for k in range(traj.steps)]
-        safety_ok = safety_ok and min(margins) >= -1e-9
+        safety_ok = safety_ok and min(margins) >= 0.0
         endpoint_ok = endpoint_ok and abs(traj.applied_refs[-1][0] - lo) <= 1e-6
     report(7, "governor optimality and safety",
            bool(opt_ok and safety_ok and endpoint_ok))

@@ -396,6 +396,74 @@ def test_malformed_json_names_file_exit_three(tmp_path, capsys, flag):
             in capsys.readouterr().err)
 
 
+def test_nn_directory_names_it_exit_three(tmp_path, capsys):
+    code = main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", str(tmp_path),
+                 "--theorem", "global", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert (f"network file {tmp_path} cannot be read: Is a directory"
+            in capsys.readouterr().err)
+
+
+def test_out_beneath_a_file_exit_three(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                 "--theorem", "global", "--out", str(blocker / "out")])
+    assert code == 3
+    assert "Not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,text,what", [
+    ("--plant", '{"A": [[NaN]], "B": [[1.0]], "C": [[1.0]]}', "plant file"),
+    ("--nn", None, "network file"),
+], ids=["plant-NaN", "nn-Infinity"])
+def test_non_finite_model_file_exit_three(tmp_path, capsys, flag, text, what):
+    # Python's json reads NaN and Infinity; the model refuses them.
+    if text is None:  # json.dumps writes inf as Infinity
+        with open(example_nn_path()) as fh:
+            data = json.load(fh)
+        data["Wl"][0][0] = float("inf")
+        text = json.dumps(data)
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    argv = ["verify", "--theorem", "global", "--out", str(tmp_path / "out"),
+            flag, str(path)]
+    argv += (["--nn", example_nn_path()] if flag == "--plant"
+             else ["--pendulum", PENDULUM_FLAG])
+    code = main(argv)
+    assert code == 3
+    assert (f"{what} {path} is malformed: matrix entries must be finite"
+            in capsys.readouterr().err)
+
+
+def test_report_missing_field_named_exit_three(tmp_path, capsys, range_report):
+    with open(range_report) as fh:
+        report = json.load(fh)
+    del report["r_nom"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code = main(["roa-plot", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                 "--report", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "report has no field 'r_nom'" in capsys.readouterr().err
+
+
+def test_entry_crash_exits_two_with_traceback(monkeypatch, capsys):
+    # Python's own exit code for an uncaught exception, 1, would read as
+    # "infeasible".
+    from nnloop import cli
+
+    def crash(argv=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "main", crash)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: boom" in err
+
+
 USAGE_ERRORS = [
     (["simulate", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
     (["verify", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),

@@ -247,9 +247,14 @@ def test_network_json_roundtrip(tmp_path, pendulum):
 
 
 def test_activation_validation():
+    # An activation is its kind: the slopes are not arguments, and each kind
+    # reports its own global slope bounds.
     with pytest.raises(ValueError):
-        nl.Activation(kind="sigmoid", alpha=0.0, beta=1.0)
-    with pytest.raises(ValueError):
-        nl.Activation(kind="tanh", alpha=1.0, beta=0.5)
-    with pytest.raises(ValueError):
-        nl.Activation(kind="linear", alpha=0.0, beta=1.0)
+        nl.Activation("sigmoid")
+    with pytest.raises(TypeError):
+        nl.Activation("tanh", 0.0, 0.5)
+    slopes = {kind: (act.alpha, act.beta) for kind, act in (
+        ("tanh", nl.Activation.tanh()), ("relu", nl.Activation.relu()),
+        ("linear", nl.Activation.linear()))}
+    assert slopes == {"tanh": (0.0, 1.0), "relu": (0.0, 1.0), "linear": (1.0, 1.0)}
+    assert nl.Activation("tanh") == nl.Activation.tanh()

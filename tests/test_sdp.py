@@ -231,6 +231,23 @@ def test_feasible_verdict_certifies_once(pendulum, d_ship, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("max_iter,status", [(22, sdp.FEASIBLE),
+                                             (16, sdp.SOLVER_ERROR)])
+def test_verdict_from_evidence_at_iteration_budget(pendulum, d_ship, monkeypatch,
+                                                   max_iter, status):
+    # A run cut by the iteration budget is judged by what it returns: at 22
+    # iterations the shipped local-fixed run has a point that certify
+    # passes, at 16 it has no point and no ray.
+    from nnloop import ipm
+
+    monkeypatch.setattr(ipm, "MAX_ITER", max_iter)
+    plant, nn, k_xi = pendulum
+    rep = run_verify(plant, nn, k_xi, "local-fixed", r=np.zeros(1), d=d_ship)
+    assert rep["status"] == status
+    if status == sdp.FEASIBLE:
+        assert min(rep["margins"].values()) >= 0.0
+
+
 @pytest.mark.parametrize("d", [30.0, 100.0, 1e4, 1e6])
 def test_tau_underflow_warns_nothing(pendulum, pendulum_aug, recwarn, d):
     # Large boxes are provably infeasible: tau heads to 0 along the ray, and

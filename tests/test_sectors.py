@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import nnloop as nl
 from conftest import stable_tanh_chords
-from nnloop.errors import NonPositiveD, StarOutsideBox
+from nnloop.errors import DimensionMismatch, NonPositiveD, StarOutsideBox
 from nnloop.sectors import global_sectors, local_sectors, propagate_box
 
 
@@ -84,6 +84,12 @@ def test_nonpositive_d(pendulum):
         propagate_box(nn, np.zeros(5), 0.0)
     with pytest.raises(NonPositiveD):
         propagate_box(nn, np.zeros(5), np.array([0.3, 0.3, -0.1, 0.3, 0.3]))
+
+
+def test_box_center_of_wrong_shape(pendulum):
+    _plant, nn, _k = pendulum
+    with pytest.raises(DimensionMismatch):
+        propagate_box(nn, np.zeros(4), 0.3)
 
 
 def test_tanh_sector_at_zero_anchor():
