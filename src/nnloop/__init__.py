@@ -25,7 +25,6 @@ from .errors import (
 )
 from .lmi import (
     LMISystem,
-    RefSensitivity,
     Selectors,
     build_global,
     build_local_fixed,

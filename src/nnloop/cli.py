@@ -131,17 +131,54 @@ def _local_sector_pipeline(plant, nn, k_xi, r_anchor, d):
     ss = steady_state(plant, nn, k_xi, r_anchor)
     trace = steady_forward(nn, ss.x_star, r_anchor)
     box = sectors.propagate_box(nn, trace.v[0], d)
-    secs = sectors.local_sectors(nn, box, trace)
+    secs = sectors.local_sectors(nn, box, trace.v)
     return ss, trace, box, secs
+
+
+def _admissible_entry(Q, r_nom) -> dict:
+    """The admissible references of a feasible local-range run."""
+    refs = roa.admissible_references(Q, r_nom)
+    entry = {
+        "r_nom": r_nom.tolist(),
+        "axes": refs.axes.tolist(),
+        "semi_lengths": refs.semi_lengths.tolist(),
+    }
+    if r_nom.size == 1:
+        entry["interval"] = list(refs.interval)
+    return entry
 
 
 def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
                gamma: float = 1.0, tol: float = 1e-8) -> dict:
     """Full verification pipeline; returns a JSON-ready report dict."""
     t_start = time.perf_counter()
+    anchors = {"global": None, "local-fixed": r, "local-range": r_nom}
+    if theorem not in anchors:
+        raise CliError(f"unknown theorem {theorem!r}")
+    local = theorem != "global"
+    if local and d is None:
+        raise NonPositiveD("local theorems require a box half-width d")
+    anchor = (np.zeros(plant.n_r) if anchors[theorem] is None
+              else np.atleast_1d(anchors[theorem]).astype(float))
+
     aug = augment(plant, k_xi)
     sel = lmi.build_selectors(nn, aug.n_xtil)
-    report = {
+    if local:
+        ss, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
+        if theorem == "local-fixed":
+            system = lmi.build_local_fixed(aug, sel, secs, d)
+        else:
+            S = lmi.ref_sensitivity(nn, steady_state_map(plant))
+            system = lmi.build_local_range(aug, sel, secs, d, S, gamma=gamma)
+    else:
+        ss = None  # computed below, for a feasible verdict only
+        system = lmi.build_global(aug, sel, nn.activation.alpha, nn.activation.beta)
+
+    sol = sdp.solve_certified(system, tol)
+    feasible = sol.status == sdp.FEASIBLE
+    if feasible and ss is None:
+        ss = steady_state(plant, nn, k_xi, anchor)
+    return {
         "theorem": theorem,
         "k_xi": np.atleast_2d(k_xi).tolist(),
         "plant": {"A": plant.A.tolist(), "B": plant.B.tolist(),
@@ -150,67 +187,27 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
         "solver": {"tol": tol},
         "d": _listify(d),
         "gamma": gamma if theorem == "local-range" else None,
-    }
-
-    if theorem == "global":
-        system = lmi.build_global(aug, sel, nn.activation.alpha, nn.activation.beta)
-        anchor = np.zeros(plant.n_r)
-        ss = None  # computed below, for a feasible verdict only
-        report["r"] = None
-    elif theorem == "local-fixed":
-        if d is None:
-            raise NonPositiveD("local theorems require a box half-width d")
-        anchor = np.zeros(plant.n_r) if r is None else np.atleast_1d(r).astype(float)
-        ss, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
-        system = lmi.build_local_fixed(aug, sel, secs, d)
-        report["r"] = anchor.tolist()
-    elif theorem == "local-range":
-        if d is None:
-            raise NonPositiveD("local theorems require a box half-width d")
-        anchor = np.zeros(plant.n_r) if r_nom is None else np.atleast_1d(r_nom).astype(float)
-        ss, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
-        refsens = lmi.ref_sensitivity(nn, steady_state_map(plant))
-        system = lmi.build_local_range(aug, sel, secs, d, refsens, gamma=gamma)
-        report["r_nom"] = anchor.tolist()
-    else:
-        raise CliError(f"unknown theorem {theorem!r}")
-
-    sol = sdp.solve_certified(system, tol)
-    report["status"] = sol.status
-    report["objective"] = sol.objective_value
-    report["iterations"] = sol.iterations
-    report["margins"] = {k: float(v) for k, v in sorted(sol.margins.items())}
-    report["P"] = _listify(sol.P)
-    report["Lambda"] = None if sol.Lambda is None else np.diag(sol.Lambda).tolist()
-    report["Q"] = _listify(sol.Q)
-
-    report["steady_state"] = None
-    report["admissible_references"] = None
-    if sol.status == sdp.FEASIBLE:
-        if ss is None:
-            ss = steady_state(plant, nn, k_xi, anchor)
-        report["steady_state"] = {
+        ("r_nom" if theorem == "local-range" else "r"):
+            anchor.tolist() if local else None,
+        "status": sol.status,
+        "objective": sol.objective_value,
+        "iterations": sol.iterations,
+        "margins": {k: float(v) for k, v in sorted(sol.margins.items())},
+        "P": _listify(sol.P),
+        "Lambda": None if sol.Lambda is None else np.diag(sol.Lambda).tolist(),
+        "Q": _listify(sol.Q),
+        "steady_state": {
             "r": anchor.tolist(),
             "xtil_star": ss.xtil_star.tolist(),
             "u_star": ss.u_star.tolist(),
-        }
-        if theorem == "local-range":
-            refs = roa.admissible_references(sol.Q, anchor)
-            entry = {
-                "r_nom": anchor.tolist(),
-                "axes": refs.axes.tolist(),
-                "semi_lengths": refs.semi_lengths.tolist(),
-            }
-            if plant.n_r == 1:
-                lo, hi = refs.interval
-                entry["interval"] = [lo, hi]
-            report["admissible_references"] = entry
-    report["meta"] = {"elapsed_s": time.perf_counter() - t_start}
-    return report
+        } if feasible else None,
+        "admissible_references": (_admissible_entry(sol.Q, anchor)
+                                  if feasible and theorem == "local-range" else None),
+        "meta": {"elapsed_s": time.perf_counter() - t_start},
+    }
 
 
 def _write_report(report: dict, out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -320,7 +317,6 @@ def cmd_simulate(args) -> int:
         J = None
         traj = closed_loop.simulate(aug, nn, x0, schedule, args.steps)
 
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "trajectory.csv")
     closed_loop.write_trajectory_csv(csv_path, traj)
     print(f"steps: {traj.steps}  converged: {traj.converged}  "
@@ -392,7 +388,6 @@ def cmd_roa_plot(args) -> int:
         ss = steady_state(plant, nn, k_xi, anchor)
         E = roa.Ellipsoid(center=ss.xtil_star, shape=P)
         curves = [(roa.boundary_polyline(E, dims), "#1565c0")]
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "roa.svg")
     roa.polylines_to_svg(path, curves)
     print(f"svg: {path}")
@@ -451,6 +446,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except (CliError, NNLoopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -192,7 +192,9 @@ def schedule_at(schedule, k: int, n_r: int) -> np.ndarray:
 
 
 def _schedule_array(schedule, T: int, n_r: int) -> np.ndarray:
-    """The (T, n_r) references of steps 0..T-1."""
+    """The (T, n_r) references of steps 0..T-1; T must be at least 1."""
+    if T < 1:
+        raise ValueError("T must be at least 1")
     starts, refs = _parse_schedule(schedule, n_r)
     return refs[_segments(starts, np.arange(T))]
 
@@ -295,8 +297,6 @@ def simulate(aug: AugmentedPlant, nn: FeedForwardNN, xtil0, ref_schedule,
     Divergence (state norm above 1e9) truncates the run and sets the flag;
     it is reported, not raised.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
     return _run(aug, nn, xtil0, _schedule_array(ref_schedule, T, aug.n_r), None)
 
 
@@ -427,8 +427,6 @@ def simulate_with_governor(aug: AugmentedPlant, nn: FeedForwardNN,
                            J: JointEllipsoid, xtil0, r_desired,
                            T: int) -> Trajectory:
     """Simulate with the surrogate reference recomputed at every step."""
-    if T < 1:
-        raise ValueError("T must be at least 1")
     return _run(aug, nn, xtil0, _schedule_array(r_desired, T, aug.n_r),
                 lambda xtil, r: govern(J, xtil, r))
 

@@ -164,27 +164,12 @@ class Selectors:
 
     N0_1: np.ndarray
     N1lm1: np.ndarray
-    Nl: np.ndarray
     RV: np.ndarray
     Rphi: np.ndarray
 
     def __post_init__(self):
-        for name in ("N0_1", "N1lm1", "Nl", "RV", "Rphi"):
+        for name in ("N0_1", "N1lm1", "RV", "Rphi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class RefSensitivity:
-    """S = W0 (Hx0 M + Hr0): sensitivity of the layer-1 stationary input to r.
-
-    Vanishes identically for output-error feedback (Hx0 = -C, Hr0 = I) since
-    C M = I by the steady-state equations.
-    """
-
-    S: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", _frozen(self.S))
 
 
 def build_selectors(nn: FeedForwardNN, n_xtil: int) -> Selectors:
@@ -206,23 +191,26 @@ def build_selectors(nn: FeedForwardNN, n_xtil: int) -> Selectors:
         r0, c0 = offsets[i], offsets[i - 1]
         N1lm1[r0: r0 + widths[i], c0: c0 + widths[i - 1]] = W
 
-    Nl = np.zeros((nn.n_u, n_xtil + n))
-    Nl[:, n_xtil + offsets[-2]:] = nn.Wl
-
     RV = np.zeros((n_xtil + nn.n_u, n_xtil + n))
     RV[:n_xtil, :n_xtil] = np.eye(n_xtil)
-    RV[n_xtil:, n_xtil:] = Nl[:, n_xtil:]
+    RV[n_xtil:, n_xtil + offsets[-2]:] = nn.Wl
 
     Rphi = np.zeros((2 * n, n_xtil + n))
     Rphi[:n_1, :n_xtil] = N0_1
     Rphi[:n, n_xtil:] = N1lm1
     Rphi[n:, n_xtil:] = np.eye(n)
-    return Selectors(N0_1=N0_1, N1lm1=N1lm1, Nl=Nl, RV=RV, Rphi=Rphi)
+    return Selectors(N0_1=N0_1, N1lm1=N1lm1, RV=RV, Rphi=Rphi)
 
 
-def ref_sensitivity(nn: FeedForwardNN, ssmap: SteadyStateMap) -> RefSensitivity:
+def ref_sensitivity(nn: FeedForwardNN, ssmap: SteadyStateMap) -> np.ndarray:
+    """S = W0 (Hx0 M + Hr0), n_1 x n_r: sensitivity of the layer-1 stationary
+    input to r.
+
+    Vanishes identically for output-error feedback (Hx0 = -C, Hr0 = I) since
+    C M = I by the steady-state equations.
+    """
     W0, _ = nn.layers[0]
-    return RefSensitivity(S=W0 @ (nn.Hx0 @ ssmap.M + nn.Hr0))
+    return _frozen(W0 @ (nn.Hx0 @ ssmap.M + nn.Hr0))
 
 
 def _coeffs(variables, k: int, **parts) -> np.ndarray:
@@ -327,11 +315,11 @@ def build_local_fixed(aug: AugmentedPlant, sel: Selectors,
 
 
 def build_local_range(aug: AugmentedPlant, sel: Selectors,
-                      sectors: SectorBounds, d, refsens: RefSensitivity,
+                      sectors: SectorBounds, d, S: np.ndarray,
                       gamma: float = 1.0) -> LMISystem:
     """Reference-range LMI: adds Q > 0 over the reference deviation and joint
     containment rows blkdiag(P, Q) - a_j a_j' >= 0 with a_j = [N0_1, S]_j / d_j
-    (roa_row_j in the module docstring).
+    (roa_row_j in the module docstring), S from :func:`ref_sensitivity`.
 
     ``gamma`` weighs trace(Q) in the objective; it must be finite, and
     positive, since otherwise the objective is unbounded below in Q."""
@@ -340,7 +328,6 @@ def build_local_range(aug: AugmentedPlant, sel: Selectors,
     n = sel.N1lm1.shape[0]
     n_1 = sel.N0_1.shape[0]
     d = half_widths(d, n_1)
-    S = refsens.S
     if S.shape != (n_1, aug.n_r):
         raise DimensionMismatch("reference sensitivity must be n_1 x n_r")
     variables = (VarSpec("P", "sym", aug.n_xtil), VarSpec("Lambda", "diag", n),

@@ -64,9 +64,8 @@ def _solver_blocks(system: LMISystem):
     (G0 - delta I, delta 0) and each divided by its largest entry when that
     exceeds one, and those per-block scales."""
     out, scales = [], []
-    zero = np.zeros(system.n_scalars)
     for blk in system.blocks:
-        G0 = system.block_value(blk, zero)
+        G0 = blk.G0 - blk.delta * np.eye(blk.order)
         scale = max(1.0, float(np.max(np.abs(G0))),
                     float(np.max(np.abs(blk.coeffs))) if blk.coeffs.size else 1.0)
         out.append(replace(blk, G0=G0 / scale, coeffs=blk.coeffs / scale, delta=0.0))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveD, StarOutsideBox
-from .network import Activation, FeedForwardNN, LayerTrace
+from .network import Activation, FeedForwardNN
 from .plant import _frozen
 
 _WIDEN = 1e-12
@@ -116,16 +116,15 @@ def propagate_box(nn: FeedForwardNN, v1_star_center, d) -> BoundBox:
 
 
 def local_sectors(nn: FeedForwardNN, box: BoundBox, v_star) -> SectorBounds:
-    """Tight per-neuron sector bounds anchored at the stationary trace.
+    """Tight per-neuron sector bounds anchored at the stationary inputs.
 
-    ``v_star`` is the stationary LayerTrace (or a per-layer list of stationary
-    pre-activation vectors); each entry must lie inside the box.
+    ``v_star`` holds the stationary pre-activation vector of each layer (the
+    ``v`` of a stationary LayerTrace); each entry must lie inside the box.
     """
-    vs_layers = v_star.v if isinstance(v_star, LayerTrace) else tuple(v_star)
-    if len(vs_layers) != len(box.v_lo):
+    if len(v_star) != len(box.v_lo):
         raise StarOutsideBox("stationary trace and box disagree on layer count")
     alphas, betas = [], []
-    for layer, vs_vec in enumerate(vs_layers):
+    for layer, vs_vec in enumerate(v_star):
         lo_vec, hi_vec = box.v_lo[layer], box.v_hi[layer]
         for j in range(lo_vec.shape[0]):
             lo, hi, vs = float(lo_vec[j]), float(hi_vec[j]), float(vs_vec[j])

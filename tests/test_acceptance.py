@@ -263,7 +263,7 @@ def test_criterion_8_solver_honesty(pendulum, pendulum_aug, d_ship):
     ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
     trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
     box = propagate_box(nn, trace.v[0], d_ship)
-    secs = local_sectors(nn, box, trace)
+    secs = local_sectors(nn, box, trace.v)
     system = nl.build_local_fixed(pendulum_aug, sel, secs, d_ship)
     sol = nl.solve(system)
     assert sol.status == sdp.FEASIBLE

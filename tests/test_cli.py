@@ -413,6 +413,27 @@ def test_out_beneath_a_file_exit_three(tmp_path, capsys):
     assert "Not a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "local-range", "--rnom", "0", "--d", str(PENDULUM_D)],
+    ["simulate", "--r", "0", "--steps", "10"],
+], ids=["verify", "simulate"])
+def test_out_beneath_a_file_exits_before_any_work(tmp_path, capsys, monkeypatch,
+                                                  argv):
+    # --out is made before any command computes, so a solve or a
+    # simulation is never spent on a run that cannot write its result.
+    calls = []
+    for module, name in ((nl.sdp, "solve_certified"), (nl.closed_loop, "simulate")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(argv + ["--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                        "--out", str(blocker / "x")])
+    assert code == 3
+    assert "Not a directory" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("flag,text,what", [
     ("--plant", '{"A": [[NaN]], "B": [[1.0]], "C": [[1.0]]}', "plant file"),
     ("--nn", None, "network file"),

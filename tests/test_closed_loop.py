@@ -670,3 +670,16 @@ def test_bad_schedule_raises_value_error(pendulum, pendulum_aug, schedule,
         nl.simulate(pendulum_aug, nn, np.zeros(3), schedule, 10)
     with pytest.raises(ValueError, match=message):
         cl.schedule_at(schedule, 0, 1)
+
+
+@pytest.mark.parametrize("schedule", [0.0, []], ids=["constant", "malformed"])
+def test_zero_steps_raise_value_error(pendulum, pendulum_aug, joint_set,
+                                      schedule):
+    # T is checked before the schedule is read, so a malformed schedule
+    # still names the step count.
+    _plant, nn, _k = pendulum
+    with pytest.raises(ValueError, match="T must be at least 1"):
+        nl.simulate(pendulum_aug, nn, np.zeros(3), schedule, 0)
+    with pytest.raises(ValueError, match="T must be at least 1"):
+        nl.simulate_with_governor(pendulum_aug, nn, joint_set, np.zeros(3),
+                                  schedule, 0)

@@ -27,8 +27,8 @@ def test_selectors_single_layer():
     assert sel.N1lm1.shape == (4, 4)
     assert not np.any(sel.N1lm1)
     W1 = nn.Wl
-    assert np.array_equal(sel.Nl[:, 3:], W1)
-    assert not np.any(sel.Nl[:, :3])
+    assert np.array_equal(sel.RV[3:, 3:], W1)
+    assert not np.any(sel.RV[3:, :3])
 
 
 def test_selectors_two_layer_placement():
@@ -102,14 +102,14 @@ def test_stability_block_matches_formula(pendulum, pendulum_aug, d_ship, theorem
         ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
         trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
         box = nl.propagate_box(nn, trace.v[0], d_ship)
-        secs = nl.local_sectors(nn, box, trace)
+        secs = nl.local_sectors(nn, box, trace.v)
         a, b = secs.alpha_phi, secs.beta_phi
         if theorem == "local-fixed":
             system = nl.build_local_fixed(aug, sel, secs, d_ship)
         else:
-            refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
-            rows = np.hstack([sel.N0_1, refsens.S])
-            system = nl.build_local_range(aug, sel, secs, d_ship, refsens)
+            S = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+            rows = np.hstack([sel.N0_1, S])
+            system = nl.build_local_range(aug, sel, secs, d_ship, S)
     rng = np.random.default_rng(4)
     Pm = rng.normal(size=(3, 3))
     Pm = Pm + Pm.T
@@ -168,16 +168,16 @@ def test_ref_sensitivity_output_error_vanishes():
         Wl=rng.normal(size=(1, 4)), bl=np.zeros(1),
         activation=nl.Activation.tanh(),
     )
-    refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
-    assert np.max(np.abs(refsens.S)) <= 1e-10
+    S = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+    assert np.max(np.abs(S)) <= 1e-10
 
 
 def test_ref_sensitivity_state_feedback(pendulum):
     plant, nn, _k = pendulum
     ssmap = nl.steady_state_map(plant)
-    refsens = nl.ref_sensitivity(nn, ssmap)
+    S = nl.ref_sensitivity(nn, ssmap)
     W0, _ = nn.layers[0]
-    assert np.allclose(refsens.S, W0 @ ssmap.M)
+    assert np.allclose(S, W0 @ ssmap.M)
 
 
 def test_local_fixed_block_count(pendulum, pendulum_aug, d_ship):
@@ -211,11 +211,11 @@ def test_local_builders_reject_nonpositive_d(pendulum, pendulum_aug, d):
     plant, nn, k_xi = pendulum
     sel = build_selectors(nn, pendulum_aug.n_xtil)
     secs = global_sectors(nn.activation, nn.n_hidden)
-    refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+    S = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
     with pytest.raises(nl.NonPositiveD):
         nl.build_local_fixed(pendulum_aug, sel, secs, d)
     with pytest.raises(nl.NonPositiveD):
-        nl.build_local_range(pendulum_aug, sel, secs, d, refsens)
+        nl.build_local_range(pendulum_aug, sel, secs, d, S)
 
 
 def test_local_range_scalar_q(pendulum, pendulum_aug, d_ship, thm3_report):
@@ -243,10 +243,10 @@ def test_local_range_output_error_decouples_q():
     ss = nl.steady_state(plant, nn, 0.5, np.zeros(1))
     trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
     box = nl.propagate_box(nn, trace.v[0], 0.5)
-    secs = nl.local_sectors(nn, box, trace)
-    refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
-    assert np.max(np.abs(refsens.S)) <= 1e-10
-    system = nl.build_local_range(aug, sel, secs, 0.5, refsens)
+    secs = nl.local_sectors(nn, box, trace.v)
+    S = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+    assert np.max(np.abs(S)) <= 1e-10
+    system = nl.build_local_range(aug, sel, secs, 0.5, S)
     sol = nl.solve_certified(system)
     assert sol.status == "feasible"
     assert sol.Q[0, 0] <= 1e-4  # decoupled Q shrinks to its margin scale
@@ -256,8 +256,8 @@ def test_objective_trace_weights(pendulum, pendulum_aug, d_ship):
     plant, nn, k_xi = pendulum
     sel = build_selectors(nn, pendulum_aug.n_xtil)
     secs = global_sectors(nn.activation, nn.n_hidden)
-    refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
-    system = nl.build_local_range(pendulum_aug, sel, secs, d_ship, refsens, gamma=2.5)
+    S = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+    system = nl.build_local_range(pendulum_aug, sel, secs, d_ship, S, gamma=2.5)
     rng = np.random.default_rng(8)
     Pm = rng.normal(size=(3, 3))
     Pm = Pm + Pm.T
@@ -272,6 +272,6 @@ def test_local_range_rejects_nonpositive_gamma(pendulum, pendulum_aug, d_ship,
     plant, nn, k_xi = pendulum
     sel = build_selectors(nn, pendulum_aug.n_xtil)
     secs = global_sectors(nn.activation, nn.n_hidden)
-    refsens = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+    S = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
     with pytest.raises(nl.NonPositiveGamma):
-        nl.build_local_range(pendulum_aug, sel, secs, d_ship, refsens, gamma=gamma)
+        nl.build_local_range(pendulum_aug, sel, secs, d_ship, S, gamma=gamma)

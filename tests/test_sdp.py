@@ -138,7 +138,7 @@ def test_certify_downgrades_perturbed_P(thm2_report, pendulum, pendulum_aug,
     ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
     trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
     box = nl.propagate_box(nn, trace.v[0], d_ship)
-    secs = nl.local_sectors(nn, box, trace)
+    secs = nl.local_sectors(nn, box, trace.v)
     system = nl.build_local_fixed(pendulum_aug, sel, secs, d_ship)
     sol = nl.solve(system)
     assert sol.status == "feasible"
@@ -257,7 +257,7 @@ def test_tau_underflow_warns_nothing(pendulum, pendulum_aug, recwarn, d):
     sel = build_selectors(nn, pendulum_aug.n_xtil)
     ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
     trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
-    secs = nl.local_sectors(nn, nl.propagate_box(nn, trace.v[0], d), trace)
+    secs = nl.local_sectors(nn, nl.propagate_box(nn, trace.v[0], d), trace.v)
     sol = sdp.solve(nl.build_local_fixed(pendulum_aug, sel, secs, d))
     assert sol.status == sdp.INFEASIBLE
     assert sol.farkas is not None

@@ -53,7 +53,7 @@ def test_local_fixed_objective_matches_external(pendulum, pendulum_aug, d_ship):
     ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
     trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
     box = nl.propagate_box(nn, trace.v[0], d_ship)
-    secs = nl.local_sectors(nn, box, trace)
+    secs = nl.local_sectors(nn, box, trace.v)
     system = nl.build_local_fixed(pendulum_aug, sel, secs, d_ship)
     ours = nl.solve_certified(system)
     assert ours.status == "feasible"

@@ -96,7 +96,7 @@ def test_tanh_sector_at_zero_anchor():
     nn = tanh_net([1], [np.array([[1.0]]), np.array([[1.0]])])
     box = propagate_box(nn, np.zeros(1), 0.345)
     trace = nl.forward(nn, np.zeros(1), np.zeros(1))
-    secs = local_sectors(nn, box, trace)
+    secs = local_sectors(nn, box, trace.v)
     oracle_lo, oracle_hi = chord_oracle(nl.Activation.tanh(), -0.345, 0.345, 0.0)
     assert abs(secs.alpha_phi[0] - oracle_lo) <= 1e-6
     assert abs(secs.beta_phi[0] - oracle_hi) <= 1e-6
@@ -161,7 +161,7 @@ def test_sector_monotonicity_full_network(pendulum):
     prev = None
     for d in (0.1, 0.2, 0.345, 0.7, 1.5):
         box = propagate_box(nn, trace.v[0], d)
-        secs = local_sectors(nn, box, trace)
+        secs = local_sectors(nn, box, trace.v)
         if prev is not None:
             assert np.all(secs.alpha_phi <= prev.alpha_phi + 1e-12)
             assert np.all(secs.beta_phi >= prev.beta_phi - 1e-12)
@@ -172,7 +172,7 @@ def test_global_bound_consistency(pendulum):
     _plant, nn, _k = pendulum
     trace = nl.forward(nn, np.array([0.05, -0.1]), np.zeros(1))
     box = propagate_box(nn, trace.v[0], 0.9)
-    secs = local_sectors(nn, box, trace)
+    secs = local_sectors(nn, box, trace.v)
     assert np.all(secs.alpha_phi >= nn.activation.alpha)
     assert np.all(secs.beta_phi <= nn.activation.beta)
 
@@ -181,7 +181,7 @@ def test_sector_soundness_random_draws(pendulum):
     _plant, nn, _k = pendulum
     trace = nl.forward(nn, np.array([0.1, 0.05]), np.zeros(1))
     box = propagate_box(nn, trace.v[0], 0.345)
-    secs = local_sectors(nn, box, trace)
+    secs = local_sectors(nn, box, trace.v)
     rng = np.random.default_rng(5)
     idx = 0
     for layer in range(nn.depth):
