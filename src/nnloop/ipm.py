@@ -28,10 +28,15 @@ Each iteration computes the Nesterov-Todd scaling R_b with
 R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
 H_ij = sum_b <Ghat_{b,i}, Ghat_{b,j}> of the scaled coefficients
 Ghat = R^-1 G R^-T, factors it once, and solves the Mehrotra predictor and
-corrector with that factor (the tau column costs one extra back-solve).  As
-in SDPT3 and ``conelp``, the blocks are grouped by order at entry: R, R^-1,
-lambda, S, Z, the residuals and Ghat are stacked (g, k, k) or (g, m, k, k)
-arrays, so each of these steps makes one numpy call per order, not per block.
+corrector with that factor (the tau column costs one extra back-solve).
+
+As in SDPT3, each block is split at entry into its irreducible diagonal
+pieces (a diagonal block such as Lambda_nn into order-1 pieces; the barrier
+and central path are the same), small pieces are packed block-diagonally
+into slots of the largest order (:func:`_group`), and slots of one order are
+stacked: R, R^-1, lambda, S, Z, the residuals and Ghat are (g, k, k) or
+(m, g, k, k) arrays, so each step makes one numpy call per slot order, not
+per block.  A ray is unstacked into the caller's blocks, zero off their pieces.
 
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
@@ -66,6 +71,12 @@ _STALL = 1e-8     # a step shorter than this makes no progress
 # can pass both the tolerances and the Cholesky test.
 MIN_TOL = 1e-12
 MAX_ITER = 200    # iterations before a run ends as "max_iter"
+# Pieces are packed into shared orders only when the largest piece has order
+# at most this.  Packing trades per-stack numpy dispatch for dense k^3 work in
+# the bins: with one BLAS thread it made the pendulum solves (largest order
+# 13) 0-30% faster, and the local solves of the 20- and 40-neuron duplicates
+# (orders 23 and 43) 18-130% slower, than their unpacked pieces.
+_PACK_MAX = 16
 
 
 @dataclass
@@ -81,27 +92,76 @@ class IPMResult:
 
 
 class _Group:
-    """The caller's blocks of one order k, stacked: G0 (g, k, k), coefficients
-    C (g, m, k, k) and their flattening F (m, g k k) with F @ X.ravel() =
-    (sum_b <C_{b,i}, X_b>)_i for a stack X."""
+    """The slots of one order k, stacked: G0 (g, k, k), coefficients
+    C (m, g, k, k) and their flattening F = C.reshape(m, g k k), a view, with
+    F @ X.ravel() = (sum_s <C_{i,s}, X_s>)_i for a stack X.  Each entry
+    (s, b, idx, at) of ``places`` puts the piece idx of caller block b at the
+    indices at, down the diagonal of slot s."""
 
-    def __init__(self, blocks, pos):
-        self.pos = pos
-        self.G0 = np.stack([blocks[i].G0 for i in pos])
-        self.C = np.stack([blocks[i].coeffs for i in pos])
-        self.F = self.C.transpose(1, 0, 2, 3).reshape(self.C.shape[1], -1)
+    def __init__(self, blocks, slots, m):
+        self.places = []
+        for s, slot in enumerate(slots):
+            ends = np.cumsum([len(idx) for _, idx in slot])
+            self.places += [(s, b, idx, np.arange(end - len(idx), end))
+                            for (b, idx), end in zip(slot, ends)]
+        k = int(ends[-1])
+        self.G0 = np.zeros((len(slots), k, k))
+        self.C = np.zeros((m, len(slots), k, k))
+        for s, b, idx, at in self.places:
+            self.G0[s, at[:, None], at] = blocks[b].G0[idx[:, None], idx]
+            self.C[:, s, at[:, None], at] = blocks[b].coeffs[:, idx[:, None], idx]
+        self.F = self.C.reshape(m, -1)
 
 
-def _group(blocks):
-    """Blocks grouped by order, in order of first appearance."""
-    return [_Group(blocks, [i for i, blk in enumerate(blocks) if blk.order == k])
-            for k in dict.fromkeys(blk.order for blk in blocks)]
+def _pieces(blk):
+    """Index sets of the irreducible diagonal pieces of a block: the connected
+    components of the nonzero pattern of G0 and every coefficient, in order
+    of their smallest index."""
+    pattern = (blk.G0 != 0) | (blk.coeffs != 0).any(axis=0)
+    pattern |= pattern.T
+    # Float labels: nothing else in a verify run compares integer arrays, and
+    # paging in those loops added about 0.2 MB to the peak resident memory.
+    label = index = np.arange(blk.order, dtype=float)
+    while True:  # each pass takes the smallest label among the neighbours
+        new = np.minimum(label, np.where(pattern, label, blk.order).min(axis=1))
+        if np.array_equal(new, label):
+            break
+        label = new
+    return [np.flatnonzero(label == root) for root in label[label == index]]
 
 
-def _unstack(groups, Xs):
-    """One matrix per block of the stacks Xs, in the caller's block order."""
-    by_pos = {i: Xb for grp, Xg in zip(groups, Xs) for i, Xb in zip(grp.pos, Xg)}
-    return [by_pos[i] for i in range(len(by_pos))]
+def _group(blocks, m):
+    """The caller's blocks split into pieces, packed into slots and grouped by
+    slot order.  Pieces are taken by decreasing order, in caller order among
+    equal ones, and placed first-fit into bins of the largest order k when
+    k <= _PACK_MAX; a bin is kept as a slot only when its pieces fill it
+    exactly, and every other piece is a slot of its own."""
+    pieces = sorted(((b, idx) for b, blk in enumerate(blocks) for idx in _pieces(blk)),
+                    key=lambda piece: -len(piece[1]))
+    k = len(pieces[0][1])
+    bins = []  # [room left, pieces...]; above _PACK_MAX a bin holds one piece
+    for piece in pieces:
+        fit = next((bn for bn in bins if len(piece[1]) <= bn[0]), None)
+        if fit is None:
+            fit = [k if k <= _PACK_MAX else len(piece[1])]
+            bins.append(fit)
+        fit[0] -= len(piece[1])
+        fit.append(piece)
+    slots = [slot for room, *bn in bins
+             for slot in ([bn] if room == 0 else [[piece] for piece in bn])]
+    orders = [sum(len(idx) for _, idx in slot) for slot in slots]
+    return [_Group(blocks, [slot for slot, n in zip(slots, orders) if n == order], m)
+            for order in dict.fromkeys(orders)]
+
+
+def _unstack(blocks, groups, Xs):
+    """One matrix per caller block from the stacks Xs, in the caller's block
+    order, with exact zeros outside the block's pieces."""
+    out = [np.zeros((blk.order, blk.order)) for blk in blocks]
+    for grp, Xg in zip(groups, Xs):
+        for s, b, idx, at in grp.places:
+            out[b][np.ix_(idx, idx)] = Xg[s][np.ix_(at, at)]
+    return out
 
 
 def _positive_definite(groups, y) -> bool:
@@ -131,8 +191,8 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
     Rinv, lam and dy, dtau, dkappa, alpha, or None if the step is too short."""
     # Schur matrix of the NT-scaled coefficients Ghat = R^-1 G R^-T, factored
     # once; each group's Ghat is flattened to (m, g k k) like its F.
-    Gh = [np.matmul(np.matmul(Ri[:, None], grp.C), Ri.swapaxes(1, 2)[:, None])
-          .transpose(1, 0, 2, 3).reshape(len(c), -1) for Ri, grp in zip(Rinv, groups)]
+    Gh = [np.matmul(np.matmul(Ri, grp.C), Ri.swapaxes(1, 2)).reshape(len(c), -1)
+          for Ri, grp in zip(Rinv, groups)]
     G0h = [(Ri @ Gg @ Ri.swapaxes(1, 2)).ravel() for Ri, Gg in zip(Rinv, G0)]
     rzh = [(Ri @ r @ Ri.swapaxes(1, 2)).ravel() for Ri, r in zip(Rinv, rz)]
     H = sum(G @ G.T for G in Gh)
@@ -214,7 +274,7 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
             f"tol below {MIN_TOL:g} is not attainable in double precision "
             f"(got {tol:g})")
     c = np.asarray(c, dtype=float)
-    groups = _group(blocks)
+    groups = _group(blocks, len(c))
     shapes = [grp.G0.shape for grp in groups]
     eyes = [np.eye(shape[1]) for shape in shapes]
     G0 = [grp.G0 - tol * eye for grp, eye in zip(groups, eyes)]
@@ -262,7 +322,7 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
             ray = [Zg / tr for Zg in Z]
             resid = sum(grp.F @ Xg.ravel() for grp, Xg in zip(groups, ray))
             if np.max(np.abs(resid) / col_scale, initial=0.0) <= tol:
-                return IPMResult("infeasible", None, _unstack(groups, ray),
+                return IPMResult("infeasible", None, _unstack(blocks, groups, ray),
                                  now.objective, now.rel_gap, now.pres, now.dres, it)
         if it == MAX_ITER:
             break

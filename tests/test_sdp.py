@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nnloop as nl
-from nnloop import sdp
+from nnloop import ipm, sdp
 from nnloop.ipm import solve_conic
 from nnloop.sdp import check_farkas
 from nnloop.cli import run_verify
@@ -385,6 +385,113 @@ def test_solve_conic_ray_in_caller_order(pendulum, pendulum_aug):
     # A repeated order-3 block after the order-10 one interleaves the order
     # groups, so the stacked ray must be put back into the caller's order.
     ray(blocks + [blocks[1]])
+
+
+def _pendulum_system(pendulum, aug, theorem, d, nn=None):
+    plant, shipped, k_xi = pendulum
+    nn = shipped if nn is None else nn
+    sel = build_selectors(nn, aug.n_xtil)
+    if theorem == "global":
+        return nl.build_global(aug, sel, nn.activation.alpha, nn.activation.beta)
+    ss = nl.steady_state(plant, nn, k_xi, np.zeros(1))
+    trace = nl.steady_forward(nn, ss.x_star, np.zeros(1))
+    secs = nl.local_sectors(nn, nl.propagate_box(nn, trace.v[0], d), trace.v)
+    if theorem == "local-fixed":
+        return nl.build_local_fixed(aug, sel, secs, d)
+    S = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
+    return nl.build_local_range(aug, sel, secs, d, S)
+
+
+@pytest.mark.parametrize("theorem,stacks", [
+    ("global", [(2, 13, 13)]),
+    ("local-fixed", [(3, 13, 13), (2, 1, 1)]),
+    ("local-range", [(3, 13, 13), (8, 1, 1)])])
+def test_pendulum_runs_in_packed_stacks(pendulum, pendulum_aug, d_ship,
+                                        theorem, stacks):
+    # Lambda_nn splits into 10 order-1 pieces.  First-fit decreasing into
+    # bins of the largest order, 13, keeps only exactly full bins: global
+    # [13], [3, 1 x 10]; local-fixed [13], [3, 3, 3, 3, 1], [3, 3, 1 x 7]
+    # and two order-1 pieces left over; local-range [13], [4, 4, 4, 1],
+    # [4, 4, 3, 1, 1] and eight left over (Q_pd and seven of Lambda_nn).
+    system = _pendulum_system(pendulum, pendulum_aug, theorem, d_ship)
+    blocks, _ = sdp._solver_blocks(system)
+    groups = ipm._group(blocks, system.n_scalars)
+    assert [grp.G0.shape for grp in groups] == stacks
+
+
+def test_wide_lambda_runs_as_unpacked_order_one_pieces(pendulum, pendulum_aug,
+                                                        d_ship):
+    # At 40 neurons the largest order, 43, is above _PACK_MAX: nothing is
+    # packed, and Lambda_nn runs as 40 order-1 slots of one piece each.
+    wide = duplicated_nn(pendulum[1], 4, np.random.default_rng(2024))
+    system = _pendulum_system(pendulum, pendulum_aug, "local-fixed", d_ship, wide)
+    blocks, _ = sdp._solver_blocks(system)
+    groups = ipm._group(blocks, system.n_scalars)
+    assert [grp.G0.shape for grp in groups] == [(1, 43, 43), (21, 3, 3), (40, 1, 1)]
+    lam = [blk.name for blk in blocks].index("Lambda_nn")
+    assert [(s, b, idx.tolist()) for s, b, idx, _ in groups[-1].places] \
+        == [(i, lam, [i]) for i in range(40)]
+
+
+def test_pack_and_unstack_return_every_caller_block():
+    # Blocks made of dense diagonal pieces on scattered indices.  Stacking
+    # G0 and every coefficient into slots and unstacking them gives back the
+    # caller's matrices bit for bit, and an all-ones stack comes back as the
+    # blocks' piece pattern, with zeros outside it.
+    rng = np.random.default_rng(7)
+    m = 3
+    blocks = []
+    for j, sizes in enumerate([[4], [2, 1, 1], [3, 1], [1, 1, 2], [3]]):
+        label = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        mask = label[:, None] == label[None, :]
+        blocks.append(LMIBlock(f"b{j}", mask * _sym(rng, len(label)),
+                               np.stack([mask * _sym(rng, len(label))
+                                         for _ in range(m)])))
+    groups = ipm._group(blocks, m)
+    # bins [4], [3, 1], [3, 1], [2, 2]; [1, 1, 1] is not full and stays loose
+    assert [grp.G0.shape for grp in groups] == [(4, 4, 4), (3, 1, 1)]
+
+    def back(stacks):
+        return zip(ipm._unstack(blocks, groups, stacks), blocks, strict=True)
+
+    for X, blk in back([grp.G0 for grp in groups]):
+        assert np.array_equal(X, blk.G0)
+    for i in range(m):
+        for X, blk in back([grp.C[i] for grp in groups]):
+            assert np.array_equal(X, blk.coeffs[i])
+    for X, blk in back([np.ones_like(grp.G0) for grp in groups]):
+        assert np.array_equal(X, (blk.G0 != 0).astype(float))
+
+
+def test_block_diagonal_caller_block_gets_its_ray_back(pendulum, pendulum_aug):
+    # P_pd and Lambda_nn of the global system joined into one order-13
+    # caller block on interleaved indices: the solver runs the same pieces,
+    # so the ray of the joined block is the two rays put in place, bit for
+    # bit, with exact zeros between them, in either caller order.
+    system = _pendulum_system(pendulum, pendulum_aug, "global", None)
+    (stab, p_pd, lam_nn), _ = sdp._solver_blocks(system)
+    at_p = np.array([1, 5, 9])
+    at_l = np.setdiff1d(np.arange(13), at_p)
+
+    def place(Xp, Xl):
+        X = np.zeros((Xp.shape[0], 13, 13))
+        X[:, at_p[:, None], at_p] = Xp
+        X[:, at_l[:, None], at_l] = Xl
+        return X
+
+    joined = LMIBlock("joined", place(p_pd.G0[None], lam_nn.G0[None])[0],
+                      place(p_pd.coeffs, lam_nn.coeffs))
+    c = np.zeros(system.n_scalars)
+    ref = solve_conic([stab, p_pd, lam_nn], c)
+    assert ref.status == "infeasible"
+    want = place(ref.Z[1][None], ref.Z[2][None])[0]
+    for given, at in ([stab, joined], 1), ([joined, stab], 0):
+        res = solve_conic(given, c)
+        assert res.status == "infeasible"
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.Z[at], want)
+        assert np.array_equal(res.Z[1 - at], ref.Z[0])
+        assert check_farkas(given, res.Z, 1e-8) is not None
 
 
 def test_desk_scale_capability():
