@@ -16,7 +16,7 @@ import traceback
 
 import numpy as np
 
-from . import closed_loop, lmi, roa, sdp, sectors
+from . import closed_loop, ipm, lmi, roa, sdp, sectors
 from .errors import NNLoopError, NonPositiveD
 from .network import io_maps, load_nn, steady_forward
 from .plant import (Plant, _read_json, augment, build_pendulum, load_plant,
@@ -150,11 +150,24 @@ def _admissible_entry(Q, r_nom) -> dict:
 
 def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
                gamma: float = 1.0, tol: float = 1e-8) -> dict:
-    """Full verification pipeline; returns a JSON-ready report dict."""
+    """Full verification pipeline; returns a JSON-ready report dict.
+
+    The tolerance and, for local-range, gamma are checked before any work.
+    Before the theorem's LMI is built, :func:`sdp.unstable_vertex` tries the
+    sector vertices alpha and beta and, for a local theorem, the
+    linearization clip(phi'(v_*), alpha, beta).  A vertex whose linear loop
+    is not Schur proves the LMI infeasible: the report is "infeasible" with
+    0 iterations and that vertex as its ``certificate``, and no LMI is
+    assembled or solved.  Otherwise the LMI is solved and checked by
+    :func:`sdp.solve`, and ``certificate`` is None.
+    """
     t_start = time.perf_counter()
     anchors = {"global": None, "local-fixed": r, "local-range": r_nom}
     if theorem not in anchors:
         raise CliError(f"unknown theorem {theorem!r}")
+    ipm.check_tol(tol)
+    if theorem == "local-range":
+        lmi.check_gamma(gamma)
     local = theorem != "global"
     if local and d is None:
         raise NonPositiveD("local theorems require a box half-width d")
@@ -163,18 +176,29 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
 
     aug = augment(plant, k_xi)
     sel = lmi.build_selectors(nn, aug.n_xtil)
+    act = nn.activation
     if local:
-        ss, _, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
-        if theorem == "local-fixed":
-            system = lmi.build_local_fixed(aug, sel, secs, d)
-        else:
-            S = lmi.ref_sensitivity(nn, steady_state_map(plant))
-            system = lmi.build_local_range(aug, sel, secs, d, S, gamma=gamma)
+        ss, trace, _, secs = _local_sector_pipeline(plant, nn, k_xi, anchor, d)
+        slope = np.clip(act.deriv(np.concatenate(trace.v)),
+                        secs.alpha_phi, secs.beta_phi)
+        vertices = {"linearization": slope}
     else:
         ss = None  # computed below, for a feasible verdict only
-        system = lmi.build_global(aug, sel, nn.activation.alpha, nn.activation.beta)
-
-    sol = sdp.solve_certified(system, tol)
+        secs = sectors.global_sectors(act, nn.n_hidden)
+        vertices = {}
+    certificate = sdp.unstable_vertex(
+        aug, sel, {"alpha": secs.alpha_phi, "beta": secs.beta_phi, **vertices})
+    if certificate is not None:
+        sol = sdp.SDPSolution(status=sdp.INFEASIBLE)
+    else:
+        if theorem == "local-fixed":
+            system = lmi.build_local_fixed(aug, sel, secs, d)
+        elif theorem == "local-range":
+            S = lmi.ref_sensitivity(nn, steady_state_map(plant))
+            system = lmi.build_local_range(aug, sel, secs, d, S, gamma=gamma)
+        else:
+            system = lmi.build_global(aug, sel, act.alpha, act.beta)
+        sol = sdp.solve_certified(system, tol)
     feasible = sol.status == sdp.FEASIBLE
     if feasible and ss is None:
         ss = steady_state(plant, nn, k_xi, anchor)
@@ -192,6 +216,7 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
         "status": sol.status,
         "objective": sol.objective_value,
         "iterations": sol.iterations,
+        "certificate": certificate,
         "margins": {k: float(v) for k, v in sorted(sol.margins.items())},
         "P": _listify(sol.P),
         "Lambda": None if sol.Lambda is None else np.diag(sol.Lambda).tolist(),

@@ -263,16 +263,21 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
     return R_new, Rinv_new, lam_new, dy, dtau, dkappa, alpha
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance below MIN_TOL with UnattainableTolerance."""
+    if tol < MIN_TOL:
+        raise UnattainableTolerance(
+            f"tol below {MIN_TOL:g} is not attainable in double precision "
+            f"(got {tol:g})")
+
+
 # An objective too large for double precision (say --gamma 1e300) overflows
 # norms and products before the run stalls, and tau can underflow to 0 on a
 # ray that never passes the ray test; the stall is what is reported.
 @np.errstate(over="ignore", divide="ignore")
 def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
-    if tol < MIN_TOL:
-        raise UnattainableTolerance(
-            f"tol below {MIN_TOL:g} is not attainable in double precision "
-            f"(got {tol:g})")
+    check_tol(tol)
     c = np.asarray(c, dtype=float)
     groups = _group(blocks, len(c))
     shapes = [grp.G0.shape for grp in groups]

@@ -314,6 +314,13 @@ def build_local_fixed(aug: AugmentedPlant, sel: Selectors,
                      objective=_trace_objective(variables, {"P": 1.0}))
 
 
+def check_gamma(gamma: float) -> None:
+    """Refuse a trace(Q) weight that is not finite and positive, with
+    NonPositiveGamma: otherwise the objective is unbounded below in Q."""
+    if not 0.0 < gamma < np.inf:
+        raise NonPositiveGamma(f"gamma must be finite and positive, got {gamma!r}")
+
+
 def build_local_range(aug: AugmentedPlant, sel: Selectors,
                       sectors: SectorBounds, d, S: np.ndarray,
                       gamma: float = 1.0) -> LMISystem:
@@ -321,10 +328,8 @@ def build_local_range(aug: AugmentedPlant, sel: Selectors,
     containment rows blkdiag(P, Q) - a_j a_j' >= 0 with a_j = [N0_1, S]_j / d_j
     (roa_row_j in the module docstring), S from :func:`ref_sensitivity`.
 
-    ``gamma`` weighs trace(Q) in the objective; it must be finite, and
-    positive, since otherwise the objective is unbounded below in Q."""
-    if not 0.0 < gamma < np.inf:
-        raise NonPositiveGamma(f"gamma must be finite and positive, got {gamma!r}")
+    ``gamma`` weighs trace(Q) in the objective (see :func:`check_gamma`)."""
+    check_gamma(gamma)
     n = sel.N1lm1.shape[0]
     n_1 = sel.N0_1.shape[0]
     d = half_widths(d, n_1)
