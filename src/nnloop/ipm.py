@@ -36,7 +36,10 @@ and central path are the same), small pieces are packed block-diagonally
 into slots of the largest order (:func:`_group`), and slots of one order are
 stacked: R, R^-1, lambda, S, Z, the residuals and Ghat are (g, k, k) or
 (m, g, k, k) arrays, so each step makes one numpy call per slot order, not
-per block.  A ray is unstacked into the caller's blocks, zero off their pieces.
+per block.  The slots of order 1 form one nonnegative orthant of vectors,
+scaled elementwise as conelp's linear cone: R is r with r^2 = sqrt(s/z), so
+s = r^2 lambda, z = lambda / r^2 and Ghat = G / r^2, and no step factors a
+matrix.  A ray is unstacked into the caller's blocks, zero off their pieces.
 
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
@@ -94,23 +97,14 @@ class IPMResult:
 class _Group:
     """The slots of one order k, stacked: G0 (g, k, k), coefficients
     C (m, g, k, k) and their flattening F = C.reshape(m, g k k), a view, with
-    F @ X.ravel() = (sum_s <C_{i,s}, X_s>)_i for a stack X.  Each entry
-    (s, b, idx, at) of ``places`` puts the piece idx of caller block b at the
-    indices at, down the diagonal of slot s."""
+    F @ X.ravel() = (sum_s <C_{i,s}, X_s>)_i for a stack X.  The orthant, the
+    slots of order 1, has G0 (g,) and C (m, g).  ``src``, of G0's shape, maps
+    each entry to its flat index in the caller's blocks laid end to end,
+    G0s, and to its column of Cs; index -1 is a zero after them."""
 
-    def __init__(self, blocks, slots, m):
-        self.places = []
-        for s, slot in enumerate(slots):
-            ends = np.cumsum([len(idx) for _, idx in slot])
-            self.places += [(s, b, idx, np.arange(end - len(idx), end))
-                            for (b, idx), end in zip(slot, ends)]
-        k = int(ends[-1])
-        self.G0 = np.zeros((len(slots), k, k))
-        self.C = np.zeros((m, len(slots), k, k))
-        for s, b, idx, at in self.places:
-            self.G0[s, at[:, None], at] = blocks[b].G0[idx[:, None], idx]
-            self.C[:, s, at[:, None], at] = blocks[b].coeffs[:, idx[:, None], idx]
-        self.F = self.C.reshape(m, -1)
+    def __init__(self, src, G0s, Cs):
+        self.src, self.G0, self.C = src, G0s[src], np.take(Cs, src, axis=1)
+        self.F = self.C.reshape(len(Cs), -1)
 
 
 def _pieces(blk):
@@ -135,39 +129,57 @@ def _group(blocks, m):
     slot order.  Pieces are taken by decreasing order, in caller order among
     equal ones, and placed first-fit into bins of the largest order k when
     k <= _PACK_MAX; a bin is kept as a slot only when its pieces fill it
-    exactly, and every other piece is a slot of its own."""
-    pieces = sorted(((b, idx) for b, blk in enumerate(blocks) for idx in _pieces(blk)),
-                    key=lambda piece: -len(piece[1]))
-    k = len(pieces[0][1])
+    exactly, and every other piece is a slot of its own.  A piece is held as
+    the flat indices of its entries in the caller's blocks laid end to end."""
+    start = np.cumsum([0] + [blk.order ** 2 for blk in blocks])
+    pieces = sorted((start[b] + blk.order * idx[:, None] + idx
+                     for b, blk in enumerate(blocks) for idx in _pieces(blk)),
+                    key=lambda piece: -len(piece))
+    k = len(pieces[0])
     bins = []  # [room left, pieces...]; above _PACK_MAX a bin holds one piece
     for piece in pieces:
-        fit = next((bn for bn in bins if len(piece[1]) <= bn[0]), None)
+        fit = next((bn for bn in bins if len(piece) <= bn[0]), None)
         if fit is None:
-            fit = [k if k <= _PACK_MAX else len(piece[1])]
+            fit = [k if k <= _PACK_MAX else len(piece)]
             bins.append(fit)
-        fit[0] -= len(piece[1])
+        fit[0] -= len(piece)
         fit.append(piece)
     slots = [slot for room, *bn in bins
              for slot in ([bn] if room == 0 else [[piece] for piece in bn])]
-    orders = [sum(len(idx) for _, idx in slot) for slot in slots]
-    return [_Group(blocks, [slot for slot, n in zip(slots, orders) if n == order], m)
-            for order in dict.fromkeys(orders)]
+    orders = [sum(map(len, slot)) for slot in slots]
+    G0s = np.concatenate([blk.G0.ravel() for blk in blocks] + [np.zeros(1)])
+    Cs = np.concatenate([blk.coeffs.reshape(m, -1) for blk in blocks]
+                        + [np.zeros((m, 1))], axis=1)
+    groups = []
+    for order in dict.fromkeys(orders):
+        src = np.full((orders.count(order), order, order), -1)
+        for s, slot in enumerate(slot for slot, n in zip(slots, orders) if n == order):
+            at = np.cumsum([0] + [len(piece) for piece in slot])
+            for piece, lo, hi in zip(slot, at, at[1:]):
+                src[s, lo:hi, lo:hi] = piece
+        groups.append(_Group(src if order > 1 else src.ravel(), G0s, Cs))
+    return groups
 
 
 def _unstack(blocks, groups, Xs):
     """One matrix per caller block from the stacks Xs, in the caller's block
     order, with exact zeros outside the block's pieces."""
-    out = [np.zeros((blk.order, blk.order)) for blk in blocks]
+    sizes = [blk.order ** 2 for blk in blocks]
+    flat = np.zeros(sum(sizes) + 1)  # the last entry takes what is off the pieces
     for grp, Xg in zip(groups, Xs):
-        for s, b, idx, at in grp.places:
-            out[b][np.ix_(idx, idx)] = Xg[s][np.ix_(at, at)]
-    return out
+        flat[grp.src] = Xg
+    return [part.reshape(blk.order, blk.order)
+            for part, blk in zip(np.split(flat, np.cumsum(sizes)), blocks)]
 
 
 def _positive_definite(groups, y) -> bool:
     try:
         for grp in groups:
-            np.linalg.cholesky(grp.G0 + (y @ grp.F).reshape(grp.G0.shape))
+            S = grp.G0 + (y @ grp.F).reshape(grp.G0.shape)
+            if S.ndim == 3:
+                np.linalg.cholesky(S)
+            elif not np.all(S > 0.0):
+                return False
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(np.isfinite(y)))  # Cholesky passes NaN through
@@ -186,15 +198,19 @@ def _cholesky(H):
     return L
 
 
+def _scaled(Ri, X):
+    """Ri X Ri' slot by slot, and elementwise in the orthant."""
+    return X * Ri * Ri if Ri.ndim == 1 else Ri @ X @ Ri.swapaxes(1, 2)
+
+
 def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
     """Mehrotra predictor-corrector step from the NT-scaled point: the new R,
     Rinv, lam and dy, dtau, dkappa, alpha, or None if the step is too short."""
     # Schur matrix of the NT-scaled coefficients Ghat = R^-1 G R^-T, factored
     # once; each group's Ghat is flattened to (m, g k k) like its F.
-    Gh = [np.matmul(np.matmul(Ri, grp.C), Ri.swapaxes(1, 2)).reshape(len(c), -1)
-          for Ri, grp in zip(Rinv, groups)]
-    G0h = [(Ri @ Gg @ Ri.swapaxes(1, 2)).ravel() for Ri, Gg in zip(Rinv, G0)]
-    rzh = [(Ri @ r @ Ri.swapaxes(1, 2)).ravel() for Ri, r in zip(Rinv, rz)]
+    Gh = [_scaled(Ri, grp.C).reshape(len(c), -1) for Ri, grp in zip(Rinv, groups)]
+    G0h = [_scaled(Ri, Gg).ravel() for Ri, Gg in zip(Rinv, G0)]
+    rzh = [_scaled(Ri, r).ravel() for Ri, r in zip(Rinv, rz)]
     H = sum(G @ G.T for G in Gh)
     g = sum(G @ G0g for G, G0g in zip(Gh, G0h))
     g00 = sum(float(G0g @ G0g) for G0g in G0h)
@@ -213,18 +229,21 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
         dy = p - q * dtau
         dz = [(tg - G0g * dtau - dy @ G).reshape(rcg.shape)
               for tg, G0g, G, rcg in zip(t, G0h, Gh, rc)]
-        dz = [0.5 * (D + D.swapaxes(1, 2)) for D in dz]
+        dz = [D if D.ndim == 1 else 0.5 * (D + D.swapaxes(1, 2)) for D in dz]
         ds = [rcg - D for rcg, D in zip(rc, dz)]
         dkappa = (rtk - kappa * dtau) / tau
         return dy, ds, dz, dtau, dkappa
 
-    # diag(lam) + a D stays PSD up to a = -1 / min eig(D / sqrt(lam lam')).
-    scale = [np.sqrt(lg[:, :, None] * lg[:, None, :]) for lg in lam]
+    # diag(lam) + a D stays PSD up to a = -1 / min eig(D / sqrt(lam lam')),
+    # and in the orthant up to a = -1 / min(D / lam).
+    scale = [lg if lg.ndim == 1 else np.sqrt(lg[:, :, None] * lg[:, None, :])
+             for lg in lam]
 
     def step_length(d):
         """Largest a keeping diag(lam) + a (ds, dz) PSD and tau, kappa >= 0."""
         _, ds, dz, dtau, dkappa = d
-        w = min(np.linalg.eigvalsh(np.concatenate([dsg / sc, dzg / sc]))[:, 0].min()
+        w = min((np.minimum(dsg, dzg) / sc).min() if sc.ndim == 1 else
+                np.linalg.eigvalsh(np.concatenate([dsg / sc, dzg / sc]))[:, 0].min()
                 for sc, dsg, dzg in zip(scale, ds, dz))
         a = np.inf if w >= 0.0 else -1.0 / w
         if dtau < 0.0:
@@ -234,13 +253,13 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
         return a
 
     # Predictor (affine scaling), then the Mehrotra combined step.
-    diag = [eye * lg[:, None, :] for eye, lg in zip(eyes, lam)]
+    diag = [lg if lg.ndim == 1 else eye * lg[:, None, :] for eye, lg in zip(eyes, lam)]
     aff = direction(1.0, [-D for D in diag], -tau * kappa)
     sigma = (1.0 - min(1.0, step_length(aff))) ** _EXPON
-    rc = []
-    for eye, lg, D, dsa, dza in zip(eyes, lam, diag, aff[1], aff[2]):
-        M = sigma * mu * eye - D * D - 0.5 * (dsa @ dza + dza @ dsa)
-        rc.append(2.0 * M / (lg[:, :, None] + lg[:, None, :]))
+    rc = [(sigma * mu - D * D - dsa * dza) / lg if lg.ndim == 1 else
+          2.0 * (sigma * mu * eye - D * D - 0.5 * (dsa @ dza + dza @ dsa))
+          / (lg[:, :, None] + lg[:, None, :])
+          for eye, lg, D, dsa, dza in zip(eyes, lam, diag, aff[1], aff[2])]
     d = direction(1.0 - sigma, rc, sigma * mu - tau * kappa - aff[3] * aff[4])
     alpha = min(1.0, _STEP * step_length(d))
     if alpha < _STALL:
@@ -249,10 +268,16 @@ def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
     # NT update, as in conelp: with L1 L1' = diag(lam) + alpha ds,
     # L2 L2' = diag(lam) + alpha dz and L2' L1 = U diag(lam_new) V', the new
     # scalings are R L1 V diag(lam_new)^-1/2 and diag(lam_new)^-1/2 U' L2' R^-1,
-    # so the new S and Z follow from L1 and L2 alone.
+    # so the new S and Z follow from L1 and L2 alone (vectors in the orthant).
     dy, ds, dz, dtau, dkappa = d
     R_new, Rinv_new, lam_new = [], [], []
     for Rg, Ri, D, dsg, dzg in zip(R, Rinv, diag, ds, dz):
+        if D.ndim == 1:
+            L1, L2 = np.sqrt(D + alpha * dsg), np.sqrt(D + alpha * dzg)
+            R_new.append(Rg * L1 / np.sqrt(L1 * L2))
+            Rinv_new.append(L2 * Ri / np.sqrt(L1 * L2))
+            lam_new.append(L1 * L2)
+            continue
         L = np.linalg.cholesky(np.concatenate([D + alpha * dsg, D + alpha * dzg]))
         L1, L2 = L[:len(D)], L[len(D):]
         U, lg, Vt = np.linalg.svd(L2.swapaxes(1, 2) @ L1)
@@ -280,8 +305,7 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     check_tol(tol)
     c = np.asarray(c, dtype=float)
     groups = _group(blocks, len(c))
-    shapes = [grp.G0.shape for grp in groups]
-    eyes = [np.eye(shape[1]) for shape in shapes]
+    eyes = [1.0 if grp.G0.ndim == 1 else np.eye(len(grp.G0[0])) for grp in groups]
     G0 = [grp.G0 - tol * eye for grp, eye in zip(groups, eyes)]
     # Per-variable scale of the ray's relative equality residual.
     col_scale = 1.0 + np.max([np.abs(grp.F).max(axis=1) for grp in groups], axis=0)
@@ -292,15 +316,17 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
 
     y = np.zeros(len(c))
     tau = kappa = 1.0
-    R = [np.broadcast_to(eye, shape).copy() for eye, shape in zip(eyes, shapes)]
+    R = [np.broadcast_to(eye, grp.G0.shape).copy() for eye, grp in zip(eyes, groups)]
     Rinv = [Rg.copy() for Rg in R]
-    lam = [np.ones(shape[:2]) for shape in shapes]
+    lam = [np.ones(grp.G0.shape[:2]) for grp in groups]
     best = None      # IPMResult of the lowest-objective iterate passing Cholesky
     status = "max_iter"
 
     for it in range(MAX_ITER + 1):
-        S = [(Rg * lg[:, None, :]) @ Rg.swapaxes(1, 2) for Rg, lg in zip(R, lam)]
-        Z = [(Ri.swapaxes(1, 2) * lg[:, None, :]) @ Ri for Ri, lg in zip(Rinv, lam)]
+        S = [Rg * lg * Rg if lg.ndim == 1 else (Rg * lg[:, None, :]) @ Rg.swapaxes(1, 2)
+             for Rg, lg in zip(R, lam)]
+        Z = [Ri * lg * Ri if lg.ndim == 1 else (Ri.swapaxes(1, 2) * lg[:, None, :]) @ Ri
+             for Ri, lg in zip(Rinv, lam)]
         rx = sum(grp.F @ Zg.ravel() for grp, Zg in zip(groups, Z)) - c * tau
         rz = [Sg - Gg * tau - (y @ grp.F).reshape(Sg.shape)
               for Sg, Gg, grp in zip(S, G0, groups)]
@@ -319,15 +345,14 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
                 return now
             if best is None or now.objective <= best.objective:
                 best = now
-        # A ray is accepted once its equality residual is down to tol, the
-        # accuracy asked of every other residual; the caller's check allows
-        # 1e3 tol, slack left for undoing its per-block scaling.
+        # A ray is accepted once the equality residual (rx + c tau) / tr of the
+        # trace-normalized Z is down to tol, the accuracy asked of every other
+        # residual; the caller's check allows 1e3 tol, slack for its scaling.
         if sum(float(np.vdot(grp.G0, Zg)) for grp, Zg in zip(groups, Z)) < 0.0:
-            tr = sum(float(np.trace(Zg, axis1=1, axis2=2).sum()) for Zg in Z)
-            ray = [Zg / tr for Zg in Z]
-            resid = sum(grp.F @ Xg.ravel() for grp, Xg in zip(groups, ray))
-            if np.max(np.abs(resid) / col_scale, initial=0.0) <= tol:
-                return IPMResult("infeasible", None, _unstack(blocks, groups, ray),
+            tr = sum(float((Zg * eye).sum()) for Zg, eye in zip(Z, eyes))
+            if np.max(np.abs(rx + c * tau) / (tr * col_scale), initial=0.0) <= tol:
+                ray = _unstack(blocks, groups, [Zg / tr for Zg in Z])
+                return IPMResult("infeasible", None, ray,
                                  now.objective, now.rel_gap, now.pres, now.dres, it)
         if it == MAX_ITER:
             break

@@ -339,23 +339,83 @@ def _block_diag(name, a, b):
 def test_solve_conic_invariant_to_block_order_and_splitting():
     # Blocks are stacked by order inside the solver; neither the order of the
     # caller's list nor splitting a block-diagonal block into its diagonal
-    # blocks (same iterates in exact arithmetic) may change the run.
+    # blocks (same iterates in exact arithmetic) may change the run.  The
+    # second input has diagonal blocks only, so it runs in the orthant alone.
     rng = np.random.default_rng(3)
     m = 4
-    blocks = _bounded_blocks(rng, [3, 2, 3, 2, 4, 1], m)
-    c = sum(np.einsum("ijj->i", blk.coeffs) for blk in blocks)
-    ref = solve_conic(blocks, c)
-    assert ref.status == "optimal"
+    dense = _bounded_blocks(rng, [3, 2, 3, 2, 4, 1], m)
+    diagonal = [dataclasses.replace(blk, coeffs=np.stack([np.diag(np.diag(C))
+                                                          for C in blk.coeffs]))
+                for blk in _bounded_blocks(rng, [3, 2, 3, 2, 4, 1], m)]
+    for blocks in (dense, diagonal):
+        c = sum(np.einsum("ijj->i", blk.coeffs) for blk in blocks)
+        ref = solve_conic(blocks, c)
+        assert ref.status == "optimal"
 
-    perm = [4, 1, 5, 3, 0, 2]
-    permuted = solve_conic([blocks[i] for i in perm], c)
-    joined = [blocks[0], blocks[1], _block_diag("d", blocks[2], blocks[3]),
-              blocks[4], blocks[5]]
-    merged = solve_conic(joined, c)
-    for res in (permuted, merged):
-        assert res.status == ref.status
-        assert res.iterations == ref.iterations
-        assert np.max(np.abs(res.y - ref.y)) <= 1e-9
+        perm = [4, 1, 5, 3, 0, 2]
+        permuted = solve_conic([blocks[i] for i in perm], c)
+        joined = [blocks[0], blocks[1], _block_diag("d", blocks[2], blocks[3]),
+                  blocks[4], blocks[5]]
+        merged = solve_conic(joined, c)
+        for res in (permuted, merged):
+            assert res.status == ref.status
+            assert res.iterations == ref.iterations
+            assert np.max(np.abs(res.y - ref.y)) <= 1e-9
+
+
+def _lp_blocks(g0, C):
+    """The LP g0 + C' y >= 0 as one 1x1 block per row, and as one diagonal
+    block."""
+    rows = [LMIBlock(f"r{j}", np.array([[g]]), C[:, j].reshape(-1, 1, 1))
+            for j, g in enumerate(g0)]
+    return rows, [LMIBlock("d", np.diag(g0), np.stack([np.diag(Ci) for Ci in C]))]
+
+
+def test_solve_conic_reaches_the_linprog_optimum_of_random_lps():
+    # Exact oracle: bounded random LPs (y = 0 strictly feasible, z = 1 dual
+    # feasible for c = C 1) solved by HiGHS.  The solver's interior shift tol
+    # moves the optimum by about tol sum(z), well inside 1e-6.  Both forms run
+    # in the orthant alone, so they give the same run.
+    from scipy.optimize import linprog
+    rng = np.random.default_rng(11)
+    for n, m in [(3, 1), (6, 2), (9, 4), (14, 5), (20, 8)]:
+        g0 = rng.uniform(0.5, 2.0, n)
+        C = rng.normal(size=(m, n))
+        c = C @ rng.uniform(0.5, 2.0, n)
+        lp = linprog(c, A_ub=-C.T, b_ub=g0, bounds=(None, None), method="highs")
+        assert lp.status == 0
+        rows, diag = _lp_blocks(g0, C)
+        res = solve_conic(rows, c)
+        assert res.status == "optimal"
+        assert abs(res.objective - lp.fun) <= 1e-6 * max(1.0, abs(lp.fun))
+        same = solve_conic(diag, c)
+        assert same.iterations == res.iterations
+        assert np.max(np.abs(same.y - res.y)) <= 1e-9
+        # Feasibility (c = 0) of rows h0 + C' y that y = 0 violates (the row of
+        # the largest |v| reads -0.1 there, the least of them) and another
+        # point meets with margin 0.5: the first iterate that passes the
+        # orthant's positivity test is returned, so it must meet every row.
+        u = rng.normal(size=m)
+        v = C.T @ u
+        h0 = 0.5 - C.T @ (0.6 * u / v[np.argmax(np.abs(v))])
+        feas = solve_conic(_lp_blocks(h0, C)[0], np.zeros(m))
+        assert feas.status == "optimal"
+        assert np.min(h0 + C.T @ feas.y) > 0.0
+
+
+def test_infeasible_lp_returns_a_ray_in_caller_order():
+    # y >= 1 and -y >= 0: the ray weighs both rows equally.  Given as two
+    # 1x1 blocks it comes back one matrix per block; given as one diagonal
+    # block it comes back on that block's diagonal, zero off it.
+    rows, diag = _lp_blocks(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]))
+    for blocks in (rows, diag):
+        res = solve_conic(blocks, np.zeros(1))
+        assert res.status == "infeasible"
+        assert [Zb.shape for Zb in res.Z] == [(blk.order,) * 2 for blk in blocks]
+        assert check_farkas(blocks, res.Z, 1e-8) is not None
+        weights = np.concatenate([np.diag(Zb) for Zb in res.Z])
+        assert np.max(np.abs(weights - 0.5)) <= 1e-6
+    assert res.Z[0][0, 1] == res.Z[0][1, 0] == 0.0
 
 
 def test_solve_conic_ray_in_caller_order(pendulum, pendulum_aug):
@@ -404,8 +464,8 @@ def _pendulum_system(pendulum, aug, theorem, d, nn=None):
 
 @pytest.mark.parametrize("theorem,stacks", [
     ("global", [(2, 13, 13)]),
-    ("local-fixed", [(3, 13, 13), (2, 1, 1)]),
-    ("local-range", [(3, 13, 13), (8, 1, 1)])])
+    ("local-fixed", [(3, 13, 13), (2,)]),
+    ("local-range", [(3, 13, 13), (8,)])])
 def test_pendulum_runs_in_packed_stacks(pendulum, pendulum_aug, d_ship,
                                         theorem, stacks):
     # Lambda_nn splits into 10 order-1 pieces.  First-fit decreasing into
@@ -413,6 +473,7 @@ def test_pendulum_runs_in_packed_stacks(pendulum, pendulum_aug, d_ship,
     # [13], [3, 1 x 10]; local-fixed [13], [3, 3, 3, 3, 1], [3, 3, 1 x 7]
     # and two order-1 pieces left over; local-range [13], [4, 4, 4, 1],
     # [4, 4, 3, 1, 1] and eight left over (Q_pd and seven of Lambda_nn).
+    # The order-1 pieces left over run as one orthant of vectors.
     system = _pendulum_system(pendulum, pendulum_aug, theorem, d_ship)
     blocks, _ = sdp._solver_blocks(system)
     groups = ipm._group(blocks, system.n_scalars)
@@ -422,15 +483,16 @@ def test_pendulum_runs_in_packed_stacks(pendulum, pendulum_aug, d_ship,
 def test_wide_lambda_runs_as_unpacked_order_one_pieces(pendulum, pendulum_aug,
                                                         d_ship):
     # At 40 neurons the largest order, 43, is above _PACK_MAX: nothing is
-    # packed, and Lambda_nn runs as 40 order-1 slots of one piece each.
+    # packed, and Lambda_nn runs as an orthant of 40, whose entries are the
+    # diagonal of Lambda_nn in order, in the caller's blocks laid end to end.
     wide = duplicated_nn(pendulum[1], 4, np.random.default_rng(2024))
     system = _pendulum_system(pendulum, pendulum_aug, "local-fixed", d_ship, wide)
     blocks, _ = sdp._solver_blocks(system)
     groups = ipm._group(blocks, system.n_scalars)
-    assert [grp.G0.shape for grp in groups] == [(1, 43, 43), (21, 3, 3), (40, 1, 1)]
+    assert [grp.G0.shape for grp in groups] == [(1, 43, 43), (21, 3, 3), (40,)]
     lam = [blk.name for blk in blocks].index("Lambda_nn")
-    assert [(s, b, idx.tolist()) for s, b, idx, _ in groups[-1].places] \
-        == [(i, lam, [i]) for i in range(40)]
+    start = sum(blk.order ** 2 for blk in blocks[:lam])
+    assert groups[-1].src.tolist() == [start + 41 * i for i in range(40)]
 
 
 def test_pack_and_unstack_return_every_caller_block():
@@ -448,8 +510,9 @@ def test_pack_and_unstack_return_every_caller_block():
                                np.stack([mask * _sym(rng, len(label))
                                          for _ in range(m)])))
     groups = ipm._group(blocks, m)
-    # bins [4], [3, 1], [3, 1], [2, 2]; [1, 1, 1] is not full and stays loose
-    assert [grp.G0.shape for grp in groups] == [(4, 4, 4), (3, 1, 1)]
+    # bins [4], [3, 1], [3, 1], [2, 2]; [1, 1, 1] is not full and its pieces
+    # run in the orthant
+    assert [grp.G0.shape for grp in groups] == [(4, 4, 4), (3,)]
 
     def back(stacks):
         return zip(ipm._unstack(blocks, groups, stacks), blocks, strict=True)
