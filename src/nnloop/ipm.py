@@ -13,16 +13,12 @@ Todd and Mizuno 1994), in the layout of CVXOPT's ``conelp`` (Vandenberghe
 2010).  Block b is read only from the ``G0`` (k, k), ``coeffs`` (m, k, k)
 and ``order`` of a :class:`nnloop.lmi.LMIBlock`; its margin ``delta`` is
 not read, so callers move it into G0.  One run from the infeasible start
-y = 0, S = Z = I, tau = kappa = 1 ends in either
-
-* an optimum: y/tau is primal feasible, Z/tau dual feasible and the gap is
-  small, or
-* an infeasibility ray: tau -> 0 while <G0, Z> < 0 and sum_b <G_{b,i}, Z_b>
-  -> 0, so the trace-normalized Z is a Farkas certificate that no y makes
-  every block positive definite.  The run stops on it as soon as, for the
-  trace-normalized Z, every |sum_b <G_{b,i}, Z_b>| / (1 + max|G_{.,i}|) is
-  within tol.  The caller re-checks the ray on its own data
-  (:func:`nnloop.sdp.check_farkas`).
+y = 0, S = Z = I, tau = kappa = 1 ends in an optimum (y/tau primal and
+Z/tau dual feasible, with a small gap) or in an infeasibility ray: tau -> 0
+while <G0, Z> < 0, and once every |sum_b <G_{b,i}, Z_b>| / (1 + max|G_{.,i}|)
+of the trace-normalized Z is within tol, that Z is a Farkas certificate that
+no y makes every block positive definite.  The caller re-checks the ray on
+its own data (:func:`nnloop.sdp.check_farkas`).
 
 Each iteration computes the Nesterov-Todd scaling R_b with
 R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
@@ -32,29 +28,25 @@ corrector with that factor (the tau column costs one extra back-solve).
 
 As in SDPT3, each block is split at entry into its irreducible diagonal
 pieces (a diagonal block such as Lambda_nn into order-1 pieces; the barrier
-and central path are the same), small pieces are packed block-diagonally
-into slots of the largest order (:func:`_group`), and slots of one order are
-stacked: R, R^-1, lambda, S, Z, the residuals and Ghat are (g, k, k) or
-(m, g, k, k) arrays, so each step makes one numpy call per slot order, not
-per block.  The slots of order 1 form one nonnegative orthant of vectors,
-scaled elementwise as conelp's linear cone: R is r with r^2 = sqrt(s/z), so
-s = r^2 lambda, z = lambda / r^2 and Ghat = G / r^2, and no step factors a
-matrix.  A ray is unstacked into the caller's blocks, zero off their pieces.
+and central path are the same), and small pieces are packed block-diagonally
+into slots of the largest order (:func:`_group`).  As in conelp, all cone
+entries form one flat vector: the slots of each order stacked (g, k, k) and
+raveled, then the order-1 slots as one nonnegative orthant, scaled
+elementwise (R is r with r^2 = sqrt(s/z), so Ghat = G / r^2).  With the
+coefficients one matrix F, the residuals, the Schur matrix and both Newton
+directions are one numpy call per iteration; S and Z, the congruences with
+R^-1, the step-length eigenvalues, the corrector's right-hand side and the NT
+update are one call per stack, on its view.  A ray is unstacked into the
+caller's blocks, zero off their pieces.
 
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
 the returned y passes an independent eigenvalue check without a re-solve.
-A run ends in one of five ways:
-
-* "optimal": an iterate meets the tolerances and its blocks, as given, pass
-  a Cholesky factorization (for c = 0 any such iterate is optimal);
-* "infeasible": the ray test above passes;
-* "stalled": a step is shorter than ``_STALL``;
-* "stalled": a factorization fails or the data overflow to inf or nan;
-* "max_iter": ``MAX_ITER`` iterations pass.
-
-A stalled or max_iter run returns the lowest-objective iterate whose blocks
-passed Cholesky, if any.
+A run ends "optimal" (an iterate meets the tolerances and its blocks, as
+given, pass a Cholesky factorization; for c = 0 any such iterate),
+"infeasible" (the ray test), "stalled" (a step shorter than ``_STALL``, a
+failed factorization, data overflowed to inf or nan) or "max_iter"; the last
+two return the lowest-objective iterate whose blocks passed Cholesky, if any.
 """
 
 from __future__ import annotations
@@ -75,11 +67,13 @@ _STALL = 1e-8     # a step shorter than this makes no progress
 MIN_TOL = 1e-12
 MAX_ITER = 200    # iterations before a run ends as "max_iter"
 # Pieces are packed into shared orders only when the largest piece has order
-# at most this.  Packing trades per-stack numpy dispatch for dense k^3 work in
-# the bins: with one BLAS thread it made the pendulum solves (largest order
-# 13) 0-30% faster, and the local solves of the 20- and 40-neuron duplicates
-# (orders 23 and 43) 18-130% slower, than their unpacked pieces.
+# at most this.  Packing trades per-stack numpy dispatch for dense k^3 work:
+# it made the pendulum solves (largest order 13) 0-30% faster, and the local
+# solves of the 20- and 40-neuron duplicates (orders 23, 43) 18-130% slower.
 _PACK_MAX = 16
+# Coefficient rows per congruence: the product R^-1 G of all rows at once
+# is a third buffer of the coefficients' size (35 MB at 160 neurons).
+_ROWS = 16
 
 
 @dataclass
@@ -95,16 +89,26 @@ class IPMResult:
 
 
 class _Group:
-    """The slots of one order k, stacked: G0 (g, k, k), coefficients
-    C (m, g, k, k) and their flattening F = C.reshape(m, g k k), a view, with
-    F @ X.ravel() = (sum_s <C_{i,s}, X_s>)_i for a stack X.  The orthant, the
-    slots of order 1, has G0 (g,) and C (m, g).  ``src``, of G0's shape, maps
-    each entry to its flat index in the caller's blocks laid end to end,
-    G0s, and to its column of Cs; index -1 is a zero after them."""
+    """The slots of one order k, stacked (g, k, k), or the orthant of the
+    slots of order 1, (g,), at entries ``at`` of the flat cone vector.
+    ``src`` maps each entry to its flat index in the caller's blocks laid end
+    to end (-1: a zero between pieces); G0 and C are views of the cone's."""
 
-    def __init__(self, src, G0s, Cs):
-        self.src, self.G0, self.C = src, G0s[src], np.take(Cs, src, axis=1)
-        self.F = self.C.reshape(len(Cs), -1)
+    def __init__(self, src, at):
+        self.src, self.shape, self.orthant = src, src.shape, src.ndim == 1
+        self.at = slice(at, at + src.size)
+
+    def view(self, x):
+        """The stack's entries of x (..., N), shaped (..., g, k, k) or (..., g)."""
+        return x[..., self.at].reshape(x.shape[:-1] + self.shape)
+
+
+class _Cone(list):
+    """The stacks of :func:`_group`, laid end to end in one flat vector of
+    length N.  Rows :m of F (m + 2, N) hold the coefficients, so F[:m] @ X =
+    (sum_b <G_{b,i}, X_b>)_i; the solver keeps the shifted G0 in row m and
+    rz in row m + 1, for one congruence to scale all three.  ``eye`` is the
+    flat identity, ``diag`` its nonzero entries, T[e] the transpose of e."""
 
 
 def _pieces(blk):
@@ -130,7 +134,8 @@ def _group(blocks, m):
     equal ones, and placed first-fit into bins of the largest order k when
     k <= _PACK_MAX; a bin is kept as a slot only when its pieces fill it
     exactly, and every other piece is a slot of its own.  A piece is held as
-    the flat indices of its entries in the caller's blocks laid end to end."""
+    the flat indices of its entries in the caller's blocks laid end to end,
+    through which the cone's G0 and F are gathered straight from the blocks."""
     start = np.cumsum([0] + [blk.order ** 2 for blk in blocks])
     pieces = sorted((start[b] + blk.order * idx[:, None] + idx
                      for b, blk in enumerate(blocks) for idx in _pieces(blk)),
@@ -147,9 +152,6 @@ def _group(blocks, m):
     slots = [slot for room, *bn in bins
              for slot in ([bn] if room == 0 else [[piece] for piece in bn])]
     orders = [sum(map(len, slot)) for slot in slots]
-    G0s = np.concatenate([blk.G0.ravel() for blk in blocks] + [np.zeros(1)])
-    Cs = np.concatenate([blk.coeffs.reshape(m, -1) for blk in blocks]
-                        + [np.zeros((m, 1))], axis=1)
     groups = []
     for order in dict.fromkeys(orders):
         src = np.full((orders.count(order), order, order), -1)
@@ -157,8 +159,23 @@ def _group(blocks, m):
             at = np.cumsum([0] + [len(piece) for piece in slot])
             for piece, lo, hi in zip(slot, at, at[1:]):
                 src[s, lo:hi, lo:hi] = piece
-        groups.append(_Group(src if order > 1 else src.ravel(), G0s, Cs))
-    return groups
+        groups.append(_Group(src if order > 1 else src.ravel(),
+                             groups[-1].at.stop if groups else 0))
+    src = np.concatenate([grp.src.ravel() for grp in groups])
+    srcf, cone, N = src.astype(float), _Cone(groups), len(src)  # float as in _pieces
+    cone.G0, cone.eye, cone.T = np.zeros(N), np.zeros(N), np.arange(N)
+    cone.F = np.zeros((m + 2, N))
+    for blk, lo, hi in zip(blocks, start, start[1:]):
+        at = np.flatnonzero((srcf >= lo) & (srcf < hi))
+        cone.G0[at] = blk.G0.ravel()[src[at] - lo]
+        cone.F[:m, at] = blk.coeffs.reshape(m, -1)[:, src[at] - lo]
+    for grp in groups:
+        grp.G0, grp.C = grp.view(cone.G0), grp.view(cone.F[:m])
+        grp.view(cone.eye)[...] = 1.0 if grp.orthant else np.eye(grp.shape[-1])
+        if not grp.orthant:
+            grp.view(cone.T)[...] = grp.view(cone.T).transpose(0, 2, 1).copy()
+    cone.diag = np.flatnonzero(cone.eye)
+    return cone
 
 
 def _unstack(blocks, groups, Xs):
@@ -172,128 +189,113 @@ def _unstack(blocks, groups, Xs):
             for part, blk in zip(np.split(flat, np.cumsum(sizes)), blocks)]
 
 
-def _positive_definite(groups, y) -> bool:
+def _positive_definite(cone, y) -> bool:
+    S = cone.G0 + y.dot(cone.F[:len(y)])
     try:
-        for grp in groups:
-            S = grp.G0 + (y @ grp.F).reshape(grp.G0.shape)
-            if S.ndim == 3:
-                np.linalg.cholesky(S)
-            elif not np.all(S > 0.0):
+        for grp in cone:
+            if grp.orthant and not np.all(grp.view(S) > 0.0):
                 return False
+            if not grp.orthant:
+                np.linalg.cholesky(grp.view(S))
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(np.isfinite(y)))  # Cholesky passes NaN through
 
 
-def _cholesky(H):
-    """Lower Cholesky factor of H by LAPACK ``dpotrf``.  Like
-    ``scipy.linalg.cho_factor`` it raises ValueError for a non-finite H and
-    LinAlgError for one that is not positive definite."""
-    if not np.isfinite(H).all():
+def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
+    """Mehrotra predictor-corrector step from the NT-scaled point (W holds
+    each stack's R and R^-T, lam the lambda of each entry's column): the new
+    W, lam and dy, dtau, dkappa, alpha, or None if the step is too short."""
+    # Scale the rows of F into Gh as Ghat = R^-1 G R^-T; their Gram matrix
+    # holds the Schur matrix H, g = Ghat G0h and <G0h, G0h>.
+    m = len(c)
+    for grp, Wg in zip(cone, W):
+        X, out, Rit = grp.view(cone.F), grp.view(Gh), Wg[1]  # Rit = R^-T
+        if grp.orthant:
+            np.multiply(X * Rit, Rit, out=out)
+            continue
+        for i in range(0, m + 2, _ROWS):
+            np.matmul(Rit.swapaxes(1, 2) @ X[i:i + _ROWS], Rit, out=out[i:i + _ROWS])
+    gram = Gh[:m + 1] @ Gh[:m + 1].T
+    if not np.isfinite(gram[:m, :m]).all():  # LAPACK dpotrf, checked as cho_factor
         raise ValueError("Schur matrix is not finite")
-    L, info = dpotrf(H, lower=1, clean=0)
+    fac, info = dpotrf(gram[:m, :m], lower=1, clean=0)
     if info > 0:
-        raise np.linalg.LinAlgError(
-            f"Schur matrix is not positive definite (leading minor {info})")
-    return L
-
-
-def _scaled(Ri, X):
-    """Ri X Ri' slot by slot, and elementwise in the orthant."""
-    return X * Ri * Ri if Ri.ndim == 1 else Ri @ X @ Ri.swapaxes(1, 2)
-
-
-def _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa, rx, rz, rt, mu):
-    """Mehrotra predictor-corrector step from the NT-scaled point: the new R,
-    Rinv, lam and dy, dtau, dkappa, alpha, or None if the step is too short."""
-    # Schur matrix of the NT-scaled coefficients Ghat = R^-1 G R^-T, factored
-    # once; each group's Ghat is flattened to (m, g k k) like its F.
-    Gh = [_scaled(Ri, grp.C).reshape(len(c), -1) for Ri, grp in zip(Rinv, groups)]
-    G0h = [_scaled(Ri, Gg).ravel() for Ri, Gg in zip(Rinv, G0)]
-    rzh = [_scaled(Ri, r).ravel() for Ri, r in zip(Rinv, rz)]
-    H = sum(G @ G.T for G in Gh)
-    g = sum(G @ G0g for G, G0g in zip(Gh, G0h))
-    g00 = sum(float(G0g @ G0g) for G0g in G0h)
-    fac = _cholesky(H)
+        raise np.linalg.LinAlgError(f"Schur matrix is not positive definite ({info})")
+    g, rzh = gram[:m, m], Gh[m + 1]
     q = dpotrs(fac, c + g, lower=1)[0]
-    denom = float((c - g) @ q) + g00 + kappa / tau
+    denom = float((c - g).dot(q)) + float(gram[m, m]) + kappa / tau
 
     def direction(eta, rc, rtk):
         """Newton direction for residual reduction eta and scaled
-        complementarity right-hand sides rc (blocks) and rtk (tau kappa)."""
-        t = [rcg.ravel() + eta * r for rcg, r in zip(rc, rzh)]
-        f = sum(G @ tg for G, tg in zip(Gh, t)) + eta * rx
-        h = -eta * rt - rtk / tau - sum(float(G0g @ tg) for G0g, tg in zip(G0h, t))
-        p = dpotrs(fac, f, lower=1)[0]
-        dtau = (float((c - g) @ p) - h) / denom
+        complementarity right-hand sides rc and rtk, with ds, dz as (2, N)."""
+        t = rc + eta * rzh
+        ft = Gh[:m + 1].dot(t)
+        h = -eta * rt - rtk / tau - float(ft[m])
+        p = dpotrs(fac, ft[:m] + eta * rx, lower=1)[0]
+        dtau = (float((c - g).dot(p)) - h) / denom
         dy = p - q * dtau
-        dz = [(tg - G0g * dtau - dy @ G).reshape(rcg.shape)
-              for tg, G0g, G, rcg in zip(t, G0h, Gh, rc)]
-        dz = [D if D.ndim == 1 else 0.5 * (D + D.swapaxes(1, 2)) for D in dz]
-        ds = [rcg - D for rcg, D in zip(rc, dz)]
-        dkappa = (rtk - kappa * dtau) / tau
-        return dy, ds, dz, dtau, dkappa
+        dz = t - np.append(dy, dtau).dot(Gh[:m + 1])
+        dz = 0.5 * (dz + dz[cone.T])
+        dsz = np.concatenate((rc - dz, dz)).reshape(2, -1)
+        return dy, dsz, dtau, (rtk - kappa * dtau) / tau
 
     # diag(lam) + a D stays PSD up to a = -1 / min eig(D / sqrt(lam lam')),
     # and in the orthant up to a = -1 / min(D / lam).
-    scale = [lg if lg.ndim == 1 else np.sqrt(lg[:, :, None] * lg[:, None, :])
-             for lg in lam]
+    lam_row = lam[cone.T]
+    scale = np.sqrt(lam_row * lam)
 
     def step_length(d):
         """Largest a keeping diag(lam) + a (ds, dz) PSD and tau, kappa >= 0."""
-        _, ds, dz, dtau, dkappa = d
-        w = min((np.minimum(dsg, dzg) / sc).min() if sc.ndim == 1 else
-                np.linalg.eigvalsh(np.concatenate([dsg / sc, dzg / sc]))[:, 0].min()
-                for sc, dsg, dzg in zip(scale, ds, dz))
-        a = np.inf if w >= 0.0 else -1.0 / w
-        if dtau < 0.0:
-            a = min(a, -tau / dtau)
-        if dkappa < 0.0:
-            a = min(a, -kappa / dkappa)
-        return a
+        _, dsz, dtau, dkappa = d
+        Q = dsz / scale
+        w = min(grp.view(Q).min() if grp.orthant else
+                np.linalg.eigvalsh(grp.view(Q))[..., 0].min() for grp in cone)
+        return min([np.inf if w >= 0.0 else -1.0 / w]
+                   + [-x / dx for x, dx in ((tau, dtau), (kappa, dkappa)) if dx < 0.0])
 
-    # Predictor (affine scaling), then the Mehrotra combined step.
-    diag = [lg if lg.ndim == 1 else eye * lg[:, None, :] for eye, lg in zip(eyes, lam)]
-    aff = direction(1.0, [-D for D in diag], -tau * kappa)
+    # Predictor (affine scaling), then the Mehrotra combined step, whose
+    # right-hand side 2 (sigma mu I - D^2 - sym(dsa dza)) / (lam_i + lam_j) is
+    # (sigma mu - lam^2 - dsa dza) / lam in the orthant.
+    diag = cone.eye * lam
+    aff = direction(1.0, -diag, -tau * kappa)
     sigma = (1.0 - min(1.0, step_length(aff))) ** _EXPON
-    rc = [(sigma * mu - D * D - dsa * dza) / lg if lg.ndim == 1 else
-          2.0 * (sigma * mu * eye - D * D - 0.5 * (dsa @ dza + dza @ dsa))
-          / (lg[:, :, None] + lg[:, None, :])
-          for eye, lg, D, dsa, dza in zip(eyes, lam, diag, aff[1], aff[2])]
-    d = direction(1.0 - sigma, rc, sigma * mu - tau * kappa - aff[3] * aff[4])
+    sym = np.empty(len(lam))
+    for grp in cone:
+        dsa, dza = grp.view(aff[1])
+        grp.view(sym)[...] = dsa * dza if grp.orthant else 0.5 * (dsa @ dza + dza @ dsa)
+    rc = 2.0 * (sigma * mu * cone.eye - diag * diag - sym) / (lam_row + lam)
+    d = direction(1.0 - sigma, rc, sigma * mu - tau * kappa - aff[2] * aff[3])
     alpha = min(1.0, _STEP * step_length(d))
     if alpha < _STALL:
         return None
 
     # NT update, as in conelp: with L1 L1' = diag(lam) + alpha ds,
     # L2 L2' = diag(lam) + alpha dz and L2' L1 = U diag(lam_new) V', the new
-    # scalings are R L1 V diag(lam_new)^-1/2 and diag(lam_new)^-1/2 U' L2' R^-1,
-    # so the new S and Z follow from L1 and L2 alone (vectors in the orthant).
-    dy, ds, dz, dtau, dkappa = d
-    R_new, Rinv_new, lam_new = [], [], []
-    for Rg, Ri, D, dsg, dzg in zip(R, Rinv, diag, ds, dz):
-        if D.ndim == 1:
-            L1, L2 = np.sqrt(D + alpha * dsg), np.sqrt(D + alpha * dzg)
-            R_new.append(Rg * L1 / np.sqrt(L1 * L2))
-            Rinv_new.append(L2 * Ri / np.sqrt(L1 * L2))
-            lam_new.append(L1 * L2)
-            continue
-        L = np.linalg.cholesky(np.concatenate([D + alpha * dsg, D + alpha * dzg]))
-        L1, L2 = L[:len(D)], L[len(D):]
-        U, lg, Vt = np.linalg.svd(L2.swapaxes(1, 2) @ L1)
-        root = np.sqrt(lg)
-        R_new.append((Rg @ L1 @ Vt.swapaxes(1, 2)) / root[:, None, :])
-        Rinv_new.append((U.swapaxes(1, 2) @ L2.swapaxes(1, 2) @ Ri) / root[:, :, None])
-        lam_new.append(lg)
-    return R_new, Rinv_new, lam_new, dy, dtau, dkappa, alpha
+    # R and R^-T are R L1 V and R^-T L2 U, columns divided by sqrt(lam_new)
+    # (vectors in the orthant).
+    dy, dsz, dtau, dkappa = d
+    ahead = diag + alpha * dsz
+    W_new, lam_new = [], np.empty_like(lam)
+    for grp, Wg in zip(cone, W):
+        if grp.orthant:
+            L = np.sqrt(grp.view(ahead))
+            lg, WL = L[0] * L[1], Wg * L
+        else:
+            L = np.linalg.cholesky(grp.view(ahead))
+            U, lg, Vt = np.linalg.svd(L[1].swapaxes(1, 2) @ L[0])
+            lg, VU = lg[:, None, :], np.concatenate((Vt, U.swapaxes(1, 2)))
+            WL = Wg @ L @ VU.reshape(L.shape).swapaxes(2, 3)
+        W_new.append(WL / np.sqrt(lg))
+        grp.view(lam_new)[...] = lg
+    return W_new, lam_new, dy, dtau, dkappa, alpha
 
 
 def check_tol(tol: float) -> None:
     """Refuse a tolerance below MIN_TOL with UnattainableTolerance."""
     if tol < MIN_TOL:
-        raise UnattainableTolerance(
-            f"tol below {MIN_TOL:g} is not attainable in double precision "
-            f"(got {tol:g})")
+        raise UnattainableTolerance(f"tol below {MIN_TOL:g} is not attainable in "
+                                    f"double precision (got {tol:g})")
 
 
 # An objective too large for double precision (say --gamma 1e300) overflows
@@ -304,54 +306,53 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
     check_tol(tol)
     c = np.asarray(c, dtype=float)
-    groups = _group(blocks, len(c))
-    eyes = [1.0 if grp.G0.ndim == 1 else np.eye(len(grp.G0[0])) for grp in groups]
-    G0 = [grp.G0 - tol * eye for grp, eye in zip(groups, eyes)]
+    m = len(c)
+    cone = _group(blocks, m)
+    F = cone.F
+    F[m] = cone.G0 - tol * cone.eye
     # Per-variable scale of the ray's relative equality residual.
-    col_scale = 1.0 + np.max([np.abs(grp.F).max(axis=1) for grp in groups], axis=0)
+    col_scale = 1.0 + np.maximum(F[:m].max(axis=1), -F[:m].min(axis=1))
     nu = sum(blk.order for blk in blocks) + 1
-    res_x0 = max(1.0, float(np.linalg.norm(c)))
-    res_z0 = max(1.0, float(np.sqrt(sum(np.sum(G * G) for G in G0))))
-    feasibility = not np.any(c)
+    res_x0, res_z0 = (max(1.0, float(np.linalg.norm(v))) for v in (c, F[m]))
 
-    y = np.zeros(len(c))
-    tau = kappa = 1.0
-    R = [np.broadcast_to(eye, grp.G0.shape).copy() for eye, grp in zip(eyes, groups)]
-    Rinv = [Rg.copy() for Rg in R]
-    lam = [np.ones(grp.G0.shape[:2]) for grp in groups]
-    best = None      # IPMResult of the lowest-objective iterate passing Cholesky
-    status = "max_iter"
+    y, tau, kappa = np.zeros(m), 1.0, 1.0
+    W = [np.stack([grp.view(cone.eye)] * 2) for grp in cone]  # R and R^-T
+    lam = np.ones(F.shape[1])
+    SZ, Gh = np.empty((2, F.shape[1])), np.empty_like(F)
+    best, status = None, "max_iter"  # best: lowest-objective iterate passing Cholesky
 
     for it in range(MAX_ITER + 1):
-        S = [Rg * lg * Rg if lg.ndim == 1 else (Rg * lg[:, None, :]) @ Rg.swapaxes(1, 2)
-             for Rg, lg in zip(R, lam)]
-        Z = [Ri * lg * Ri if lg.ndim == 1 else (Ri.swapaxes(1, 2) * lg[:, None, :]) @ Ri
-             for Ri, lg in zip(Rinv, lam)]
-        rx = sum(grp.F @ Zg.ravel() for grp, Zg in zip(groups, Z)) - c * tau
-        rz = [Sg - Gg * tau - (y @ grp.F).reshape(Sg.shape)
-              for Sg, Gg, grp in zip(S, G0, groups)]
-        rt = kappa + float(c @ y) + sum(float(np.vdot(Gg, Zg)) for Gg, Zg in zip(G0, Z))
-        sz = sum(float(np.vdot(lg, lg)) for lg in lam)
+        # S = R diag(lam) R' and Z = R^-T diag(lam) R^-1, one product per stack.
+        for grp, Wg in zip(cone, W):
+            if grp.orthant:
+                np.multiply(Wg * grp.view(lam), Wg, out=grp.view(SZ))
+            else:
+                np.matmul(Wg * grp.view(lam), Wg.swapaxes(2, 3), out=grp.view(SZ))
+        S, Z = SZ
+        FZ = F[:m + 1].dot(Z)
+        rx = FZ[:m] - c * tau
+        rz = np.subtract(S - F[m] * tau, y.dot(F[:m]), out=F[m + 1])
+        rt = kappa + float(c.dot(y)) + float(FZ[m])
+        sz = float(lam[cone.diag].dot(lam[cone.diag]))
         mu = (sz + tau * kappa) / nu
 
-        p_res = float(np.sqrt(sum(np.sum(r * r) for r in rz))) / res_z0
-        d_res = float(np.linalg.norm(rx)) / res_x0
         y_hat = y / tau
-        obj = float(c @ y_hat)
+        obj = float(c.dot(y_hat))
         now = IPMResult("optimal", y_hat, [], obj, sz / tau**2 / max(1.0, abs(obj)),
-                        p_res / tau, d_res / tau, it)
-        if _positive_definite(groups, y_hat):
-            if feasibility or max(now.pres, now.dres, now.rel_gap) <= tol:
+                        float(np.linalg.norm(rz)) / res_z0 / tau,
+                        float(np.linalg.norm(rx)) / res_x0 / tau, it)
+        if _positive_definite(cone, y_hat):
+            if not c.any() or max(now.pres, now.dres, now.rel_gap) <= tol:
                 return now
             if best is None or now.objective <= best.objective:
                 best = now
-        # A ray is accepted once the equality residual (rx + c tau) / tr of the
+        # A ray is accepted once the equality residual F Z / tr of the
         # trace-normalized Z is down to tol, the accuracy asked of every other
         # residual; the caller's check allows 1e3 tol, slack for its scaling.
-        if sum(float(np.vdot(grp.G0, Zg)) for grp, Zg in zip(groups, Z)) < 0.0:
-            tr = sum(float((Zg * eye).sum()) for Zg, eye in zip(Z, eyes))
-            if np.max(np.abs(rx + c * tau) / (tr * col_scale), initial=0.0) <= tol:
-                ray = _unstack(blocks, groups, [Zg / tr for Zg in Z])
+        if float(cone.G0.dot(Z)) < 0.0:
+            tr = float(cone.eye.dot(Z))
+            if np.max(np.abs(FZ[:m]) / (tr * col_scale), initial=0.0) <= tol:
+                ray = _unstack(blocks, cone, [grp.view(Z / tr) for grp in cone])
                 return IPMResult("infeasible", None, ray,
                                  now.objective, now.rel_gap, now.pres, now.dres, it)
         if it == MAX_ITER:
@@ -359,14 +360,13 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
 
         # A failed factorization or data overflowed to inf/nan is a stall.
         try:
-            step = _newton_step(groups, eyes, G0, c, R, Rinv, lam, tau, kappa,
-                                rx, rz, rt, mu)
+            step = _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh)
         except (np.linalg.LinAlgError, ValueError):
             step = None
         if step is None:
             status = "stalled"
             break
-        R, Rinv, lam, dy, dtau, dkappa, alpha = step
+        W, lam, dy, dtau, dkappa, alpha = step
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
