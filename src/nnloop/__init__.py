@@ -63,7 +63,6 @@ from .roa import (
     contains,
     joint_contains,
     joint_ellipsoid_for,
-    schur_row_check,
     slice_at,
 )
 from .sdp import (

@@ -71,8 +71,8 @@ MAX_ITER = 200    # iterations before a run ends as "max_iter"
 # it made the pendulum solves (largest order 13) 0-30% faster, and the local
 # solves of the 20- and 40-neuron duplicates (orders 23, 43) 18-130% slower.
 _PACK_MAX = 16
-# Coefficient rows per congruence: the product R^-1 G of all rows at once
-# is a third buffer of the coefficients' size (35 MB at 160 neurons).
+# Coefficient rows per gather at entry and per congruence R^-1 G R^-T: all
+# rows at once make a temporary the size of the coefficients (peak memory).
 _ROWS = 16
 
 
@@ -167,8 +167,10 @@ def _group(blocks, m):
     cone.F = np.zeros((m + 2, N))
     for blk, lo, hi in zip(blocks, start, start[1:]):
         at = np.flatnonzero((srcf >= lo) & (srcf < hi))
-        cone.G0[at] = blk.G0.ravel()[src[at] - lo]
-        cone.F[:m, at] = blk.coeffs.reshape(m, -1)[:, src[at] - lo]
+        idx, C = src[at] - lo, blk.coeffs.reshape(m, -1)
+        cone.G0[at] = blk.G0.ravel()[idx]
+        for i in range(0, m, _ROWS):
+            cone.F[i:min(i + _ROWS, m), at] = C[i:i + _ROWS, idx]
     for grp in groups:
         grp.G0, grp.C = grp.view(cone.G0), grp.view(cone.F[:m])
         grp.view(cone.eye)[...] = 1.0 if grp.orthant else np.eye(grp.shape[-1])
@@ -306,8 +308,7 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
     check_tol(tol)
     c = np.asarray(c, dtype=float)
-    m = len(c)
-    cone = _group(blocks, m)
+    m, cone = len(c), _group(blocks, len(c))
     F = cone.F
     F[m] = cone.G0 - tol * cone.eye
     # Per-variable scale of the ray's relative equality residual.
@@ -317,8 +318,7 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
 
     y, tau, kappa = np.zeros(m), 1.0, 1.0
     W = [np.stack([grp.view(cone.eye)] * 2) for grp in cone]  # R and R^-T
-    lam = np.ones(F.shape[1])
-    SZ, Gh = np.empty((2, F.shape[1])), np.empty_like(F)
+    lam, SZ, Gh = np.ones(F.shape[1]), np.empty((2, F.shape[1])), np.empty_like(F)
     best, status = None, "max_iter"  # best: lowest-objective iterate passing Cholesky
 
     for it in range(MAX_ITER + 1):

@@ -264,28 +264,6 @@ def joint_ellipsoid_for(plant, nn, k_xi, P, Q, r_nom) -> JointEllipsoid:
         steady_state_map(plant), nn, k_xi))
 
 
-def schur_row_check(P: np.ndarray, rows: np.ndarray, d, Q=None,
-                    atol: float = 0.0) -> np.ndarray:
-    """Row-wise containment test row_j blkdiag(P, Q)^-1 row_j' <= d_j^2.
-
-    Equivalent (by the Schur complement) to positive semidefiniteness of the
-    blocks [[d_j^2, row_j], [row_j', blkdiag(P, Q)]]; used as an independent
-    cross-check of the containment rows in the local LMI systems.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    d = np.broadcast_to(np.asarray(d, dtype=float), (rows.shape[0],))
-    M = np.asarray(P, dtype=float)
-    if Q is not None:
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        M = np.block([
-            [M, np.zeros((M.shape[0], Q.shape[1]))],
-            [np.zeros((Q.shape[0], M.shape[1])), Q],
-        ])
-    sol = np.linalg.solve(M, rows.T)
-    vals = np.einsum("ij,ji->i", rows, sol)
-    return vals <= d**2 + atol
-
-
 def boundary_polyline(E: Ellipsoid, dims: tuple = (0, 1),
                       n_points: int = 128) -> np.ndarray:
     """Closed polyline on the boundary of the (i, j)-coordinate projection.

