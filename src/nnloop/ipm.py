@@ -195,10 +195,10 @@ def _positive_definite(cone, y) -> bool:
     S = cone.G0 + y.dot(cone.F[:len(y)])
     try:
         for grp in cone:
-            if grp.orthant and not np.all(grp.view(S) > 0.0):
-                return False
             if not grp.orthant:
                 np.linalg.cholesky(grp.view(S))
+            elif not np.all(grp.view(S) > 0.0):
+                return False
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(np.isfinite(y)))  # Cholesky passes NaN through
@@ -219,7 +219,7 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
         for i in range(0, m + 2, _ROWS):
             np.matmul(Rit.swapaxes(1, 2) @ X[i:i + _ROWS], Rit, out=out[i:i + _ROWS])
     gram = Gh[:m + 1] @ Gh[:m + 1].T
-    if not np.isfinite(gram[:m, :m]).all():  # LAPACK dpotrf, checked as cho_factor
+    if not np.isfinite(gram[:m, :m]).all():  # H by dpotrf, raising as cho_factor
         raise ValueError("Schur matrix is not finite")
     fac, info = dpotrf(gram[:m, :m], lower=1, clean=0)
     if info > 0:
