@@ -13,12 +13,16 @@ Todd and Mizuno 1994), in the layout of CVXOPT's ``conelp`` (Vandenberghe
 2010).  Block b is read only from the ``G0`` (k, k), ``coeffs`` (m, k, k)
 and ``order`` of a :class:`nnloop.lmi.LMIBlock`; its margin ``delta`` is
 not read, so callers move it into G0.  One run from the infeasible start
-y = 0, S = Z = I, tau = kappa = 1 ends in an optimum (y/tau primal and
-Z/tau dual feasible, with a small gap) or in an infeasibility ray: tau -> 0
-while <G0, Z> < 0, and once every |sum_b <G_{b,i}, Z_b>| / (1 + max|G_{.,i}|)
-of the trace-normalized Z is within tol, that Z is a Farkas certificate that
-no y makes every block positive definite.  The caller re-checks the ray on
-its own data (:func:`nnloop.sdp.check_farkas`).
+y = 0, S = Z = I, tau = kappa = 1 ends in either
+
+* an optimum: y/tau is primal feasible, Z/tau dual feasible and the gap is
+  small, or
+* an infeasibility ray: tau -> 0 while <G0, Z> < 0 and sum_b <G_{b,i}, Z_b>
+  -> 0, so the trace-normalized Z is a Farkas certificate that no y makes
+  every block positive definite.  The run stops on it as soon as, for the
+  trace-normalized Z, every |sum_b <G_{b,i}, Z_b>| / (1 + max|G_{.,i}|) is
+  within tol.  The caller re-checks the ray on its own data
+  (:func:`nnloop.sdp.check_farkas`).
 
 Each iteration computes the Nesterov-Todd scaling R_b with
 R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
@@ -42,11 +46,17 @@ caller's blocks, zero off their pieces.
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
 the returned y passes an independent eigenvalue check without a re-solve.
-A run ends "optimal" (an iterate meets the tolerances and its blocks, as
-given, pass a Cholesky factorization; for c = 0 any such iterate),
-"infeasible" (the ray test), "stalled" (a step shorter than ``_STALL``, a
-failed factorization, data overflowed to inf or nan) or "max_iter"; the last
-two return the lowest-objective iterate whose blocks passed Cholesky, if any.
+A run ends in one of five ways:
+
+* "optimal": an iterate meets the tolerances and its blocks, as given, pass
+  a Cholesky factorization (for c = 0 any such iterate is optimal);
+* "infeasible": the ray test above passes;
+* "stalled": a step is shorter than ``_STALL``;
+* "stalled": a factorization fails or the data overflow to inf or nan;
+* "max_iter": ``MAX_ITER`` iterations pass.
+
+A stalled or max_iter run returns the lowest-objective iterate whose blocks
+passed Cholesky, if any.
 """
 
 from __future__ import annotations
@@ -67,12 +77,15 @@ _STALL = 1e-8     # a step shorter than this makes no progress
 MIN_TOL = 1e-12
 MAX_ITER = 200    # iterations before a run ends as "max_iter"
 # Pieces are packed into shared orders only when the largest piece has order
-# at most this.  Packing trades per-stack numpy dispatch for dense k^3 work:
-# it made the pendulum solves (largest order 13) 0-30% faster, and the local
-# solves of the 20- and 40-neuron duplicates (orders 23, 43) 18-130% slower.
+# at most this.  Packing trades per-stack numpy dispatch for dense k^3 work in
+# the bins: with one BLAS thread it made the pendulum solves (largest order
+# 13) 0-30% faster, and the local solves of the 20- and 40-neuron duplicates
+# (orders 23 and 43) 18-130% slower, than their unpacked pieces.
 _PACK_MAX = 16
 # Coefficient rows per gather at entry and per congruence R^-1 G R^-T: all
-# rows at once make a temporary the size of the coefficients (peak memory).
+# rows at once make a temporary the size of the coefficients.  With one BLAS
+# thread, the congruence in one matmul per stack raised the peak memory of the
+# 80- and 160-neuron local solves by 5 and 33 MB, and 8 to 64 rows ran as fast.
 _ROWS = 16
 
 
@@ -296,8 +309,9 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
 def check_tol(tol: float) -> None:
     """Refuse a tolerance below MIN_TOL with UnattainableTolerance."""
     if tol < MIN_TOL:
-        raise UnattainableTolerance(f"tol below {MIN_TOL:g} is not attainable in "
-                                    f"double precision (got {tol:g})")
+        raise UnattainableTolerance(
+            f"tol below {MIN_TOL:g} is not attainable in double precision "
+            f"(got {tol:g})")
 
 
 # An objective too large for double precision (say --gamma 1e300) overflows
@@ -308,18 +322,25 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
     check_tol(tol)
     c = np.asarray(c, dtype=float)
-    m, cone = len(c), _group(blocks, len(c))
+    m = len(c)
+    cone = _group(blocks, m)
     F = cone.F
     F[m] = cone.G0 - tol * cone.eye
     # Per-variable scale of the ray's relative equality residual.
     col_scale = 1.0 + np.maximum(F[:m].max(axis=1), -F[:m].min(axis=1))
     nu = sum(blk.order for blk in blocks) + 1
-    res_x0, res_z0 = (max(1.0, float(np.linalg.norm(v))) for v in (c, F[m]))
+    res_x0 = max(1.0, float(np.linalg.norm(c)))
+    res_z0 = max(1.0, float(np.linalg.norm(F[m])))
+    feasibility = not np.any(c)
 
-    y, tau, kappa = np.zeros(m), 1.0, 1.0
+    y = np.zeros(m)
+    tau = kappa = 1.0
     W = [np.stack([grp.view(cone.eye)] * 2) for grp in cone]  # R and R^-T
-    lam, SZ, Gh = np.ones(F.shape[1]), np.empty((2, F.shape[1])), np.empty_like(F)
-    best, status = None, "max_iter"  # best: lowest-objective iterate passing Cholesky
+    lam = np.ones(F.shape[1])
+    SZ = np.empty((2, F.shape[1]))
+    Gh = np.empty_like(F)  # the scaled rows of F, Ghat
+    best = None      # IPMResult of the lowest-objective iterate passing Cholesky
+    status = "max_iter"
 
     for it in range(MAX_ITER + 1):
         # S = R diag(lam) R' and Z = R^-T diag(lam) R^-1, one product per stack.
@@ -336,13 +357,14 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
         sz = float(lam[cone.diag].dot(lam[cone.diag]))
         mu = (sz + tau * kappa) / nu
 
+        p_res = float(np.linalg.norm(rz)) / res_z0
+        d_res = float(np.linalg.norm(rx)) / res_x0
         y_hat = y / tau
         obj = float(c.dot(y_hat))
         now = IPMResult("optimal", y_hat, [], obj, sz / tau**2 / max(1.0, abs(obj)),
-                        float(np.linalg.norm(rz)) / res_z0 / tau,
-                        float(np.linalg.norm(rx)) / res_x0 / tau, it)
+                        p_res / tau, d_res / tau, it)
         if _positive_definite(cone, y_hat):
-            if not c.any() or max(now.pres, now.dres, now.rel_gap) <= tol:
+            if feasibility or max(now.pres, now.dres, now.rel_gap) <= tol:
                 return now
             if best is None or now.objective <= best.objective:
                 best = now

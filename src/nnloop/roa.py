@@ -153,8 +153,7 @@ class JointEllipsoid:
         return self.xtil_star(np.asarray(R, dtype=float))
 
     def ref_quad(self, r) -> float:
-        dr = np.atleast_1d(np.asarray(r, dtype=float)) - self.r_nom
-        return float(dr @ self.Q @ dr)
+        return _ref_quad(self.Q, self.r_nom, r)
 
     def joint_quad(self, xtil, r) -> float:
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -200,6 +199,11 @@ class JointEllipsoid:
         return _quads(E, self.P) + ref_quads
 
 
+def _ref_quad(Q, r_nom, r) -> float:
+    dr = np.atleast_1d(np.asarray(r, dtype=float)) - r_nom
+    return float(dr @ Q @ dr)
+
+
 def _quads(E, A) -> np.ndarray:
     """The forms e @ A @ e of the rows e of E (N, n), each bit for bit the
     form ``float(e @ A @ e)`` of that row alone: a BLAS gemv and a dot per
@@ -230,15 +234,24 @@ class AdmissibleRefs:
     r_nom: np.ndarray
     axes: np.ndarray        # columns: principal directions
     semi_lengths: np.ndarray
+    Q: np.ndarray           # symmetrized, as in the joint set
 
     @property
     def interval(self) -> tuple:
-        """(lo, hi) for the scalar-reference case."""
+        """(lo, hi) for the scalar-reference case: r_nom -+ the semi-length,
+        each end stepped inward an ulp at a time until its form
+        (r - r_nom)' Q (r - r_nom), computed as the joint set's ``ref_quad``,
+        is at most 1, so both ends have a slice (:func:`slice_at`)."""
         if self.r_nom.shape[0] != 1:
             raise ValueError("interval form requires n_r = 1")
         half = float(self.semi_lengths[0])
         c = float(self.r_nom[0])
-        return (c - half, c + half)
+        ends = []
+        for end in (c - half, c + half):
+            while _ref_quad(self.Q, self.r_nom, end) > 1.0:
+                end = float(np.nextafter(end, c))
+            ends.append(end)
+        return tuple(ends)
 
 
 def admissible_references(Q, r_nom=None) -> AdmissibleRefs:
@@ -251,9 +264,10 @@ def admissible_references(Q, r_nom=None) -> AdmissibleRefs:
     if r_nom is None:
         Q, r_nom = Q.Q, Q.r_nom
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    evals, evecs = np.linalg.eigh(0.5 * (Q + Q.T))
+    Q = 0.5 * (Q + Q.T)
+    evals, evecs = np.linalg.eigh(Q)
     return AdmissibleRefs(r_nom=np.atleast_1d(np.asarray(r_nom, dtype=float)),
-                          axes=evecs, semi_lengths=evals**-0.5)
+                          axes=evecs, semi_lengths=evals**-0.5, Q=Q)
 
 
 def joint_ellipsoid_for(plant, nn, k_xi, P, Q, r_nom) -> JointEllipsoid:

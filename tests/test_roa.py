@@ -60,6 +60,31 @@ def test_admissible_interval():
     assert (lo, hi) == pytest.approx((-0.2, 0.2))
 
 
+@pytest.mark.parametrize("q", [14.22204568607481, 14.222045686069984, 25.0, 3.7])
+def test_admissible_interval_ends_have_slices(q):
+    # r_nom -+ Q^-1/2 can round one ulp outside the set (q = 14.22204568607481
+    # gives a form of 1.0000000000000002 there); the ends are stepped inward,
+    # as little as that takes.
+    J = make_joint(q=q, r_nom=0.3)
+    half = float(nl.admissible_references(J).semi_lengths[0])
+    lo, hi = nl.admissible_references(J).interval
+    for end, naive, inward in ((lo, 0.3 - half, 1.0), (hi, 0.3 + half, -1.0)):
+        assert nl.slice_at(J, end) is not None
+        assert J.ref_quad(end) <= 1.0
+        assert abs(end - naive) <= 4 * abs(np.spacing(naive))
+        if end != naive:
+            assert J.ref_quad(np.nextafter(end, end - inward)) > 1.0
+
+
+def test_shipped_interval_ends_have_slices(joint_set, thm3_report):
+    # The governor clips a far desired reference to an interval end, so
+    # both ends of the shipped report's interval lie in the reference set.
+    lo, hi = nl.admissible_references(joint_set).interval
+    assert [lo, hi] == thm3_report["admissible_references"]["interval"]
+    for end in (lo, hi):
+        assert nl.slice_at(joint_set, np.array([end])) is not None
+
+
 def test_admissible_axes_identity():
     def xtil_star(r):
         return np.zeros(3)
