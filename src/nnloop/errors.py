@@ -46,4 +46,5 @@ class BadModelFile(NNLoopError, ValueError):
 
 
 class UnattainableTolerance(NNLoopError):
-    """A solver tolerance lies below what double precision can reach."""
+    """A solver tolerance is not finite or lies below what double precision
+    can reach."""

@@ -3,26 +3,28 @@
 Solves the pair
 
     primal:  minimize   c' y
-             subject to S_b(y) = G0_b + sum_i y_i G_{b,i}  >=  tol I   for every b
+             subject to S_p(y) = (G0_p - delta I + sum_i y_i G_{p,i}) / s_p  >=  tol I
 
-    dual:    maximize   -sum_b <G0_b - tol I, Z_b>
-             subject to sum_b <G_{b,i}, Z_b> = c_i,   Z_b >= 0
+    dual:    maximize   -sum_p <(G0_p - delta I) / s_p - tol I, Z_p>
+             subject to sum_p <G_{p,i}, Z_p> / s_p = c_i,   Z_p >= 0
 
 (">=" in the PSD order) through their homogeneous self-dual embedding (Ye,
 Todd and Mizuno 1994), in the layout of CVXOPT's ``conelp`` (Vandenberghe
-2010).  Block b is read only from the ``G0`` (k, k), ``coeffs`` (m, k, k)
-and ``order`` of a :class:`nnloop.lmi.LMIBlock`; its margin ``delta`` is
-not read, so callers move it into G0.  One run from the infeasible start
+2010).  Each :class:`nnloop.lmi.LMIBlock` (``G0`` (k, k), ``coeffs``
+(m, k, k), ``delta``) is read as ``lmi`` builds it and split into its
+irreducible diagonal pieces p, each divided by s_p, the largest |entry| of
+its G0 - delta I and coefficients if above one, so how a caller groups
+pieces into blocks does not change a run.  One run from the infeasible start
 y = 0, S = Z = I, tau = kappa = 1 ends in either
 
 * an optimum: y/tau is primal feasible, Z/tau dual feasible and the gap is
   small, or
-* an infeasibility ray: tau -> 0 while <G0, Z> < 0 and sum_b <G_{b,i}, Z_b>
+* an infeasibility ray: tau -> 0 while <G0, Z> < 0 and sum_p <G_{p,i}, Z_p>
   -> 0, so the trace-normalized Z is a Farkas certificate that no y makes
   every block positive definite.  The run stops on it as soon as, for the
-  trace-normalized Z, every |sum_b <G_{b,i}, Z_b>| / (1 + max|G_{.,i}|) is
-  within tol.  The caller re-checks the ray on its own data
-  (:func:`nnloop.sdp.check_farkas`).
+  trace-normalized Z, every |sum_p <G_{p,i}, Z_p>| / (1 + max|G_{.,i}|) is
+  within tol.  It returns each Z_p / s_p, in raw units, at unit trace, and
+  the caller re-checks it on its own data (:func:`nnloop.sdp.check_farkas`).
 
 Each iteration computes the Nesterov-Todd scaling R_b with
 R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
@@ -93,7 +95,7 @@ _ROWS = 16
 class IPMResult:
     status: str              # "optimal" | "infeasible" | "stalled" | "max_iter"
     y: np.ndarray | None     # best iterate whose blocks pass Cholesky, if any
-    Z: list = field(default_factory=list)  # trace-normalized ray, one per block
+    Z: list = field(default_factory=list)  # unit-trace ray in raw units, one per block
     objective: float = np.nan
     rel_gap: float = np.nan
     pres: float = np.nan
@@ -105,7 +107,7 @@ class _Group:
     """The slots of one order k, stacked (g, k, k), or the orthant of the
     slots of order 1, (g,), at entries ``at`` of the flat cone vector.
     ``src`` maps each entry to its flat index in the caller's blocks laid end
-    to end (-1: a zero between pieces); G0 and C are views of the cone's."""
+    to end (-1: a zero between pieces)."""
 
     def __init__(self, src, at):
         self.src, self.shape, self.orthant = src, src.shape, src.ndim == 1
@@ -118,17 +120,22 @@ class _Group:
 
 class _Cone(list):
     """The stacks of :func:`_group`, laid end to end in one flat vector of
-    length N.  Rows :m of F (m + 2, N) hold the coefficients, so F[:m] @ X =
-    (sum_b <G_{b,i}, X_b>)_i; the solver keeps the shifted G0 in row m and
+    length N.  G0 and rows :m of F (m + 2, N) hold G0 - delta I and the
+    coefficients over each entry's piece scale s_p, ``scale``, so F[:m] @ X =
+    (sum_p <G_{p,i}, X_p> / s_p)_i; the solver keeps G0 - tol I in row m and
     rz in row m + 1, for one congruence to scale all three.  ``eye`` is the
-    flat identity, ``diag`` its nonzero entries, T[e] the transpose of e."""
+    flat identity, ``diag`` its nonzero entries, T[e] the transpose of e and
+    ``src`` the stacks' src end to end."""
 
 
 def _pieces(blk):
-    """Index sets of the irreducible diagonal pieces of a block: the connected
-    components of the nonzero pattern of G0 and every coefficient, in order
-    of their smallest index."""
-    pattern = (blk.G0 != 0) | (blk.coeffs != 0).any(axis=0)
+    """G0 - delta I of a block, and its irreducible diagonal pieces: the
+    connected components of the nonzero pattern of G0 and every coefficient,
+    in order of their smallest index, each as its index set and its scale,
+    the largest |entry| of its G0 - delta I and coefficients if above one."""
+    G0 = blk.G0 - blk.delta * np.eye(blk.order)
+    size = np.maximum(np.abs(G0), np.abs(blk.coeffs).max(axis=0, initial=0.0))
+    pattern = size != 0
     pattern |= pattern.T
     # Float labels: nothing else in a verify run compares integer arrays, and
     # paging in those loops added about 0.2 MB to the peak resident memory.
@@ -138,7 +145,8 @@ def _pieces(blk):
         if np.array_equal(new, label):
             break
         label = new
-    return [np.flatnonzero(label == root) for root in label[label == index]]
+    pieces = [np.flatnonzero(label == root) for root in label[label == index]]
+    return G0, [(idx, max(1.0, float(size[np.ix_(idx, idx)].max()))) for idx in pieces]
 
 
 def _group(blocks, m):
@@ -150,9 +158,15 @@ def _group(blocks, m):
     the flat indices of its entries in the caller's blocks laid end to end,
     through which the cone's G0 and F are gathered straight from the blocks."""
     start = np.cumsum([0] + [blk.order ** 2 for blk in blocks])
-    pieces = sorted((start[b] + blk.order * idx[:, None] + idx
-                     for b, blk in enumerate(blocks) for idx in _pieces(blk)),
-                    key=lambda piece: -len(piece))
+    scale = np.ones(start[-1] + 1)  # the last entry is off the pieces
+    G0s, pieces = [], []
+    for lo, blk in zip(start, blocks):
+        G0, split = _pieces(blk)
+        G0s.append(G0.ravel())
+        for idx, piece_scale in split:
+            pieces.append(lo + blk.order * idx[:, None] + idx)
+            scale[pieces[-1]] = piece_scale
+    pieces.sort(key=lambda piece: -len(piece))
     k = len(pieces[0])
     bins = []  # [room left, pieces...]; above _PACK_MAX a bin holds one piece
     for piece in pieces:
@@ -177,15 +191,14 @@ def _group(blocks, m):
     src = np.concatenate([grp.src.ravel() for grp in groups])
     srcf, cone, N = src.astype(float), _Cone(groups), len(src)  # float as in _pieces
     cone.G0, cone.eye, cone.T = np.zeros(N), np.zeros(N), np.arange(N)
-    cone.F = np.zeros((m + 2, N))
-    for blk, lo, hi in zip(blocks, start, start[1:]):
+    cone.F, cone.src, cone.scale = np.zeros((m + 2, N)), src, scale[src]
+    for G0, blk, lo, hi in zip(G0s, blocks, start, start[1:]):
         at = np.flatnonzero((srcf >= lo) & (srcf < hi))
-        idx, C = src[at] - lo, blk.coeffs.reshape(m, -1)
-        cone.G0[at] = blk.G0.ravel()[idx]
+        idx, C, sc = src[at] - lo, blk.coeffs.reshape(m, -1), cone.scale[at]
+        cone.G0[at] = G0[idx] / sc
         for i in range(0, m, _ROWS):
-            cone.F[i:min(i + _ROWS, m), at] = C[i:i + _ROWS, idx]
+            cone.F[i:min(i + _ROWS, m), at] = C[i:i + _ROWS, idx] / sc
     for grp in groups:
-        grp.G0, grp.C = grp.view(cone.G0), grp.view(cone.F[:m])
         grp.view(cone.eye)[...] = 1.0 if grp.orthant else np.eye(grp.shape[-1])
         if not grp.orthant:
             grp.view(cone.T)[...] = grp.view(cone.T).transpose(0, 2, 1).copy()
@@ -193,13 +206,12 @@ def _group(blocks, m):
     return cone
 
 
-def _unstack(blocks, groups, Xs):
-    """One matrix per caller block from the stacks Xs, in the caller's block
-    order, with exact zeros outside the block's pieces."""
+def _unstack(blocks, cone, x):
+    """One matrix per caller block from the flat cone vector x, in the
+    caller's block order, with exact zeros outside the block's pieces."""
     sizes = [blk.order ** 2 for blk in blocks]
     flat = np.zeros(sum(sizes) + 1)  # the last entry takes what is off the pieces
-    for grp, Xg in zip(groups, Xs):
-        flat[grp.src] = Xg
+    flat[cone.src] = x
     return [part.reshape(blk.order, blk.order)
             for part, blk in zip(np.split(flat, np.cumsum(sizes)), blocks)]
 
@@ -307,11 +319,11 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
 
 
 def check_tol(tol: float) -> None:
-    """Refuse a tolerance below MIN_TOL with UnattainableTolerance."""
-    if tol < MIN_TOL:
+    """Refuse a tolerance that is NaN, infinite or below MIN_TOL."""
+    if not MIN_TOL <= tol < np.inf:  # NaN fails every comparison
         raise UnattainableTolerance(
-            f"tol below {MIN_TOL:g} is not attainable in double precision "
-            f"(got {tol:g})")
+            f"tol must be finite; tol below {MIN_TOL:g} is not attainable in "
+            f"double precision (got {tol:g})")
 
 
 # An objective too large for double precision (say --gamma 1e300) overflows
@@ -374,8 +386,9 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
         if float(cone.G0.dot(Z)) < 0.0:
             tr = float(cone.eye.dot(Z))
             if np.max(np.abs(FZ[:m]) / (tr * col_scale), initial=0.0) <= tol:
-                ray = _unstack(blocks, cone, [grp.view(Z / tr) for grp in cone])
-                return IPMResult("infeasible", None, ray,
+                ray = _unstack(blocks, cone, Z / tr / cone.scale)
+                tr = sum(float(np.trace(Xb)) for Xb in ray)
+                return IPMResult("infeasible", None, [Xb / tr for Xb in ray],
                                  now.objective, now.rel_gap, now.pres, now.dres, it)
         if it == MAX_ITER:
             break

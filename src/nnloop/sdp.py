@@ -1,11 +1,13 @@
 """Decide LMI systems with one interior-point run each, and check the verdict.
 
-:func:`solve` scale-normalizes the margin-shifted blocks and hands them to the
-homogeneous self-dual solver in :mod:`nnloop.ipm` once.  The verdict comes
-from the evidence the run returns, never from how the run ended:
+:func:`solve` hands the blocks, as :mod:`nnloop.lmi` builds them, to the
+homogeneous self-dual solver in :mod:`nnloop.ipm` once; the solver moves
+each margin into G0 and scales the blocks' pieces itself, and returns a ray
+in the blocks' raw units.  The verdict comes from the evidence the run
+returns, never from how the run ended:
 
-* a ray that, mapped back to the raw unshifted block data, passes
-  :func:`check_farkas`: infeasible;
+* a ray that passes :func:`check_farkas` on the raw unshifted block data:
+  infeasible;
 * a point (an optimum, or the best iterate whose blocks passed a Cholesky
   factorization) that passes :func:`certify`: feasible;
 * a ray or a point that fails its check: inaccurate;
@@ -69,20 +71,6 @@ class SDPSolution:
     @property
     def Q(self):
         return self.values.get("Q")
-
-
-def _solver_blocks(system: LMISystem):
-    """Copies of the blocks for the solver, with the margin moved into G0
-    (G0 - delta I, delta 0) and each divided by its largest entry when that
-    exceeds one, and those per-block scales."""
-    out, scales = [], []
-    for blk in system.blocks:
-        G0 = blk.G0 - blk.delta * np.eye(blk.order)
-        scale = max(1.0, float(np.max(np.abs(G0))),
-                    float(np.max(np.abs(blk.coeffs))) if blk.coeffs.size else 1.0)
-        out.append(replace(blk, G0=G0 / scale, coeffs=blk.coeffs / scale, delta=0.0))
-        scales.append(scale)
-    return out, np.array(scales)
 
 
 def check_farkas(blocks, X, tol):
@@ -257,15 +245,10 @@ def unstable_vertex(aug, sel, vertices: dict) -> dict | None:
 def solve(system: LMISystem, tol: float = 1e-8) -> SDPSolution:
     """Decide an LMI system: one self-dual interior-point run, the Farkas
     check of a ray, and one :func:`certify` of any point."""
-    blocks, scales = _solver_blocks(system)
     c = np.zeros(system.n_scalars) if system.objective is None else system.objective
-    res = solve_conic(blocks, c, tol=tol)
+    res = solve_conic(system.blocks, c, tol=tol)
     if res.status == "infeasible":
-        # Undo the per-block scaling, then renormalize to unit trace.
-        X = [Zb / s for Zb, s in zip(res.Z, scales)]
-        tr = sum(float(np.trace(Xb)) for Xb in X)
-        farkas = check_farkas(system.blocks, [Xb / tr for Xb in X],
-                              min(tol, _FARKAS_TOL))
+        farkas = check_farkas(system.blocks, res.Z, min(tol, _FARKAS_TOL))
         return SDPSolution(status=INACCURATE if farkas is None else INFEASIBLE,
                            iterations=res.iterations, farkas=farkas)
     if res.y is None:

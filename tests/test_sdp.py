@@ -349,6 +349,18 @@ def _block_diag(name, a, b):
                     np.stack([join(A, B) for A, B in zip(a.coeffs, b.coeffs)]))
 
 
+def _unit_scaled(system):
+    """The blocks with delta moved into G0, each divided by its largest entry
+    when that exceeds one: every piece has scale one, so the solver runs
+    them as given."""
+    out = []
+    for blk in system.blocks:
+        G0 = blk.G0 - blk.delta * np.eye(blk.order)
+        scale = max(1.0, float(np.max(np.abs(G0))), float(np.max(np.abs(blk.coeffs))))
+        out.append(LMIBlock(blk.name, G0 / scale, blk.coeffs / scale))
+    return out
+
+
 def test_solve_conic_invariant_to_block_order_and_splitting():
     # Blocks are stacked by order inside the solver; neither the order of the
     # caller's list nor splitting a block-diagonal block into its diagonal
@@ -436,7 +448,7 @@ def test_solve_conic_ray_in_caller_order(pendulum, pendulum_aug):
     sel = build_selectors(nn, pendulum_aug.n_xtil)
     system = nl.build_global(pendulum_aug, sel, nn.activation.alpha,
                              nn.activation.beta)
-    blocks, _ = sdp._solver_blocks(system)
+    blocks = _unit_scaled(system)
     c = np.zeros(system.n_scalars)
     tol = 1e-8
 
@@ -488,9 +500,8 @@ def test_pendulum_runs_in_packed_stacks(pendulum, pendulum_aug, d_ship,
     # [4, 4, 3, 1, 1] and eight left over (Q_pd and seven of Lambda_nn).
     # The order-1 pieces left over run as one orthant of vectors.
     system = _pendulum_system(pendulum, pendulum_aug, theorem, d_ship)
-    blocks, _ = sdp._solver_blocks(system)
-    groups = ipm._group(blocks, system.n_scalars)
-    assert [grp.G0.shape for grp in groups] == stacks
+    groups = ipm._group(system.blocks, system.n_scalars)
+    assert [grp.shape for grp in groups] == stacks
 
 
 def test_wide_lambda_runs_as_unpacked_order_one_pieces(pendulum, pendulum_aug,
@@ -500,9 +511,9 @@ def test_wide_lambda_runs_as_unpacked_order_one_pieces(pendulum, pendulum_aug,
     # diagonal of Lambda_nn in order, in the caller's blocks laid end to end.
     wide = duplicated_nn(pendulum[1], 4, np.random.default_rng(2024))
     system = _pendulum_system(pendulum, pendulum_aug, "local-fixed", d_ship, wide)
-    blocks, _ = sdp._solver_blocks(system)
+    blocks = system.blocks
     groups = ipm._group(blocks, system.n_scalars)
-    assert [grp.G0.shape for grp in groups] == [(1, 43, 43), (21, 3, 3), (40,)]
+    assert [grp.shape for grp in groups] == [(1, 43, 43), (21, 3, 3), (40,)]
     lam = [blk.name for blk in blocks].index("Lambda_nn")
     start = sum(blk.order ** 2 for blk in blocks[:lam])
     assert groups[-1].src.tolist() == [start + 41 * i for i in range(40)]
@@ -511,31 +522,45 @@ def test_wide_lambda_runs_as_unpacked_order_one_pieces(pendulum, pendulum_aug,
 def test_pack_and_unstack_return_every_caller_block():
     # Blocks made of dense diagonal pieces on scattered indices.  Stacking
     # G0 and every coefficient into slots and unstacking them gives back the
-    # caller's matrices bit for bit, and an all-ones stack comes back as the
-    # blocks' piece pattern, with zeros outside it.
+    # caller's matrices divided by their piece scales bit for bit, each
+    # piece's scale is the largest |entry| of its G0 and coefficients, and an
+    # all-ones stack comes back as the blocks' piece pattern, with zeros
+    # outside it.
     rng = np.random.default_rng(7)
     m = 3
-    blocks = []
+    blocks, labels = [], []
     for j, sizes in enumerate([[4], [2, 1, 1], [3, 1], [1, 1, 2], [3]]):
         label = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
         mask = label[:, None] == label[None, :]
         blocks.append(LMIBlock(f"b{j}", mask * _sym(rng, len(label)),
                                np.stack([mask * _sym(rng, len(label))
                                          for _ in range(m)])))
-    groups = ipm._group(blocks, m)
+        labels.append(label)
+    cone = ipm._group(blocks, m)
     # bins [4], [3, 1], [3, 1], [2, 2]; [1, 1, 1] is not full and its pieces
     # run in the orthant
-    assert [grp.G0.shape for grp in groups] == [(4, 4, 4), (3,)]
+    assert [grp.shape for grp in cone] == [(4, 4, 4), (3,)]
 
-    def back(stacks):
-        return zip(ipm._unstack(blocks, groups, stacks), blocks, strict=True)
+    def back(x):
+        return zip(ipm._unstack(blocks, cone, x), blocks, scales, strict=True)
 
-    for X, blk in back([grp.G0 for grp in groups]):
-        assert np.array_equal(X, blk.G0)
+    def scaled(A, scale):
+        return np.divide(A, scale, out=np.zeros_like(A), where=scale != 0.0)
+
+    scales = ipm._unstack(blocks, cone, cone.scale)
+    for blk, label, scale in zip(blocks, labels, scales):
+        for piece in np.unique(label):
+            on = label == piece
+            size = max(np.abs(blk.G0[np.ix_(on, on)]).max(),
+                       np.abs(blk.coeffs[:, on][:, :, on]).max())
+            assert np.all(scale[np.ix_(on, on)] == max(1.0, size))
+    assert max(scale.max() for scale in scales) > 1.0
+    for X, blk, scale in back(cone.G0):
+        assert np.array_equal(X, scaled(blk.G0, scale))
     for i in range(m):
-        for X, blk in back([grp.C[i] for grp in groups]):
-            assert np.array_equal(X, blk.coeffs[i])
-    for X, blk in back([np.ones_like(grp.G0) for grp in groups]):
+        for X, blk, scale in back(cone.F[i]):
+            assert np.array_equal(X, scaled(blk.coeffs[i], scale))
+    for X, blk, _ in back(np.ones_like(cone.G0)):
         assert np.array_equal(X, (blk.G0 != 0).astype(float))
 
 
@@ -545,7 +570,7 @@ def test_block_diagonal_caller_block_gets_its_ray_back(pendulum, pendulum_aug):
     # so the ray of the joined block is the two rays put in place, bit for
     # bit, with exact zeros between them, in either caller order.
     system = _pendulum_system(pendulum, pendulum_aug, "global", None)
-    (stab, p_pd, lam_nn), _ = sdp._solver_blocks(system)
+    stab, p_pd, lam_nn = _unit_scaled(system)
     at_p = np.array([1, 5, 9])
     at_l = np.setdiff1d(np.arange(13), at_p)
 
@@ -568,6 +593,44 @@ def test_block_diagonal_caller_block_gets_its_ray_back(pendulum, pendulum_aug):
         assert np.array_equal(res.Z[at], want)
         assert np.array_equal(res.Z[1 - at], ref.Z[0])
         assert check_farkas(given, res.Z, 1e-8) is not None
+
+
+def test_solve_invariant_to_grouping_of_pieces(pendulum, pendulum_aug, d_ship):
+    # The solver scales each piece by its own largest entry, so joining the
+    # strict blocks stability (scale about 37) and P_pd (scale 1) into one
+    # block-diagonal caller block runs the same pieces: the same status and
+    # iterations, and the same y bit for bit.
+    system = _pendulum_system(pendulum, pendulum_aug, "local-fixed", d_ship)
+    stab, p_pd, *rest = system.blocks
+    assert (stab.name, p_pd.name) == ("stability", "P_pd")
+    assert stab.delta == p_pd.delta
+    joined = dataclasses.replace(_block_diag("joined", stab, p_pd), delta=stab.delta)
+    ref = sdp.solve(system)
+    res = sdp.solve(dataclasses.replace(system, blocks=(joined, *rest)))
+    assert ref.status == res.status == sdp.FEASIBLE
+    assert res.iterations == ref.iterations
+    assert np.array_equal(res.y, ref.y)
+
+
+def test_solve_keeps_no_second_copy_of_the_coefficients(pendulum, pendulum_aug,
+                                                        d_ship):
+    # The solver gathers the used entries of each block's coefficients
+    # straight into its cone, scaled per piece, and keeps no scaled copy of
+    # the blocks: the traced peak of a 40-neuron local-fixed solve stays
+    # below twice the bytes of the system's coefficients.
+    import tracemalloc
+
+    wide = duplicated_nn(pendulum[1], 4, np.random.default_rng(2024))
+    system = _pendulum_system(pendulum, pendulum_aug, "local-fixed", d_ship, wide)
+    coeff_bytes = sum(blk.coeffs.nbytes for blk in system.blocks)
+    tracemalloc.start()
+    try:
+        sol = sdp.solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == sdp.FEASIBLE
+    assert peak < 2.0 * coeff_bytes
 
 
 def test_desk_scale_capability():

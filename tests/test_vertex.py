@@ -141,10 +141,12 @@ def test_wide_duplicate_global_proved_without_assembly(pendulum, monkeypatch):
 
 def test_input_checked_before_a_vertex_proof(pendulum):
     # d = 3 is proved infeasible at a vertex; a bad tol or gamma is still
-    # an input error.
+    # an input error, a NaN or infinite tol as much as one below MIN_TOL.
     plant, nn, k_xi = pendulum
-    with pytest.raises(UnattainableTolerance, match="below 1e-12"):
-        run_verify(plant, nn, k_xi, "local-fixed", r=np.zeros(1), d=3.0, tol=1e-14)
+    for tol, message in [(1e-14, "below 1e-12"), (np.nan, "finite"),
+                         (np.inf, "finite")]:
+        with pytest.raises(UnattainableTolerance, match=message):
+            run_verify(plant, nn, k_xi, "local-fixed", r=np.zeros(1), d=3.0, tol=tol)
     with pytest.raises(NonPositiveGamma, match="finite and positive"):
         run_verify(plant, nn, k_xi, "local-range", r_nom=np.zeros(1), d=3.0,
                    gamma=np.inf)
