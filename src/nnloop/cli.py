@@ -8,6 +8,7 @@ Exit codes: 0 feasible-certified (or successful non-verification command),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,6 +242,11 @@ def _write_report(report: dict, out_dir: str, name: str) -> str:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, reads in (("--r", args.r, "local-fixed"),
+                               ("--rnom", args.rnom, "local-range")):
+        if value is not None and args.theorem != reads:
+            raise CliError(f"{flag} is read only by --theorem {reads}, "
+                           f"not {args.theorem}")
     plant, nn, k_xi = _load_inputs(args)
     d = None
     if args.d is not None:
@@ -467,9 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: parsing keeps no
+    state in it, and building it costs more than most commands' parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)

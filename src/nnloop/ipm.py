@@ -42,8 +42,9 @@ elementwise (R is r with r^2 = sqrt(s/z), so Ghat = G / r^2).  With the
 coefficients one matrix F, the residuals, the Schur matrix and both Newton
 directions are one numpy call per iteration; S and Z, the congruences with
 R^-1, the step-length eigenvalues, the corrector's right-hand side and the NT
-update are one call per stack, on its view.  A ray is unstacked into the
-caller's blocks, zero off their pieces.
+update are one call per stack, on its view; the predictor's ds is
+-diag(lambda) - dz, so its step length takes the eigenvalues of dz alone.  A
+ray is unstacked into the caller's blocks, zero off their pieces.
 
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
@@ -63,6 +64,7 @@ passed Cholesky, if any.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,6 +231,19 @@ def _positive_definite(cone, y) -> bool:
     return bool(np.all(np.isfinite(y)))  # Cholesky passes NaN through
 
 
+def _step_length(cone, Q, pairs, affine=False):
+    """Largest a keeping diag(lam) + a (ds, dz) PSD, up to -1 / min eig of
+    Q = (ds, dz) / sqrt(lam lam') (2, N), and x + a dx >= 0 for each (x, dx)
+    of pairs.  An affine step has ds = -diag(lam) - dz, so its Q is the dz half
+    (N,) alone, and -1 - max eig(Q) is the smallest eigenvalue of the ds half."""
+    w = np.inf
+    for grp in cone:
+        e = grp.view(Q)[..., None] if grp.orthant else np.linalg.eigvalsh(grp.view(Q))
+        w = min(w, e[..., 0].min(), -1.0 - e[..., -1].max() if affine else np.inf)
+    return min([np.inf if w >= 0.0 else -1.0 / w]
+               + [-x / dx for x, dx in pairs if dx < 0.0])
+
+
 def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
     """Mehrotra predictor-corrector step from the NT-scaled point (W holds
     each stack's R and R^-T, lam the lambda of each entry's column): the new
@@ -252,6 +267,7 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
     g, rzh = gram[:m, m], Gh[m + 1]
     q = dpotrs(fac, c + g, lower=1)[0]
     denom = float((c - g).dot(q)) + float(gram[m, m]) + kappa / tau
+    dyt = np.empty(m + 1)  # [dy, dtau] of each direction
 
     def direction(eta, rc, rtk):
         """Newton direction for residual reduction eta and scaled
@@ -262,38 +278,31 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
         p = dpotrs(fac, ft[:m] + eta * rx, lower=1)[0]
         dtau = (float((c - g).dot(p)) - h) / denom
         dy = p - q * dtau
-        dz = t - np.append(dy, dtau).dot(Gh[:m + 1])
+        dyt[:m], dyt[m] = dy, dtau
+        dz = t - dyt.dot(Gh[:m + 1])
         dz = 0.5 * (dz + dz[cone.T])
         dsz = np.concatenate((rc - dz, dz)).reshape(2, -1)
         return dy, dsz, dtau, (rtk - kappa * dtau) / tau
 
-    # diag(lam) + a D stays PSD up to a = -1 / min eig(D / sqrt(lam lam')),
-    # and in the orthant up to a = -1 / min(D / lam).
     lam_row = lam[cone.T]
     scale = np.sqrt(lam_row * lam)
-
-    def step_length(d):
-        """Largest a keeping diag(lam) + a (ds, dz) PSD and tau, kappa >= 0."""
-        _, dsz, dtau, dkappa = d
-        Q = dsz / scale
-        w = min(grp.view(Q).min() if grp.orthant else
-                np.linalg.eigvalsh(grp.view(Q))[..., 0].min() for grp in cone)
-        return min([np.inf if w >= 0.0 else -1.0 / w]
-                   + [-x / dx for x, dx in ((tau, dtau), (kappa, dkappa)) if dx < 0.0])
 
     # Predictor (affine scaling), then the Mehrotra combined step, whose
     # right-hand side 2 (sigma mu I - D^2 - sym(dsa dza)) / (lam_i + lam_j) is
     # (sigma mu - lam^2 - dsa dza) / lam in the orthant.
     diag = cone.eye * lam
     aff = direction(1.0, -diag, -tau * kappa)
-    sigma = (1.0 - min(1.0, step_length(aff))) ** _EXPON
+    alpha_aff = _step_length(cone, aff[1][1] / scale,
+                             ((tau, aff[2]), (kappa, aff[3])), affine=True)
+    sigma = (1.0 - min(1.0, alpha_aff)) ** _EXPON
     sym = np.empty(len(lam))
     for grp in cone:
         dsa, dza = grp.view(aff[1])
         grp.view(sym)[...] = dsa * dza if grp.orthant else 0.5 * (dsa @ dza + dza @ dsa)
     rc = 2.0 * (sigma * mu * cone.eye - diag * diag - sym) / (lam_row + lam)
     d = direction(1.0 - sigma, rc, sigma * mu - tau * kappa - aff[2] * aff[3])
-    alpha = min(1.0, _STEP * step_length(d))
+    alpha = min(1.0, _STEP * _step_length(cone, d[1] / scale,
+                                          ((tau, d[2]), (kappa, d[3]))))
     if alpha < _STALL:
         return None
 
@@ -341,8 +350,8 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     # Per-variable scale of the ray's relative equality residual.
     col_scale = 1.0 + np.maximum(F[:m].max(axis=1), -F[:m].min(axis=1))
     nu = sum(blk.order for blk in blocks) + 1
-    res_x0 = max(1.0, float(np.linalg.norm(c)))
-    res_z0 = max(1.0, float(np.linalg.norm(F[m])))
+    res_x0 = max(1.0, math.sqrt(c.dot(c)))
+    res_z0 = max(1.0, math.sqrt(F[m].dot(F[m])))
     feasibility = not np.any(c)
 
     y = np.zeros(m)
@@ -369,8 +378,9 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
         sz = float(lam[cone.diag].dot(lam[cone.diag]))
         mu = (sz + tau * kappa) / nu
 
-        p_res = float(np.linalg.norm(rz)) / res_z0
-        d_res = float(np.linalg.norm(rx)) / res_x0
+        # sqrt(x'x) is what np.linalg.norm computes for a vector, same bits.
+        p_res = math.sqrt(rz.dot(rz)) / res_z0
+        d_res = math.sqrt(rx.dot(rx)) / res_x0
         y_hat = y / tau
         obj = float(c.dot(y_hat))
         now = IPMResult("optimal", y_hat, [], obj, sz / tau**2 / max(1.0, abs(obj)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nnloop as nl
+from nnloop import cli
 from nnloop.assets import PENDULUM_D, example_nn_path
 from nnloop.cli import main
 from nnloop.network import save_nn
@@ -97,6 +98,24 @@ def test_verify_local_missing_d_exit_three(tmp_path):
                  "--nn", example_nn_path(), "--theorem", "local-fixed",
                  "--out", str(tmp_path)])
     assert code == 3
+
+
+UNREAD_REFERENCES = [("local-fixed", "--rnom"), ("global", "--rnom"),
+                     ("local-range", "--r"), ("global", "--r")]
+
+
+@pytest.mark.parametrize("theorem,flag", UNREAD_REFERENCES,
+                         ids=[f"{th}{flag}" for th, flag in UNREAD_REFERENCES])
+def test_verify_refuses_reference_its_theorem_does_not_read(tmp_path, capsys,
+                                                            theorem, flag):
+    # --r anchors local-fixed and --rnom local-range; given to another
+    # theorem, the flag would be dropped and the report made at r = 0.
+    code = main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                 "--theorem", theorem, flag, "0.1", "--d", str(PENDULUM_D),
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert f"error: {flag} is read only by --theorem" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
 
 
 @pytest.mark.parametrize("gamma", ["-1", "0"])
@@ -511,6 +530,39 @@ def test_help_exit_zero(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: nnloop")
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Calls to build_parser from a fresh process-wide parser cache."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    yield builds
+    cli._parser.cache_clear()
+
+
+def test_parser_reused_across_commands(tmp_path, capsys, parser_builds):
+    # main builds its parser once per process; a usage error, a verify and
+    # two simulates through it leave nothing behind for the next command.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "bogus"])
+    assert exc.value.code == 3
+    code = main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                 "--theorem", "local-fixed", "--r", "0", "--d", str(PENDULUM_D),
+                 "--out", str(tmp_path / "verify")])
+    assert code == 0
+    assert read_report(tmp_path / "verify")["status"] == "feasible"
+    sim = ["simulate", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+           "--steps", "10", "--out", str(tmp_path / "sim")]
+    assert main(sim[:1] + ["--r", "0.5"] + sim[1:]) == 0
+    first = cli._parser().parse_args(sim[:1] + ["--r", "0.5"] + sim[1:])
+    second = cli._parser().parse_args(sim)
+    assert first.r == "0.5" and second.r is None
+    assert main(sim) == 3
+    assert "--r or --ref-schedule is required" in capsys.readouterr().err
+    assert len(parser_builds) == 1
 
 
 def test_network_file_with_unknown_activation_exit_three(tmp_path, capsys):
