@@ -8,7 +8,6 @@ Exit codes: 0 feasible-certified (or successful non-verification command),
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -473,15 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use: parsing keeps no
-    state in it, and building it costs more than most commands' parsing."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)

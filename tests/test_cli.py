@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import nnloop as nl
-from nnloop import cli
 from nnloop.assets import PENDULUM_D, example_nn_path
 from nnloop.cli import main
 from nnloop.network import save_nn
@@ -532,20 +531,9 @@ def test_help_exit_zero(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: nnloop")
 
 
-@pytest.fixture
-def parser_builds(monkeypatch):
-    """Calls to build_parser from a fresh process-wide parser cache."""
-    builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    cli._parser.cache_clear()
-    yield builds
-    cli._parser.cache_clear()
-
-
-def test_parser_reused_across_commands(tmp_path, capsys, parser_builds):
-    # main builds its parser once per process; a usage error, a verify and
-    # two simulates through it leave nothing behind for the next command.
+def test_commands_in_one_process_leave_nothing_behind(tmp_path, capsys):
+    # A usage error, a verify and two simulates through main in one process:
+    # none leaves anything behind for the next command.
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "bogus"])
     assert exc.value.code == 3
@@ -557,12 +545,8 @@ def test_parser_reused_across_commands(tmp_path, capsys, parser_builds):
     sim = ["simulate", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
            "--steps", "10", "--out", str(tmp_path / "sim")]
     assert main(sim[:1] + ["--r", "0.5"] + sim[1:]) == 0
-    first = cli._parser().parse_args(sim[:1] + ["--r", "0.5"] + sim[1:])
-    second = cli._parser().parse_args(sim)
-    assert first.r == "0.5" and second.r is None
     assert main(sim) == 3
     assert "--r or --ref-schedule is required" in capsys.readouterr().err
-    assert len(parser_builds) == 1
 
 
 def test_network_file_with_unknown_activation_exit_three(tmp_path, capsys):
