@@ -241,10 +241,12 @@ def _write_report(report: dict, out_dir: str, name: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    for flag, value, reads in (("--r", args.r, "local-fixed"),
-                               ("--rnom", args.rnom, "local-range")):
-        if value is not None and args.theorem != reads:
-            raise CliError(f"{flag} is read only by --theorem {reads}, "
+    for flag, value, reads in (("--r", args.r, ("local-fixed",)),
+                               ("--rnom", args.rnom, ("local-range",)),
+                               ("--gamma", args.gamma, ("local-range",)),
+                               ("--d", args.d, ("local-fixed", "local-range"))):
+        if value is not None and args.theorem not in reads:
+            raise CliError(f"{flag} is read only by --theorem {' or '.join(reads)}, "
                            f"not {args.theorem}")
     plant, nn, k_xi = _load_inputs(args)
     d = None
@@ -253,11 +255,12 @@ def cmd_verify(args) -> int:
         d = float(d[0]) if d.size == 1 else d
     if not (np.isfinite(args.tol) and args.tol > 0.0):
         raise CliError(f"--tol must be finite and positive, got {args.tol}")
+    given = {} if args.gamma is None else {"gamma": args.gamma}
     report = run_verify(
         plant, nn, k_xi, args.theorem,
         r=None if args.r is None else _parse_vector(args.r),
         r_nom=None if args.rnom is None else _parse_vector(args.rnom),
-        d=d, gamma=args.gamma, tol=args.tol,
+        d=d, tol=args.tol, **given,
     )
     path = _write_report(report, args.out, "verify_report.json")
     print(f"status: {report['status']}  report: {path}")
@@ -323,16 +326,16 @@ def _slice_curves(J, fracs, dims) -> list:
 
 
 def cmd_simulate(args) -> int:
+    if args.report and not args.governed:
+        raise CliError("--report is read only with --governed")
+    if (args.r is None) == (not args.ref_schedule):
+        raise CliError("exactly one of --r or --ref-schedule is required")
     plant, nn, k_xi = _load_inputs(args)
     aug = augment(plant, k_xi)
     if args.steps < 1:
         raise CliError(f"--steps must be at least 1, got {args.steps}")
-    if args.ref_schedule:
-        schedule = _read_json(args.ref_schedule, "reference schedule", CliError)
-    elif args.r is not None:
-        schedule = _parse_vector(args.r)
-    else:
-        raise CliError("--r or --ref-schedule is required")
+    schedule = (_read_json(args.ref_schedule, "reference schedule", CliError)
+                if args.ref_schedule else _parse_vector(args.r))
     x0 = (np.zeros(aug.n_xtil) if args.x0 is None else _parse_vector(args.x0))
     if x0.shape != (aug.n_xtil,):
         raise CliError(f"--x0 must have {aug.n_xtil} entries")
@@ -445,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--r", help="fixed reference (CSV)")
     p_ver.add_argument("--rnom", help="nominal reference (CSV)")
     p_ver.add_argument("--d", help="layer-1 box half-width (scalar or CSV)")
-    p_ver.add_argument("--gamma", type=float, default=1.0,
-                       help="weight of trace(Q) in the local-range objective")
+    p_ver.add_argument("--gamma", type=float,
+                       help="weight of trace(Q) in the local-range objective "
+                            "(default 1.0)")
     p_ver.add_argument("--tol", type=float, default=1e-8)
     p_ver.set_defaults(func=cmd_verify)
 

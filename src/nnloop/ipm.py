@@ -29,8 +29,8 @@ y = 0, S = Z = I, tau = kappa = 1 ends in either
 Each iteration computes the Nesterov-Todd scaling R_b with
 R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
 H_ij = sum_b <Ghat_{b,i}, Ghat_{b,j}> of the scaled coefficients
-Ghat = R^-1 G R^-T, factors it once, and solves the Mehrotra predictor and
-corrector with that factor (the tau column costs one extra back-solve).
+Ghat = R^-1 G R^-T, factors it once as L L', and solves the Mehrotra predictor
+and corrector as L^-T (L^-1 v) (the tau column costs one extra solve).
 
 As in SDPT3, each block is split at entry into its irreducible diagonal
 pieces (a diagonal block such as Lambda_nn into order-1 pieces; the barrier
@@ -68,7 +68,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import UnattainableTolerance
 
@@ -259,13 +258,11 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
         for i in range(0, m + 2, _ROWS):
             np.matmul(Rit.swapaxes(1, 2) @ X[i:i + _ROWS], Rit, out=out[i:i + _ROWS])
     gram = Gh[:m + 1] @ Gh[:m + 1].T
-    if not np.isfinite(gram[:m, :m]).all():  # H by dpotrf, raising as cho_factor
+    if not np.isfinite(gram[:m, :m]).all():  # Cholesky passes NaN through
         raise ValueError("Schur matrix is not finite")
-    fac, info = dpotrf(gram[:m, :m], lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"Schur matrix is not positive definite ({info})")
+    Li = np.linalg.inv(np.linalg.cholesky(gram[:m, :m]))  # H^-1 v = Li'(Li v)
     g, rzh = gram[:m, m], Gh[m + 1]
-    q = dpotrs(fac, c + g, lower=1)[0]
+    q = Li.T.dot(Li.dot(c + g))
     denom = float((c - g).dot(q)) + float(gram[m, m]) + kappa / tau
     dyt = np.empty(m + 1)  # [dy, dtau] of each direction
 
@@ -275,7 +272,7 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
         t = rc + eta * rzh
         ft = Gh[:m + 1].dot(t)
         h = -eta * rt - rtk / tau - float(ft[m])
-        p = dpotrs(fac, ft[:m] + eta * rx, lower=1)[0]
+        p = Li.T.dot(Li.dot(ft[:m] + eta * rx))
         dtau = (float((c - g).dot(p)) - h) / denom
         dy = p - q * dtau
         dyt[:m], dyt[m] = dy, dtau
@@ -396,9 +393,9 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
         if float(cone.G0.dot(Z)) < 0.0:
             tr = float(cone.eye.dot(Z))
             if np.max(np.abs(FZ[:m]) / (tr * col_scale), initial=0.0) <= tol:
-                ray = _unstack(blocks, cone, Z / tr / cone.scale)
-                tr = sum(float(np.trace(Xb)) for Xb in ray)
-                return IPMResult("infeasible", None, [Xb / tr for Xb in ray],
+                ray = Z / cone.scale  # unit trace summed flat: the same bits for any blocks
+                return IPMResult("infeasible", None,
+                                 _unstack(blocks, cone, ray / ray[cone.diag].sum()),
                                  now.objective, now.rel_gap, now.pres, now.dres, it)
         if it == MAX_ITER:
             break

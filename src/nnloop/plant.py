@@ -184,13 +184,6 @@ class SteadyState:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
-def _cond(mat: np.ndarray) -> float:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
-
-
 def augment(plant: Plant, k_xi) -> AugmentedPlant:
     """Attach the integrator with gain ``k_xi`` to the plant.
 
@@ -201,7 +194,7 @@ def augment(plant: Plant, k_xi) -> AugmentedPlant:
     n_r = plant.n_r
     if k_xi.shape != (n_r, n_r):
         raise DimensionMismatch(f"k_xi must be {n_r} x {n_r}")
-    if _cond(k_xi) >= COND_LIMIT:
+    if np.linalg.cond(k_xi) >= COND_LIMIT:
         raise SingularGain("integrator gain is numerically singular")
     A, B, C = plant.A, plant.B, plant.C
     n_x = plant.n_x
@@ -219,7 +212,7 @@ def steady_state_map(plant: Plant) -> SteadyStateMap:
         [plant.A - np.eye(n_x), plant.B],
         [plant.C, np.zeros((n_r, n_u))],
     ])
-    if _cond(A_a) >= COND_LIMIT:
+    if np.linalg.cond(A_a) >= COND_LIMIT:
         raise SingularAa("steady-state system matrix is rank deficient")
     rhs = np.vstack([np.zeros((n_x, n_r)), np.eye(n_r)])
     sol = np.linalg.solve(A_a, rhs)
@@ -243,7 +236,7 @@ def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
     if (nn.n_x, nn.n_r, nn.n_u) != (M.shape[0], M.shape[1], M_u.shape[0]) \
             or k_xi.shape != (nn.n_u, nn.n_u):
         raise DimensionMismatch("network, plant and k_xi dimensions disagree")
-    if _cond(k_xi) >= COND_LIMIT:
+    if np.linalg.cond(k_xi) >= COND_LIMIT:
         raise SingularGain("integrator gain is numerically singular")
     k_xi_inv = np.linalg.inv(k_xi)
 
@@ -285,8 +278,8 @@ def build_pendulum(m: float = 0.15, L: float = 0.5, mu: float = 0.5,
 
         A_c = [[0, 1], [g/L, -mu/(m L^2)]],   B_c = [0, g/L]^T.
 
-    ``method`` selects the discretization: "exact-zoh" (matrix exponential of
-    the stacked [A_c, B_c] block) or "euler" (I + T_s A_c, T_s B_c).
+    ``method`` selects the discretization: "exact-zoh" (A_d = e^(T_s A_c),
+    B_d = int_0^T_s e^(t A_c) dt B_c) or "euler" (I + T_s A_c, T_s B_c).
     ``output`` picks the tracked quantity: "angle" -> C = [1, 0] (default) or
     "velocity" -> C = [0, 1].
     """
@@ -303,13 +296,15 @@ def build_pendulum(m: float = 0.15, L: float = 0.5, mu: float = 0.5,
         A_d = np.eye(2) + T_s * A_c
         B_d = T_s * B_c
     else:
-        from scipy.linalg import expm
-
-        blk = np.zeros((3, 3))
-        blk[:2, :2] = A_c
-        blk[:2, 2:] = B_c
-        E = expm(T_s * blk)
-        A_d, B_d = E[:2, :2], E[:2, 2:]
+        # T_s A_c = V diag(lam) V^-1 with V = D Q: D = diag(1, sqrt(g/L)) makes
+        # D^-1 T_s A_c D symmetric, with eigenvectors Q, and det A_c = -g/L < 0
+        # makes lam real, nonzero and of opposite sign.  V stays well
+        # conditioned also for stiff pendulums (small L, large mu).
+        k = (g / L) ** 0.5
+        lam, Q = np.linalg.eigh([[0.0, T_s * k], [T_s * k, T_s * A_c[1, 1]]])
+        V, Vi = Q * [[1.0], [k]], Q.T / [1.0, k]
+        A_d = (V * np.exp(lam)) @ Vi
+        B_d = (V * (np.expm1(lam) / lam)) @ Vi @ (T_s * B_c)
     C = np.array([[1.0, 0.0]]) if output == "angle" else np.array([[0.0, 1.0]])
     return Plant(A=A_d, B=B_d, C=C)
 

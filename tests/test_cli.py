@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,22 +103,43 @@ def test_verify_local_missing_d_exit_three(tmp_path):
     assert code == 3
 
 
-UNREAD_REFERENCES = [("local-fixed", "--rnom"), ("global", "--rnom"),
-                     ("local-range", "--r"), ("global", "--r")]
+UNREAD_FLAGS = [("local-fixed", "--rnom"), ("global", "--rnom"),
+                ("local-range", "--r"), ("global", "--r"),
+                ("local-fixed", "--gamma"), ("global", "--gamma"), ("global", "--d")]
 
 
-@pytest.mark.parametrize("theorem,flag", UNREAD_REFERENCES,
-                         ids=[f"{th}{flag}" for th, flag in UNREAD_REFERENCES])
+@pytest.mark.parametrize("theorem,flag", UNREAD_FLAGS,
+                         ids=[f"{th}{flag}" for th, flag in UNREAD_FLAGS])
 def test_verify_refuses_reference_its_theorem_does_not_read(tmp_path, capsys,
                                                             theorem, flag):
-    # --r anchors local-fixed and --rnom local-range; given to another
-    # theorem, the flag would be dropped and the report made at r = 0.
+    # --r anchors local-fixed, --rnom and --gamma local-range, and --d both
+    # local theorems; given to another theorem, the flag would be dropped and
+    # the report made without it.
     code = main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
                  "--theorem", theorem, flag, "0.1", "--d", str(PENDULUM_D),
                  "--out", str(tmp_path)])
     assert code == 3
     assert f"error: {flag} is read only by --theorem" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--r", "0.5", "--ref-schedule", "SCHEDULE"],
+     "exactly one of --r or --ref-schedule is required"),
+    (["--r", "0", "--report", "REPORT"], "--report is read only with --governed"),
+], ids=["r-and-schedule", "report-without-governed"])
+def test_simulate_refuses_flag_it_would_drop(tmp_path, capsys, argv, message):
+    # The schedule would decide every reference, and only a governed run
+    # reads a report.
+    (tmp_path / "SCHEDULE").write_text("[[0, 0.1]]")
+    (tmp_path / "REPORT").write_text("{}")
+    argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
+    out = tmp_path / "out"
+    code = main(["simulate", *argv, "--pendulum", PENDULUM_FLAG, "--nn",
+                 example_nn_path(), "--steps", "10", "--out", str(out)])
+    assert code == 3
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("gamma", ["-1", "0"])
@@ -292,6 +317,8 @@ BAD_NUMERIC_INPUT = [
     (["simulate", "--r", "0", "--x0", "nan,0,0"], "finite"),
     (["verify", "--theorem", "global", "--pendulum", "m=abc"],
      "pendulum parameter 'm' must be a number"),
+    (["verify", "--theorem", "global", "--pendulum", "m=0.15,len=0.5"],
+     "unknown pendulum parameter 'len'"),
     (["roa-plot", "--dims", "0,7"], "--dims"),
     (["roa-plot", "--dims", "0"], "--dims"),
     (["roa-plot", "--dims", "1,1"], "--dims"),
@@ -664,3 +691,90 @@ def test_ref_schedule_file(tmp_path):
     rhats = [float(r[-1]) for r in rows[1:]]
     assert rhats[10] == 0.0
     assert rhats[50] == 0.1
+
+
+def test_scalar_kxi_is_the_identity_times_it(tmp_path):
+    # With n_r = 2, --kxi 0.1 means 0.1 I: the same report as the matrix.
+    plant = nl.Plant(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2))
+    nn = nl.FeedForwardNN(
+        Hx0=np.eye(2), Hr0=np.zeros((2, 2)),
+        layers=((0.3 * np.eye(2), np.zeros(2)),),
+        Wl=0.1 * np.eye(2), bl=np.zeros(2),
+        activation=nl.Activation.tanh(),
+    )
+    save_plant(plant, tmp_path / "plant.json")
+    save_nn(nn, tmp_path / "nn.json")
+    reports = []
+    for name, kxi in (("scalar", "0.1"), ("matrix", "0.1,0;0,0.1")):
+        out = tmp_path / name
+        code = main(["verify", "--plant", str(tmp_path / "plant.json"),
+                     "--nn", str(tmp_path / "nn.json"), "--kxi", kxi,
+                     "--theorem", "global", "--out", str(out)])
+        assert code == 0
+        reports.append(read_report(out))
+        reports[-1].pop("meta")
+    assert reports[0]["k_xi"] == [[0.1, 0.0], [0.0, 0.1]]
+    assert reports[0] == reports[1]
+
+
+def test_pendulum_velocity_output(tmp_path, capsys):
+    # out=velocity changes C alone.  The angle integrates the velocity, so
+    # the loop has no steady state to anchor a box at: a local command exits
+    # 3, and the global theorem is refused at the alpha vertex.
+    flag = PENDULUM_FLAG + ",out=velocity"
+    code = main(["verify", "--pendulum", flag, "--nn", example_nn_path(),
+                 "--theorem", "global", "--out", str(tmp_path / "global")])
+    assert code == 1
+    report = read_report(tmp_path / "global")
+    angle = nl.build_pendulum()
+    assert report["plant"] == {"A": angle.A.tolist(), "B": angle.B.tolist(),
+                               "C": [[0.0, 1.0]]}
+    assert report["certificate"]["vertex"] == "alpha"
+    code = main(["bounds", "--pendulum", flag, "--nn", example_nn_path(),
+                 "--r", "0", "--d", "0.345", "--out", str(tmp_path / "bounds")])
+    assert code == 3
+    assert "steady-state system matrix is rank deficient" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every command on the shipped pendulum, in a process in which scipy cannot be
+# imported.  Prints the exit codes as JSON.
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from nnloop.assets import PENDULUM_D, example_nn_path
+from nnloop.cli import main
+out = sys.argv[1]
+common = ["--pendulum", "m=0.15,L=0.5,mu=0.5,g=9.81,Ts=0.02,disc=exact-zoh",
+          "--nn", example_nn_path()]
+d = ["--d", str(PENDULUM_D)]
+report = out + "/range/verify_report.json"
+codes = [
+    main(["verify", "--theorem", "global", *common, "--out", out + "/global"]),
+    main(["verify", "--theorem", "local-fixed", "--r", "0", *d, *common,
+          "--out", out + "/fixed"]),
+    main(["verify", "--theorem", "local-range", "--rnom", "0", *d, *common,
+          "--out", out + "/range"]),
+    main(["simulate", "--r", "0.1", "--steps", "50", *common, "--out", out + "/sim"]),
+    main(["simulate", "--governed", "--report", report, "--r", "-1",
+          "--steps", "50", *common, "--out", out + "/governed"]),
+    main(["bounds", "--r", "0", *d, *common, "--out", out + "/bounds"]),
+    main(["roa-plot", "--report", report, *common, "--out", out + "/plot"]),
+]
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test requirement only: the package itself needs numpy alone.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [1, 0, 0, 0, 0, 0, 0]
+    assert "Error" not in run.stderr
+    deps = (ROOT / "pyproject.toml").read_text().split("\ndependencies = [")[1]
+    deps = deps.split("]")[0]
+    assert "numpy" in deps and "scipy" not in deps

@@ -81,6 +81,29 @@ def test_pendulum_zoh_matches_expm_oracle():
     assert np.max(np.abs(plant.B - E[:2, 2:])) < 1e-10
 
 
+# (m, L, mu, T_s): the shipped pendulum, then short, heavily damped, slow
+# and long-sampled ones.  L = 1e-3 with mu = 1e3 puts the eigenvalues of
+# T_s A_c at -6.7e9 T_s and 1.5e-6 T_s.
+ZOH_GRID = [(0.15, 0.5, 0.5, 0.02)] + [
+    (m, L, mu, T_s) for m in (0.15, 10.0) for L in (1e-3, 0.5, 20.0)
+    for mu in (1e-3, 0.5, 1e3) for T_s in (1e-3, 0.02, 1.0)]
+
+
+@pytest.mark.parametrize("m,L,mu,T_s", ZOH_GRID)
+def test_pendulum_zoh_closed_form_on_a_grid(m, L, mu, T_s):
+    # The oracle squares its Taylor sum s times, so its own error grows
+    # like 2^s eps; s keeps the scaled matrix's row sums below 1/16.
+    plant = build_pendulum(m=m, L=L, mu=mu, T_s=T_s)
+    blk = np.zeros((3, 3))
+    blk[:2, :2] = [[0.0, 1.0], [9.81 / L, -mu / (m * L * L)]]
+    blk[:2, 2] = [0.0, 9.81 / L]
+    blk *= T_s
+    squarings = max(0, int(np.ceil(np.log2(np.abs(blk).sum(axis=1).max())))) + 4
+    E = expm_oracle(blk, squarings=squarings)
+    err = max(np.max(np.abs(plant.A - E[:2, :2])), np.max(np.abs(plant.B - E[:2, 2:])))
+    assert err <= 8.0 * 2.0 ** squarings * np.finfo(float).eps * np.max(np.abs(E))
+
+
 def test_pendulum_output_choices():
     assert np.array_equal(build_pendulum().C, [[1.0, 0.0]])
     assert np.array_equal(build_pendulum(output="velocity").C, [[0.0, 1.0]])

@@ -112,6 +112,55 @@ def test_pendulum_infeasible_at_a_vertex(pendulum, monkeypatch, theorem, d):
         assert rep["certificate"]["spectral_radius"] == pytest.approx(1.0511, abs=1e-4)
 
 
+def relu_loop(g):
+    """Plant x+ = x/2 + u, y = x, k_xi = 0.1, and two relu neurons
+    v = x + (1/2, -1/2) with output weights (-g, g).  At r = 0, v_* = (1/2,
+    -1/2), so the box of half-width 1 gives the sectors [1/2, 1] and [0, 1/2]
+    and the linearization picks the slopes (1, 0): no other vertex feeds
+    back -g x alone."""
+    plant = nl.Plant(A=[[0.5]], B=[[1.0]], C=[[1.0]])
+    nn = nl.FeedForwardNN(
+        Hx0=np.eye(1), Hr0=np.zeros((1, 1)),
+        layers=((np.ones((2, 1)), np.array([0.5, -0.5])),),
+        Wl=np.array([[-g, g]]), bl=np.zeros(1),
+        activation=nl.Activation.relu(),
+    )
+    return plant, nn, 0.1
+
+
+RELU_RUNS = [("local-fixed", {"r": np.zeros(1)}), ("local-range", {"r_nom": np.zeros(1)})]
+
+
+@pytest.mark.parametrize("theorem,anchor", RELU_RUNS, ids=[th for th, _ in RELU_RUNS])
+def test_relu_linearization_vertex_is_proved(monkeypatch, theorem, anchor):
+    # g = 1.6: the alpha slopes (1/2, 0) and beta slopes (1, 1/2) both feed
+    # back -0.8 x, a Schur loop, but the linearization feeds back -1.6 x:
+    # A_cl = [[-1.1, 0.1], [-1, 1]], z^2 + 0.1 z - 1, rho = (0.1 + sqrt(4.01))/2.
+    plant, nn, k_xi = relu_loop(1.6)
+    no_assembly(monkeypatch)
+    rep = run_verify(plant, nn, k_xi, theorem, d=1.0, **anchor)
+    assert rep["status"] == "infeasible"
+    assert rep["iterations"] == 0
+    assert rep["certificate"]["vertex"] == "linearization"
+    assert rep["certificate"]["spectral_radius"] == pytest.approx(
+        (0.1 + np.sqrt(4.01)) / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("theorem,anchor", RELU_RUNS, ids=[th for th, _ in RELU_RUNS])
+def test_relu_local_theorems_certified(theorem, anchor):
+    # g = 0.6: every slope in the sectors gives a Schur loop, and the local
+    # LMI is solved and certified.
+    plant, nn, k_xi = relu_loop(0.6)
+    rep = run_verify(plant, nn, k_xi, theorem, d=1.0, **anchor)
+    assert rep["status"] == "feasible"
+    assert rep["certificate"] is None
+    assert min(rep["margins"].values()) >= 0.0
+    assert rep["iterations"] > 0
+    if theorem == "local-range":
+        lo, hi = rep["admissible_references"]["interval"]
+        assert lo < 0.0 < hi
+
+
 def test_pendulum_d_2_5_infeasible_by_farkas_ray(pendulum, pendulum_aug):
     # Every vertex loop at d = 2.5 is stable (rho 0.991, 0.810, 0.810), yet
     # the LMI is infeasible: the verdict comes from a checked ray.
