@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadModelFile, DimensionMismatch
-from .plant import _frozen, _matvec, _matvecs, _read_json
+from .plant import _bind, _frozen, _matvec, _matvecs, _read_json
 
 
 # Each kind as (ufunc, trailing arguments, alpha, beta): applied as
@@ -77,6 +78,10 @@ class FeedForwardNN:
     Wl: np.ndarray
     bl: np.ndarray
     activation: Activation
+    # The layer loop of :func:`_layer_pass`, one per product rule, built on
+    # first use; the network is immutable, so its bound products stay valid.
+    _passes: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         Hx0 = _frozen(self.Hx0)
@@ -164,7 +169,7 @@ def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
     if r.shape != (nn.n_r,):
         raise DimensionMismatch(f"r must have shape ({nn.n_r},)")
     trace = []
-    u = _output(nn, _matvec(nn.Hx0, x) + _matvec(nn.Hr0, r), _matvec, trace)
+    u = _layer_pass(nn)(_matvec(nn.Hx0, x) + _matvec(nn.Hr0, r), trace)
     vs, ws = zip(*trace)
     return LayerTrace(v=vs, w=ws, u=u)
 
@@ -179,22 +184,36 @@ def evaluate(nn: FeedForwardNN, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     and a stack forms each product one row at a time (:func:`plant._matvecs`),
     so every row of a stack is bit for bit ``forward(nn, x_j, r_j).u``.
     """
-    mv = _matvecs if x.ndim == 2 else _matvec
-    return _output(nn, mv(nn.Hx0, x) + mv(nn.Hr0, r), mv)
+    stacked = x.ndim == 2
+    mv = _matvecs if stacked else _matvec
+    return _layer_pass(nn, stacked)(mv(nn.Hx0, x) + mv(nn.Hr0, r))
 
 
-def _output(nn: FeedForwardNN, w, mv=_matvec, trace=None):
-    """Output from the first layer's input w, the layer loop of every pass:
-    ``mv`` is :func:`plant._matvec` for one point and :func:`plant._matvecs`
-    for a stack of rows, and a list ``trace`` receives each hidden layer's
-    (v, w)."""
+def _layer_pass(nn: FeedForwardNN, stacked=False):
+    """The layer loop of every pass: ``pass_(w, trace=None)`` gives the
+    output from the first layer's input w, one point or, when ``stacked``, a
+    stack of rows, and appends each hidden layer's (v, w) to a list
+    ``trace``.  Its products (:func:`plant._bind` for one point,
+    :func:`plant._matvecs` for a stack) and the activation's ufunc are bound
+    on first use and kept per network."""
+    pass_ = nn._passes.get(stacked)
+    if pass_ is not None:
+        return pass_
+    bind = (lambda A: partial(_matvecs, A)) if stacked else _bind
     act, args = nn.activation.ufunc
-    for W, b in nn.layers:
-        v = mv(W, w) + b
-        w = act(v, *args)
-        if trace is not None:
-            trace.append((v, w))
-    return mv(nn.Wl, w) + nn.bl
+    hidden = tuple((bind(W), b) for W, b in nn.layers)
+    out, bl = bind(nn.Wl), nn.bl
+
+    def pass_(w, trace=None):
+        for product, b in hidden:
+            v = product(w) + b
+            w = act(v, *args)
+            if trace is not None:
+                trace.append((v, w))
+        return out(w) + bl
+
+    nn._passes[stacked] = pass_
+    return pass_
 
 
 def steady_forward(nn: FeedForwardNN, x_star, r) -> LayerTrace:

@@ -16,6 +16,7 @@ whose block matrices are assembled by :func:`augment`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ def _rows(X) -> np.ndarray:
     return rows
 
 
-def _matvec(A, x) -> np.ndarray:
-    """The single product A @ x of a matrix and a vector, through ``A.dot``.
+def _bind(A):
+    """The product x -> A @ x of the matrix A and one vector, as a bound
+    method chosen once: ``A.dot``, or ``A.__matmul__`` for a matrix with
+    one column.
 
     ``A.dot(x)`` makes the BLAS gemv (a dot when A has one row) that
     ``A @ x`` makes, at about half the dispatch cost, and gives the same
@@ -74,7 +77,13 @@ def _matvec(A, x) -> np.ndarray:
     -0.0 where ``@`` gives 0.0), and ``@`` forms an (m, 1) product in
     numpy's own loop, which can differ from gemv in the sign of a zero.
     """
-    return A @ x if A.shape[1] == 1 else A.dot(x)
+    return A.__matmul__ if A.shape[1] == 1 else A.dot
+
+
+def _matvec(A, x) -> np.ndarray:
+    """The single product A @ x of a matrix and a vector, made by
+    :func:`_bind`'s method."""
+    return _bind(A)(x)
 
 
 def _matvecs(A, rows) -> np.ndarray:
@@ -290,7 +299,14 @@ def build_pendulum(m: float = 0.15, L: float = 0.5, mu: float = 0.5,
         raise ValueError("method must be 'exact-zoh' or 'euler'")
     if output not in ("angle", "velocity"):
         raise ValueError("output must be 'angle' or 'velocity'")
-    A_c = np.array([[0.0, 1.0], [g / L, -mu / (m * L * L)]])
+    # Positive inputs can still give a coefficient that underflows to zero
+    # (m L^2 at L = 1e-170) or overflows (g/L at g = 1e300, L = 1e-100).
+    inertia = m * L * L
+    for name, val in (("m L^2", inertia), ("g/L", g / L),
+                      ("mu/(m L^2)", mu / inertia if inertia else 0.0)):
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"{name} = {val!r} must be positive and finite")
+    A_c = np.array([[0.0, 1.0], [g / L, -mu / inertia]])
     B_c = np.array([[0.0], [g / L]])
     if method == "euler":
         A_d = np.eye(2) + T_s * A_c

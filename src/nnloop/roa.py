@@ -115,8 +115,8 @@ class JointEllipsoid:
     Q: np.ndarray
     r_nom: np.ndarray
     xtil_star: Callable
-    # (refs, centers, ref_quads) of grid_quads, built on first use; the set
-    # is immutable, so the grid stays valid.
+    # (refs, centers, ref_quads) of the grid, built on first use; the set is
+    # immutable, so the grid stays valid.
     _grid: tuple | None = field(default=None, init=False, repr=False)
     # (r.tobytes(), xtil_star(r), ref_quad(r)) of joint_quad's last r.
     _last: tuple | None = field(default=None, init=False, repr=False)
@@ -174,22 +174,25 @@ class JointEllipsoid:
         return self._stacked_quad(xtil, self.xtil_star_batch(R),
                                   self._ref_quads(R))
 
-    def grid_quads(self, xtil) -> tuple:
-        """(refs, quads): GRID_POINTS references evenly spaced over the
-        admissible interval (n_r = 1) and the joint quadratic of xtil at
-        each, equal to ``joint_quad_many(xtil, refs[:, None])``.
-
-        The references, their centers and reference terms are computed on the
-        first call and kept, so later calls cost one quadratic form per
-        reference.
-        """
+    @property
+    def grid(self) -> np.ndarray:
+        """GRID_POINTS references evenly spaced over the admissible interval
+        (n_r = 1), kept with their centers and reference terms."""
         if self._grid is None:
             lo, hi = admissible_references(self).interval
             R = np.linspace(lo, hi, GRID_POINTS)[:, None]
             object.__setattr__(self, "_grid", (
                 R[:, 0], self.xtil_star_batch(R), self._ref_quads(R)))
-        refs, centers, ref_quads = self._grid
-        return refs, self._stacked_quad(xtil, centers, ref_quads)
+        return self._grid[0]
+
+    def grid_quads(self, xtil, part=slice(None)) -> tuple:
+        """(refs, quads): the grid references ``grid[part]`` (all by default)
+        and the joint quadratic of xtil at each, equal to
+        ``joint_quad_many(xtil, refs[:, None])``: one quadratic form per
+        reference, so a part gives the whole grid's bits at its own cost."""
+        refs = self.grid[part]
+        _, centers, ref_quads = self._grid
+        return refs, self._stacked_quad(xtil, centers[part], ref_quads[part])
 
     def _ref_quads(self, R) -> np.ndarray:
         return _quads(R - self.r_nom[None, :], self.Q)

@@ -59,6 +59,9 @@ class SDPSolution:
     iterations: int = 0
     y: np.ndarray | None = None
     farkas: dict | None = None
+    # How the interior-point run ended ("optimal", "stalled", "max_iter" or
+    # "infeasible"), or None when no run was made.
+    ipm_status: str | None = None
 
     @property
     def P(self):
@@ -250,13 +253,15 @@ def solve(system: LMISystem, tol: float = 1e-8) -> SDPSolution:
     if res.status == "infeasible":
         farkas = check_farkas(system.blocks, res.Z, min(tol, _FARKAS_TOL))
         return SDPSolution(status=INACCURATE if farkas is None else INFEASIBLE,
-                           iterations=res.iterations, farkas=farkas)
+                           iterations=res.iterations, farkas=farkas,
+                           ipm_status=res.status)
     if res.y is None:
-        return SDPSolution(status=SOLVER_ERROR, iterations=res.iterations)
+        return SDPSolution(status=SOLVER_ERROR, iterations=res.iterations,
+                           ipm_status=res.status)
     objective = None if system.objective is None else float(system.objective @ res.y)
     return certify(system, SDPSolution(
         status=FEASIBLE, values=system.unpack(res.y), objective_value=objective,
-        iterations=res.iterations, y=res.y))
+        iterations=res.iterations, y=res.y, ipm_status=res.status))
 
 
 # The CLI decides through this name because perfbench/tracing.py times the

@@ -319,6 +319,10 @@ BAD_NUMERIC_INPUT = [
      "pendulum parameter 'm' must be a number"),
     (["verify", "--theorem", "global", "--pendulum", "m=0.15,len=0.5"],
      "unknown pendulum parameter 'len'"),
+    (["verify", "--theorem", "global", "--pendulum", "L=1e-170"],
+     "m L^2 = 0.0 must be positive and finite"),
+    (["verify", "--theorem", "global", "--pendulum", "g=1e300,L=1e-300"],
+     "must be positive and finite"),
     (["roa-plot", "--dims", "0,7"], "--dims"),
     (["roa-plot", "--dims", "0"], "--dims"),
     (["roa-plot", "--dims", "1,1"], "--dims"),
@@ -635,6 +639,34 @@ def test_report_determinism(tmp_path):
         rep.pop("meta")  # wall-clock time is the only varying field
         outs.append(json.dumps(rep, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("tol,ended", [(None, "optimal"), ("1e-10", "stalled")],
+                         ids=["default-tol", "tol-1e-10"])
+def test_report_says_how_the_solver_run_ended(tmp_path, tol, ended):
+    # Both verdicts are feasible, but at --tol 1e-10 the shipped local-fixed
+    # run stalls (29 iterations) before the tolerance is met, and its
+    # certified iterate is the one reported.
+    out = str(tmp_path / "out")
+    argv = ["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+            "--kxi", "1.0", "--theorem", "local-fixed", "--r", "0",
+            "--d", str(PENDULUM_D), "--out", out]
+    assert main(argv + ([] if tol is None else ["--tol", tol])) == 0
+    rep = read_report(out)
+    assert rep["status"] == "feasible"
+    assert rep["solver"] == {"tol": 1e-8 if tol is None else float(tol),
+                             "status": ended}
+
+
+def test_report_solver_status_is_null_for_a_vertex_proof(tmp_path):
+    # The global theorem is proved infeasible at a sector vertex; no
+    # interior-point run is made.
+    out = str(tmp_path / "out")
+    assert main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                 "--kxi", "1.0", "--theorem", "global", "--out", out]) == 1
+    rep = read_report(out)
+    assert rep["certificate"]["kind"] == "unstable_vertex"
+    assert rep["iterations"] == 0 and rep["solver"]["status"] is None
 
 
 def test_roa_plot(tmp_path):

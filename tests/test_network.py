@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nnloop as nl
-from nnloop.closed_loop import _transition
+from nnloop.closed_loop import _stepper
 from nnloop.errors import DimensionMismatch
 from nnloop.network import evaluate, load_nn, save_nn
 from nnloop.plant import xtil_star_map
@@ -149,6 +149,7 @@ def test_evaluate_row_of_one_is_bit_identical(pendulum):
     aug = nl.augment(plant, k_xi)
     rng = np.random.default_rng(31)
     for nn in _stack_networks(pendulum):
+        transition = _stepper(aug, nn)
         for _ in range(200):
             scale = 10.0 ** rng.uniform(-3.0, 1.0)
             x = rng.normal(scale=scale, size=nn.n_x)
@@ -158,9 +159,11 @@ def test_evaluate_row_of_one_is_bit_identical(pendulum):
             assert U.shape == (1, nn.n_u)
             assert U[0].tobytes() == u.tobytes()
             assert u.tobytes() == nl.forward(nn, x, r).u.tobytes()
-            u_nn, _ = _transition(aug, nn, np.concatenate([x, r]),
-                                  nn.Hr0 @ r, aug.Br @ r)
+            xt = np.concatenate([x, r])
+            u_nn, xt_next = transition(xt, nn.Hr0 @ r, aug.Br @ r)
             assert u_nn.tobytes() == u.tobytes()
+            want = aug.Atil @ xt + aug.Btil @ u + aug.Br @ r
+            assert xt_next.tobytes() == want.tobytes()
 
 
 def test_evaluate_stack_matches_rows(pendulum):

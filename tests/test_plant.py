@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,21 @@ def test_pendulum_validation():
         build_pendulum(m=-1.0)
     with pytest.raises(ValueError):
         build_pendulum(method="tustin")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"L": 1e-170}, "m L^2 = 0.0"),
+    ({"g": 1e300, "L": 1e-300}, "m L^2 = 0.0"),
+    ({"g": 1e300, "L": 1e-100}, "g/L = inf"),
+    ({"g": 1e-300, "L": 1e100}, "g/L = 0.0"),
+    ({"mu": 1e300, "m": 1e-300}, "mu/(m L^2) = inf"),
+    ({"m": float("nan")}, "m L^2 = nan"),
+])
+def test_pendulum_derived_coefficients_must_be_positive_and_finite(kwargs,
+                                                                    message):
+    # Positive parameters whose coefficients in A_c underflow or overflow.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_pendulum(**kwargs)
 
 
 def test_steady_state_map_scalar():
