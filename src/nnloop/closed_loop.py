@@ -42,10 +42,10 @@ entry bit for bit the single :meth:`JointEllipsoid.joint_quad`, and a new
 path starts at the first wrong prediction, so the result is that of plain
 bisection at about 2.2 passes per bisecting call.  A step asks
 :meth:`JointEllipsoid.joint_quad` about the desired reference only, whose
-slice center the set keeps while it stays the same.  The multi-reference case uses multi-start projected descent, whose
-bisections run in lockstep, one stacked pass per step.  A run whose state
-grows past the float limit is flagged as diverged without a warning, and
-keeps its non-finite last row.
+slice center the set keeps while it stays the same.  The multi-reference
+case uses multi-start projected descent, whose bisections run in lockstep,
+one stacked pass per step.  A run whose state grows past the float limit is
+flagged as diverged without a warning, and keeps its non-finite last row.
 
 :func:`write_trajectory_csv` formats each distinct row (distinct bytes) once
 and streams the rows to the file, with the bytes ``csv.writer`` would write:
@@ -120,8 +120,8 @@ def _stepper(aug: AugmentedPlant, nn: FeedForwardNN):
     """The loop's transition ``(xtil, hr, br) -> (u_nn, xtil+)``, its
     products bound once: one network pass u_nn = kappa(x, r) and xtil+, from
     a float state xtil (n_xtil,) and the terms hr = Hr0 r, br = Br r."""
-    n_x, Hx0, Atil, Btil = nn.n_x, _bind(nn.Hx0), _bind(aug.Atil), _bind(aug.Btil)
-    layers = _layer_pass(nn)
+    n_x, Hx0, layers = nn.n_x, _bind(nn.Hx0), _layer_pass(nn)
+    Atil, Btil = _bind(aug.Atil), _bind(aug.Btil)
 
     def transition(xtil, hr, br):
         u_nn = layers(Hx0(xtil[:n_x]) + hr)

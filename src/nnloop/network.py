@@ -113,6 +113,11 @@ class FeedForwardNN:
         object.__setattr__(self, "Wl", Wl)
         object.__setattr__(self, "bl", bl)
 
+    def __getstate__(self):
+        # The kept layer loops are closures, which do not pickle; a copy
+        # builds its own on first use.
+        return {**self.__dict__, "_passes": {}}
+
     @property
     def n_x(self) -> int:
         return self.Hx0.shape[1]

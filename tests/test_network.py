@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ def test_evaluate_row_of_one_is_bit_identical(pendulum):
             assert u_nn.tobytes() == u.tobytes()
             want = aug.Atil @ xt + aug.Btil @ u + aug.Br @ r
             assert xt_next.tobytes() == want.tobytes()
+
+
+def test_network_pickles_after_a_pass(pendulum):
+    # A network keeps its bound layer loops after a pass; a pickled copy
+    # leaves them behind and gives the same bits.
+    _plant, nn, _k_xi = pendulum
+    x, r = np.array([0.1, -0.2]), np.array([0.05])
+    u = evaluate(nn, x, r)
+    copy = pickle.loads(pickle.dumps(nn))
+    assert evaluate(copy, x, r).tobytes() == u.tobytes()
 
 
 def test_evaluate_stack_matches_rows(pendulum):
