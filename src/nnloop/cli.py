@@ -81,6 +81,7 @@ def _parse_dims(text: str, n: int) -> tuple:
 
 def _parse_pendulum(text: str) -> Plant:
     kwargs = {}
+    seen = set()
     for item in text.split(","):
         if not item:
             continue
@@ -90,6 +91,9 @@ def _parse_pendulum(text: str) -> Plant:
             raise CliError(f"bad pendulum parameter {item!r}") from exc
         key = key.strip()
         val = val.strip()
+        if key in seen:
+            raise CliError(f"pendulum parameter {key!r} given twice")
+        seen.add(key)
         if key in ("m", "L", "mu", "g", "Ts"):
             try:
                 kwargs["T_s" if key == "Ts" else key] = float(val)

@@ -319,6 +319,10 @@ BAD_NUMERIC_INPUT = [
      "pendulum parameter 'm' must be a number"),
     (["verify", "--theorem", "global", "--pendulum", "m=0.15,len=0.5"],
      "unknown pendulum parameter 'len'"),
+    (["verify", "--theorem", "global", "--pendulum", "m=0.15,m=0.2,L=0.5"],
+     "pendulum parameter 'm' given twice"),
+    (["verify", "--theorem", "global", "--pendulum", "disc=zoh,disc=euler"],
+     "pendulum parameter 'disc' given twice"),
     (["verify", "--theorem", "global", "--pendulum", "L=1e-170"],
      "m L^2 = 0.0 must be positive and finite"),
     (["verify", "--theorem", "global", "--pendulum", "g=1e300,L=1e-300"],

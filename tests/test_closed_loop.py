@@ -300,6 +300,46 @@ def test_trajectory_csv_formats_rows_by_bytes(tmp_path):
     assert lines[4] == b"3,nan,inf,-inf,inf,nan,nan"
 
 
+def test_trajectory_csv_bytes_match_csv_writer_long_runs(tmp_path, pendulum,
+                                                         pendulum_aug,
+                                                         joint_set):
+    # The plain run at r = 0 enters its orbit of subnormal states after about
+    # 3,400 steps; the governed run switches its desired reference once.
+    # Both span several CSV_CHUNK_ROWS chunks.
+    _plant, nn, _k = pendulum
+    x0 = np.array([0.05, -0.3, 0.01])
+    plain = nl.simulate(pendulum_aug, nn, x0, np.array([0.0]), 5000)
+    governed = nl.simulate_with_governor(pendulum_aug, nn, joint_set, x0,
+                                         [(0, -1.0), (1000, 0.1)], 2000)
+    last = np.abs(plain.states[-1])
+    assert np.all(last < np.finfo(float).tiny) and np.any(last > 0)
+    for traj in (plain, governed):
+        cl.write_trajectory_csv(tmp_path / "written.csv", traj)
+        _csv_writer_reference(tmp_path / "reference.csv", traj)
+        written = (tmp_path / "written.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b"\r\n") == traj.steps + 1
+
+
+def test_trajectory_csv_traced_memory_is_bounded(tmp_path, pendulum,
+                                                 pendulum_aug):
+    # Rows are formatted and written a chunk at a time: writing the
+    # 10,000-step plain run (0.8 MB of text) peaks below 2 MB of
+    # traced memory, most of it the text of the 3,648 distinct rows.
+    import tracemalloc
+
+    _plant, nn, _k = pendulum
+    traj = nl.simulate(pendulum_aug, nn, np.array([0.05, -0.3, 0.01]),
+                       np.array([0.0]), 10000)
+    tracemalloc.start()
+    try:
+        cl.write_trajectory_csv(tmp_path / "traj.csv", traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 # ---------------------------------------------------------------- exact oracle
 #
 # The loop as first written: a traced forward pass per step, the schedule
