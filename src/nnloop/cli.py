@@ -212,7 +212,7 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
         "plant": {"A": plant.A.tolist(), "B": plant.B.tolist(),
                   "C": plant.C.tolist()},
         "activation": nn.activation.kind,
-        "solver": {"tol": tol, "status": sol.ipm_status},
+        "solver": {"tol": tol, "status": sol.ipm_status, "reason": sol.ipm_reason},
         "d": _listify(d),
         "gamma": gamma if theorem == "local-range" else None,
         ("r_nom" if theorem == "local-range" else "r"):

@@ -42,24 +42,27 @@ elementwise (R is r with r^2 = sqrt(s/z), so Ghat = G / r^2).  With the
 coefficients one matrix F, the residuals, the Schur matrix and both Newton
 directions are one numpy call per iteration; S and Z, the congruences with
 R^-1, the step-length eigenvalues, the corrector's right-hand side and the NT
-update are one call per stack, on its view; the predictor's ds is
--diag(lambda) - dz, so its step length takes the eigenvalues of dz alone.  A
-ray is unstacked into the caller's blocks, zero off their pieces.
+update are one call per stack, on views bound once per run into work arrays
+allocated once (:meth:`_Cone.bind`); the predictor's ds is -diag(lambda) - dz,
+so its step length takes the eigenvalues of dz alone.  A ray is unstacked
+into the caller's blocks, zero off their pieces.
 
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
 the returned y passes an independent eigenvalue check without a re-solve.
-A run ends in one of five ways:
+A run ends in one of six ways, its ``reason``:
 
-* "optimal": an iterate meets the tolerances and its blocks, as given, pass
-  a Cholesky factorization (for c = 0 any such iterate is optimal);
-* "infeasible": the ray test above passes;
-* "stalled": a step is shorter than ``_STALL``;
-* "stalled": a factorization fails or the data overflow to inf or nan;
+* "optimal": an iterate meets the tolerances and its blocks, as given, are
+  finite and pass a Cholesky factorization (for c = 0 any such iterate is
+  optimal; only such iterates are factored while the run goes on);
+* "ray" (status "infeasible"): the ray test above passes;
+* "short_step" (status "stalled"): a step is shorter than ``_STALL``;
+* "factorization" (status "stalled"): a factorization, eigenvalue or singular
+  value problem fails on finite data; "overflow": on inf or nan data;
 * "max_iter": ``MAX_ITER`` iterations pass.
 
-A stalled or max_iter run returns the lowest-objective iterate whose blocks
-passed Cholesky, if any.
+A stalled or max_iter run returns the iterate of lowest objective (the later
+on ties, nan last) whose blocks pass Cholesky, if any.
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ class IPMResult:
     pres: float = np.nan
     dres: float = np.nan
     iterations: int = 0
+    reason: str = "optimal"  # why the run ended; see the module docstring
 
 
 class _Group:
@@ -128,45 +132,58 @@ class _Cone(list):
     flat identity, ``diag`` its nonzero entries, T[e] the transpose of e and
     ``src`` the stacks' src end to end."""
 
-
-def _pieces(blk):
-    """G0 - delta I of a block, and its irreducible diagonal pieces: the
-    connected components of the nonzero pattern of G0 and every coefficient,
-    in order of their smallest index, each as its index set and its scale,
-    the largest |entry| of its G0 - delta I and coefficients if above one."""
-    G0 = blk.G0 - blk.delta * np.eye(blk.order)
-    size = np.maximum(np.abs(G0), np.abs(blk.coeffs).max(axis=0, initial=0.0))
-    pattern = size != 0
-    pattern |= pattern.T
-    # Float labels: nothing else in a verify run compares integer arrays, and
-    # paging in those loops added about 0.2 MB to the peak resident memory.
-    label = index = np.arange(blk.order, dtype=float)
-    while True:  # each pass takes the smallest label among the neighbours
-        new = np.minimum(label, np.where(pattern, label, blk.order).min(axis=1))
-        if np.array_equal(new, label):
-            break
-        label = new
-    pieces = [np.flatnonzero(label == root) for root in label[label == index]]
-    return G0, [(idx, max(1.0, float(size[np.ix_(idx, idx)].max()))) for idx in pieces]
+    def bind(self):
+        """Allocate a run's work arrays and bind each stack's views: Ghat, (S, Z),
+        lambda, both directions' (ds, dz), the corrector's symmetric term, and
+        QA, the step length's Q and the NT point (read after a failed step)."""
+        N = len(self.src)
+        self.Gh, self.SZ, self.dsz, self.QA = (np.empty_like(self.F), np.empty((2, N)),
+                                               np.empty((2, 2, N)), np.zeros((2, 2, N)))
+        self.lam, self.sym, (self.Q, self.ahead) = np.ones(N), np.empty(N), self.QA
+        for grp in self:
+            grp.F, grp.Gh, grp.eye, grp.SZ, grp.lam, grp.aff, grp.sym, grp.ahead = map(
+                grp.view, (self.F, self.Gh, self.eye, self.SZ, self.lam, self.dsz[0],
+                           self.sym, self.ahead))
+        self.Qs, self.Q1s = ([grp.view(Q) for grp in self] for Q in (self.Q, self.Q[1]))
 
 
 def _group(blocks, m):
-    """The caller's blocks split into pieces, packed into slots and grouped by
-    slot order.  Pieces are taken by decreasing order, in caller order among
-    equal ones, and placed first-fit into bins of the largest order k when
-    k <= _PACK_MAX; a bin is kept as a slot only when its pieces fill it
-    exactly, and every other piece is a slot of its own.  A piece is held as
-    the flat indices of its entries in the caller's blocks laid end to end,
-    through which the cone's G0 and F are gathered straight from the blocks."""
-    start = np.cumsum([0] + [blk.order ** 2 for blk in blocks])
-    scale = np.ones(start[-1] + 1)  # the last entry is off the pieces
-    G0s, pieces = [], []
-    for lo, blk in zip(start, blocks):
-        G0, split = _pieces(blk)
+    """The caller's blocks split into pieces (the connected components of the
+    nonzero pattern of G0 - delta I and every coefficient of each block, from
+    one label propagation over all blocks), packed into slots and grouped by
+    slot order.  Pieces are taken by decreasing order, in caller order and by
+    smallest index among equal ones, and placed first-fit into bins of the
+    largest order k when k <= _PACK_MAX; a bin is kept as a slot only when its
+    pieces fill it exactly, and every other piece is a slot of its own.  A
+    piece is held as the flat indices of its entries in the caller's blocks
+    laid end to end, through which G0 and F are gathered from the blocks."""
+    orders = [blk.order for blk in blocks]
+    start, first = np.cumsum([0] + [k * k for k in orders]), np.cumsum([0] + orders)
+    G0s, edges, tops = [], [], []
+    for blk, lo in zip(blocks, first):
+        G0 = blk.G0 - blk.delta * np.eye(blk.order)
+        size = np.maximum(np.abs(G0), np.abs(blk.coeffs).max(axis=0, initial=0.0))
         G0s.append(G0.ravel())
-        for idx, piece_scale in split:
-            pieces.append(lo + blk.order * idx[:, None] + idx)
-            scale[pieces[-1]] = piece_scale
+        edges.append(np.argwhere(size + size.T + np.eye(blk.order)).T + lo)  # and i ~ i
+        tops.append(size.max(axis=1, initial=0.0))
+    (row, col), top = np.concatenate(edges, axis=1), np.concatenate(tops)
+    heads = np.r_[0, np.flatnonzero(np.diff(row)) + 1]  # each index's first edge
+    # Float labels, and no sort or ufunc.at: nothing else in a verify run uses
+    # them, and paging in their loops added 0.1-0.2 MB to the peak RSS.
+    label = index = np.arange(first[-1], dtype=float)
+    while True:  # each pass takes the least label among the neighbours
+        new = np.minimum.reduceat(label[col], heads)
+        if np.array_equal(new, label):
+            break
+        label = new
+    local = np.arange(first[-1]) - np.repeat(first[:-1], orders)
+    rowstart = np.repeat(start[:-1], orders) + np.repeat(orders, orders) * local
+    scale = np.ones(start[-1] + 1)  # the last entry is off the pieces
+    pieces = []
+    for root in label[label == index]:  # by smallest index
+        idx = np.flatnonzero(label == root)
+        pieces.append(rowstart[idx, None] + local[idx])
+        scale[pieces[-1]] = max(1.0, float(top[idx].max()))
     pieces.sort(key=lambda piece: -len(piece))
     k = len(pieces[0])
     bins = []  # [room left, pieces...]; above _PACK_MAX a bin holds one piece
@@ -190,13 +207,12 @@ def _group(blocks, m):
         groups.append(_Group(src if order > 1 else src.ravel(),
                              groups[-1].at.stop if groups else 0))
     src = np.concatenate([grp.src.ravel() for grp in groups])
-    srcf, cone, N = src.astype(float), _Cone(groups), len(src)  # float as in _pieces
-    cone.G0, cone.eye, cone.T = np.zeros(N), np.zeros(N), np.arange(N)
-    cone.F, cone.src, cone.scale = np.zeros((m + 2, N)), src, scale[src]
-    for G0, blk, lo, hi in zip(G0s, blocks, start, start[1:]):
+    srcf, cone, N = src.astype(float), _Cone(groups), len(src)  # float as the labels
+    cone.eye, cone.T, cone.src, cone.scale = np.zeros(N), np.arange(N), src, scale[src]
+    cone.G0, cone.F = np.concatenate(G0s + [[0.0]])[src] / cone.scale, np.zeros((m + 2, N))
+    for blk, lo, hi in zip(blocks, start, start[1:]):
         at = np.flatnonzero((srcf >= lo) & (srcf < hi))
         idx, C, sc = src[at] - lo, blk.coeffs.reshape(m, -1), cone.scale[at]
-        cone.G0[at] = G0[idx] / sc
         for i in range(0, m, _ROWS):
             cone.F[i:min(i + _ROWS, m), at] = C[i:i + _ROWS, idx] / sc
     for grp in groups:
@@ -218,68 +234,68 @@ def _unstack(blocks, cone, x):
 
 
 def _positive_definite(cone, y) -> bool:
+    """Whether y and S(y) are finite and every stack of S(y), the orthant as
+    matrices of order 1, passes a Cholesky factorization."""
     S = cone.G0 + y.dot(cone.F[:len(y)])
     try:
         for grp in cone:
-            if not grp.orthant:
-                np.linalg.cholesky(grp.view(S))
-            elif not np.all(grp.view(S) > 0.0):
-                return False
+            np.linalg.cholesky(grp.view(S)[..., None, None] if grp.orthant else grp.view(S))
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(np.isfinite(y)))  # Cholesky passes NaN through
+    return bool(np.isfinite(S).all() and np.isfinite(y).all())  # Cholesky passes inf, nan
 
 
 def _step_length(cone, Q, pairs, affine=False):
     """Largest a keeping diag(lam) + a (ds, dz) PSD, up to -1 / min eig of
-    Q = (ds, dz) / sqrt(lam lam') (2, N), and x + a dx >= 0 for each (x, dx)
-    of pairs.  An affine step has ds = -diag(lam) - dz, so its Q is the dz half
-    (N,) alone, and -1 - max eig(Q) is the smallest eigenvalue of the ds half."""
+    Q = (ds, dz) / sqrt(lam lam'), each stack's view, and x + a dx >= 0 for
+    each (x, dx) of pairs.  An affine step has ds = -diag(lam) - dz, so its Q
+    is the dz half alone, and -1 - max eig(Q) is the ds half's least one."""
     w = np.inf
-    for grp in cone:
-        e = grp.view(Q)[..., None] if grp.orthant else np.linalg.eigvalsh(grp.view(Q))
+    for grp, q in zip(cone, Q):
+        e = q[..., None] if grp.orthant else np.linalg.eigvalsh(q)
         w = min(w, e[..., 0].min(), -1.0 - e[..., -1].max() if affine else np.inf)
     return min([np.inf if w >= 0.0 else -1.0 / w]
                + [-x / dx for x, dx in pairs if dx < 0.0])
 
 
-def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
-    """Mehrotra predictor-corrector step from the NT-scaled point (W holds
-    each stack's R and R^-T, lam the lambda of each entry's column): the new
-    W, lam and dy, dtau, dkappa, alpha, or None if the step is too short."""
+def _newton_step(cone, c, W, tau, kappa, rx, rt, mu):
+    """Mehrotra predictor-corrector step from the NT-scaled point (W holds each
+    stack's R and R^-T, cone.lam each entry's column's lambda): the new W, with
+    cone.lam updated, and dy, dtau, dkappa, alpha, or None if it is too short."""
     # Scale the rows of F into Gh as Ghat = R^-1 G R^-T; their Gram matrix
     # holds the Schur matrix H, g = Ghat G0h and <G0h, G0h>.
-    m = len(c)
+    m, lam, Gh, (aff, cor) = len(c), cone.lam, cone.Gh[:len(c) + 1], cone.dsz
     for grp, Wg in zip(cone, W):
-        X, out, Rit = grp.view(cone.F), grp.view(Gh), Wg[1]  # Rit = R^-T
+        X, out, Rit = grp.F, grp.Gh, Wg[1]  # Rit = R^-T
         if grp.orthant:
             np.multiply(X * Rit, Rit, out=out)
             continue
         for i in range(0, m + 2, _ROWS):
             np.matmul(Rit.swapaxes(1, 2) @ X[i:i + _ROWS], Rit, out=out[i:i + _ROWS])
-    gram = Gh[:m + 1] @ Gh[:m + 1].T
+    gram = Gh @ Gh.T
     if not np.isfinite(gram[:m, :m]).all():  # Cholesky passes NaN through
         raise ValueError("Schur matrix is not finite")
     Li = np.linalg.inv(np.linalg.cholesky(gram[:m, :m]))  # H^-1 v = Li'(Li v)
-    g, rzh = gram[:m, m], Gh[m + 1]
-    q = Li.T.dot(Li.dot(c + g))
-    denom = float((c - g).dot(q)) + float(gram[m, m]) + kappa / tau
+    cg, rzh, LiT = c - gram[:m, m], cone.Gh[m + 1], Li.T
+    q = LiT.dot(Li.dot(c + gram[:m, m]))
+    denom = float(cg.dot(q)) + float(gram[m, m]) + kappa / tau
     dyt = np.empty(m + 1)  # [dy, dtau] of each direction
 
-    def direction(eta, rc, rtk):
+    def direction(eta, rc, rtk, dsz):
         """Newton direction for residual reduction eta and scaled
-        complementarity right-hand sides rc and rtk, with ds, dz as (2, N)."""
+        complementarity right-hand sides rc and rtk, with ds, dz into dsz."""
         t = rc + eta * rzh
-        ft = Gh[:m + 1].dot(t)
+        ft = Gh.dot(t)
         h = -eta * rt - rtk / tau - float(ft[m])
-        p = Li.T.dot(Li.dot(ft[:m] + eta * rx))
-        dtau = (float((c - g).dot(p)) - h) / denom
+        p = LiT.dot(Li.dot(ft[:m] + eta * rx))
+        dtau = (float(cg.dot(p)) - h) / denom
         dy = p - q * dtau
         dyt[:m], dyt[m] = dy, dtau
-        dz = t - dyt.dot(Gh[:m + 1])
-        dz = 0.5 * (dz + dz[cone.T])
-        dsz = np.concatenate((rc - dz, dz)).reshape(2, -1)
-        return dy, dsz, dtau, (rtk - kappa * dtau) / tau
+        ds, dz = dsz
+        np.subtract(t, dyt.dot(Gh), out=dz)
+        np.multiply(np.add(dz, dz[cone.T], out=dz), 0.5, out=dz)
+        np.subtract(rc, dz, out=ds)
+        return dy, dtau, (rtk - kappa * dtau) / tau
 
     lam_row = lam[cone.T]
     scale = np.sqrt(lam_row * lam)
@@ -288,18 +304,22 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
     # right-hand side 2 (sigma mu I - D^2 - sym(dsa dza)) / (lam_i + lam_j) is
     # (sigma mu - lam^2 - dsa dza) / lam in the orthant.
     diag = cone.eye * lam
-    aff = direction(1.0, -diag, -tau * kappa)
-    alpha_aff = _step_length(cone, aff[1][1] / scale,
-                             ((tau, aff[2]), (kappa, aff[3])), affine=True)
+    _, dtau_a, dkappa_a = direction(1.0, -diag, -tau * kappa, aff)
+    np.divide(aff[1], scale, out=cone.Q[1])
+    alpha_aff = _step_length(cone, cone.Q1s, ((tau, dtau_a), (kappa, dkappa_a)),
+                             affine=True)
     sigma = (1.0 - min(1.0, alpha_aff)) ** _EXPON
-    sym = np.empty(len(lam))
     for grp in cone:
-        dsa, dza = grp.view(aff[1])
-        grp.view(sym)[...] = dsa * dza if grp.orthant else 0.5 * (dsa @ dza + dza @ dsa)
-    rc = 2.0 * (sigma * mu * cone.eye - diag * diag - sym) / (lam_row + lam)
-    d = direction(1.0 - sigma, rc, sigma * mu - tau * kappa - aff[2] * aff[3])
-    alpha = min(1.0, _STEP * _step_length(cone, d[1] / scale,
-                                          ((tau, d[2]), (kappa, d[3]))))
+        dsa, dza = grp.aff
+        if grp.orthant:
+            np.multiply(dsa, dza, out=grp.sym)
+        else:
+            np.multiply(np.add(dsa @ dza, dza @ dsa, out=grp.sym), 0.5, out=grp.sym)
+    rc = 2.0 * (sigma * mu * cone.eye - diag * diag - cone.sym) / (lam_row + lam)
+    dy, dtau, dkappa = direction(1.0 - sigma, rc,
+                                 sigma * mu - tau * kappa - dtau_a * dkappa_a, cor)
+    np.divide(cor, scale, out=cone.Q)
+    alpha = min(1.0, _STEP * _step_length(cone, cone.Qs, ((tau, dtau), (kappa, dkappa))))
     if alpha < _STALL:
         return None
 
@@ -307,21 +327,21 @@ def _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh):
     # L2 L2' = diag(lam) + alpha dz and L2' L1 = U diag(lam_new) V', the new
     # R and R^-T are R L1 V and R^-T L2 U, columns divided by sqrt(lam_new)
     # (vectors in the orthant).
-    dy, dsz, dtau, dkappa = d
-    ahead = diag + alpha * dsz
-    W_new, lam_new = [], np.empty_like(lam)
+    np.multiply(cor, alpha, out=cone.ahead)
+    cone.ahead += diag
+    W_new = []
     for grp, Wg in zip(cone, W):
         if grp.orthant:
-            L = np.sqrt(grp.view(ahead))
+            L = np.sqrt(grp.ahead)
             lg, WL = L[0] * L[1], Wg * L
         else:
-            L = np.linalg.cholesky(grp.view(ahead))
+            L = np.linalg.cholesky(grp.ahead)
             U, lg, Vt = np.linalg.svd(L[1].swapaxes(1, 2) @ L[0])
             lg, VU = lg[:, None, :], np.concatenate((Vt, U.swapaxes(1, 2)))
             WL = Wg @ L @ VU.reshape(L.shape).swapaxes(2, 3)
         W_new.append(WL / np.sqrt(lg))
-        grp.view(lam_new)[...] = lg
-    return W_new, lam_new, dy, dtau, dkappa, alpha
+        grp.lam[...] = lg
+    return W_new, dy, dtau, dkappa, alpha
 
 
 def check_tol(tol: float) -> None:
@@ -332,9 +352,8 @@ def check_tol(tol: float) -> None:
             f"double precision (got {tol:g})")
 
 
-# An objective too large for double precision (say --gamma 1e300) overflows
-# norms and products before the run stalls, and tau can underflow to 0 on a
-# ray that never passes the ray test; the stall is what is reported.
+# An objective too large for double precision (say --gamma 1e300) overflows before
+# the run stalls, and tau can underflow to 0 on a ray that fails the ray test.
 @np.errstate(over="ignore", divide="ignore")
 def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     """Run the self-dual embedding from y = 0, S = Z = I, tau = kappa = 1."""
@@ -342,7 +361,8 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
     c = np.asarray(c, dtype=float)
     m = len(c)
     cone = _group(blocks, m)
-    F = cone.F
+    cone.bind()
+    F, lam, rz = cone.F, cone.lam, cone.F[m + 1]
     F[m] = cone.G0 - tol * cone.eye
     # Per-variable scale of the ray's relative equality residual.
     col_scale = 1.0 + np.maximum(F[:m].max(axis=1), -F[:m].min(axis=1))
@@ -353,24 +373,21 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
 
     y = np.zeros(m)
     tau = kappa = 1.0
-    W = [np.stack([grp.view(cone.eye)] * 2) for grp in cone]  # R and R^-T
-    lam = np.ones(F.shape[1])
-    SZ = np.empty((2, F.shape[1]))
-    Gh = np.empty_like(F)  # the scaled rows of F, Ghat
-    best = None      # IPMResult of the lowest-objective iterate passing Cholesky
-    status = "max_iter"
+    W = [np.stack([grp.eye] * 2) for grp in cone]  # R and R^-T
+    kept = []  # iterates short of the tolerances, for Cholesky if no optimum
+    status = reason = "max_iter"
 
     for it in range(MAX_ITER + 1):
         # S = R diag(lam) R' and Z = R^-T diag(lam) R^-1, one product per stack.
         for grp, Wg in zip(cone, W):
             if grp.orthant:
-                np.multiply(Wg * grp.view(lam), Wg, out=grp.view(SZ))
+                np.multiply(Wg * grp.lam, Wg, out=grp.SZ)
             else:
-                np.matmul(Wg * grp.view(lam), Wg.swapaxes(2, 3), out=grp.view(SZ))
-        S, Z = SZ
+                np.matmul(Wg * grp.lam, Wg.swapaxes(2, 3), out=grp.SZ)
+        S, Z = cone.SZ
         FZ = F[:m + 1].dot(Z)
         rx = FZ[:m] - c * tau
-        rz = np.subtract(S - F[m] * tau, y.dot(F[:m]), out=F[m + 1])
+        np.subtract(S - F[m] * tau, y.dot(F[:m]), out=rz)
         rt = kappa + float(c.dot(y)) + float(FZ[m])
         sz = float(lam[cone.diag].dot(lam[cone.diag]))
         mu = (sz + tau * kappa) / nu
@@ -382,11 +399,10 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
         obj = float(c.dot(y_hat))
         now = IPMResult("optimal", y_hat, [], obj, sz / tau**2 / max(1.0, abs(obj)),
                         p_res / tau, d_res / tau, it)
-        if _positive_definite(cone, y_hat):
-            if feasibility or max(now.pres, now.dres, now.rel_gap) <= tol:
-                return now
-            if best is None or now.objective <= best.objective:
-                best = now
+        if not (feasibility or max(now.pres, now.dres, now.rel_gap) <= tol):
+            kept.append(now)
+        elif _positive_definite(cone, y_hat):
+            return now
         # A ray is accepted once the equality residual F Z / tr of the
         # trace-normalized Z is down to tol, the accuracy asked of every other
         # residual; the caller's check allows 1e3 tol, slack for its scaling.
@@ -396,24 +412,26 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
                 ray = Z / cone.scale  # unit trace summed flat: the same bits for any blocks
                 return IPMResult("infeasible", None,
                                  _unstack(blocks, cone, ray / ray[cone.diag].sum()),
-                                 now.objective, now.rel_gap, now.pres, now.dres, it)
+                                 now.objective, now.rel_gap, now.pres, now.dres, it, "ray")
         if it == MAX_ITER:
             break
 
-        # A failed factorization or data overflowed to inf/nan is a stall.
         try:
-            step = _newton_step(cone, c, W, lam, tau, kappa, rx, rt, mu, Gh)
-        except (np.linalg.LinAlgError, ValueError):
-            step = None
-        if step is None:
-            status = "stalled"
+            step = _newton_step(cone, c, W, tau, kappa, rx, rt, mu)
+        except ValueError as err:  # a LinAlgError, or H not finite
+            finite = isinstance(err, np.linalg.LinAlgError) and np.isfinite(cone.QA).all()
+            step = "factorization" if finite else "overflow"
+        if not isinstance(step, tuple):
+            status, reason = "stalled", step or "short_step"
             break
-        W, lam, dy, dtau, dkappa, alpha = step
+        W, dy, dtau, dkappa, alpha = step
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
 
+    kept.sort(key=lambda r: (math.isnan(r.objective), r.objective, -r.iterations))
+    best = next((now for now in kept if _positive_definite(cone, now.y)), None)
     if best is None:
-        return IPMResult(status, None, [], iterations=it)
-    best.status, best.iterations = status, it
+        return IPMResult(status, None, [], iterations=it, reason=reason)
+    best.status, best.reason, best.iterations = status, reason, it
     return best

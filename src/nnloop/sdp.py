@@ -59,9 +59,10 @@ class SDPSolution:
     iterations: int = 0
     y: np.ndarray | None = None
     farkas: dict | None = None
-    # How the interior-point run ended ("optimal", "stalled", "max_iter" or
-    # "infeasible"), or None when no run was made.
+    # How and why the interior-point run ended (IPMResult.status and
+    # .reason), or None when no run was made.
     ipm_status: str | None = None
+    ipm_reason: str | None = None
 
     @property
     def P(self):
@@ -97,11 +98,13 @@ def check_farkas(blocks, X, tol):
     return None
 
 
+@np.errstate(over="ignore")  # a block value that overflows is not certified
 def _margins(system: LMISystem, theta: np.ndarray) -> dict:
     out = {}
     for blk in system.blocks:
-        val = system.block_value(blk, theta)
-        out[blk.name] = float(np.linalg.eigvalsh(0.5 * (val + val.T))[0])
+        val = system.block_value(blk, theta)  # nan if not finite: eigvalsh can miss it
+        out[blk.name] = (float(np.linalg.eigvalsh(0.5 * (val + val.T))[0])
+                         if np.isfinite(val).all() else np.nan)
     return out
 
 
@@ -110,12 +113,13 @@ def certify(system: LMISystem, solution: SDPSolution) -> SDPSolution:
 
     Substitutes ``solution.values`` into every block and takes the smallest
     eigenvalue per block with a plain symmetric eigensolver.  Any negative
-    margin makes the status "inaccurate".
+    or nan margin (a block value that is not finite) makes the status
+    "inaccurate".
     """
     if not solution.values:
         raise ValueError("certify expects a solution with a point")
     margins = _margins(system, system.pack(solution.values))
-    status = INACCURATE if min(margins.values()) < 0.0 else solution.status
+    status = solution.status if all(v >= 0.0 for v in margins.values()) else INACCURATE
     return replace(solution, margins=margins, status=status)
 
 
@@ -250,18 +254,16 @@ def solve(system: LMISystem, tol: float = 1e-8) -> SDPSolution:
     check of a ray, and one :func:`certify` of any point."""
     c = np.zeros(system.n_scalars) if system.objective is None else system.objective
     res = solve_conic(system.blocks, c, tol=tol)
+    run = {"iterations": res.iterations, "ipm_status": res.status, "ipm_reason": res.reason}
     if res.status == "infeasible":
         farkas = check_farkas(system.blocks, res.Z, min(tol, _FARKAS_TOL))
         return SDPSolution(status=INACCURATE if farkas is None else INFEASIBLE,
-                           iterations=res.iterations, farkas=farkas,
-                           ipm_status=res.status)
+                           farkas=farkas, **run)
     if res.y is None:
-        return SDPSolution(status=SOLVER_ERROR, iterations=res.iterations,
-                           ipm_status=res.status)
+        return SDPSolution(status=SOLVER_ERROR, **run)
     objective = None if system.objective is None else float(system.objective @ res.y)
-    return certify(system, SDPSolution(
-        status=FEASIBLE, values=system.unpack(res.y), objective_value=objective,
-        iterations=res.iterations, y=res.y, ipm_status=res.status))
+    return certify(system, SDPSolution(status=FEASIBLE, values=system.unpack(res.y),
+                                       objective_value=objective, y=res.y, **run))
 
 
 # The CLI decides through this name because perfbench/tracing.py times the

@@ -645,12 +645,14 @@ def test_report_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("tol,ended", [(None, "optimal"), ("1e-10", "stalled")],
+@pytest.mark.parametrize("tol,ended,reason", [(None, "optimal", "optimal"),
+                                              ("1e-10", "stalled", "factorization")],
                          ids=["default-tol", "tol-1e-10"])
-def test_report_says_how_the_solver_run_ended(tmp_path, tol, ended):
+def test_report_says_how_the_solver_run_ended(tmp_path, tol, ended, reason):
     # Both verdicts are feasible, but at --tol 1e-10 the shipped local-fixed
-    # run stalls (29 iterations) before the tolerance is met, and its
-    # certified iterate is the one reported.
+    # run stalls (29 iterations) before the tolerance is met, when the Schur
+    # matrix fails its Cholesky factorization, and its certified iterate is
+    # the one reported.
     out = str(tmp_path / "out")
     argv = ["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
             "--kxi", "1.0", "--theorem", "local-fixed", "--r", "0",
@@ -659,7 +661,20 @@ def test_report_says_how_the_solver_run_ended(tmp_path, tol, ended):
     rep = read_report(out)
     assert rep["status"] == "feasible"
     assert rep["solver"] == {"tol": 1e-8 if tol is None else float(tol),
-                             "status": ended}
+                             "status": ended, "reason": reason}
+
+
+def test_report_names_an_overflow(tmp_path):
+    # --gamma 1e300 overflows the objective: the first step length's
+    # eigenvalue problem fails on nan data, which is an overflow, not a
+    # failed factorization, and no point is left to certify.
+    out = str(tmp_path / "out")
+    assert main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                 "--theorem", "local-range", "--rnom", "0", "--d", str(PENDULUM_D),
+                 "--gamma", "1e300", "--out", out]) == 2
+    rep = read_report(out)
+    assert rep["status"] == "solver_error" and rep["iterations"] == 0
+    assert rep["solver"] == {"tol": 1e-8, "status": "stalled", "reason": "overflow"}
 
 
 def test_report_solver_status_is_null_for_a_vertex_proof(tmp_path):
@@ -670,7 +685,8 @@ def test_report_solver_status_is_null_for_a_vertex_proof(tmp_path):
                  "--kxi", "1.0", "--theorem", "global", "--out", out]) == 1
     rep = read_report(out)
     assert rep["certificate"]["kind"] == "unstable_vertex"
-    assert rep["iterations"] == 0 and rep["solver"]["status"] is None
+    assert rep["iterations"] == 0
+    assert rep["solver"]["status"] is None and rep["solver"]["reason"] is None
 
 
 def test_roa_plot(tmp_path):

@@ -261,6 +261,91 @@ def test_verdict_from_evidence_at_iteration_budget(pendulum, d_ship, monkeypatch
         assert min(rep["margins"].values()) >= 0.0
 
 
+def _record_iterates(monkeypatch):
+    """(iteration, y, objective) of every iterate of the next runs, from the
+    IPMResult the solver makes of it (a ray or a run without a point makes
+    one with no y)."""
+    seen, make = [], ipm.IPMResult
+
+    def record(*args, **kwargs):
+        res = make(*args, **kwargs)
+        if res.y is not None:
+            seen.append((res.iterations, res.y, res.objective))
+        return res
+
+    monkeypatch.setattr(ipm, "IPMResult", record)
+    return seen
+
+
+@pytest.mark.parametrize("theorem,max_iter,tol", [
+    (theorem, max_iter, 1e-8) for theorem in ("local-fixed", "local-range")
+    for max_iter in (21, 22, 23)] + [("local-fixed", 200, 1e-10)])
+def test_deferred_gate_returns_the_every_iterate_choice(
+        pendulum, pendulum_aug, d_ship, monkeypatch, theorem, max_iter, tol):
+    # The solver factors only an iterate that meets the tolerances, and a run
+    # cut by MAX_ITER or stalled (tol 1e-10) checks the rest at its end.  Its
+    # y must be the one that checking every iterate as it comes gives: the
+    # lowest objective among the iterates whose blocks pass Cholesky, the
+    # later one on ties.
+    system = _pendulum_system(pendulum, pendulum_aug, theorem, d_ship)
+    monkeypatch.setattr(ipm, "MAX_ITER", max_iter)
+    seen = _record_iterates(monkeypatch)
+    res = solve_conic(system.blocks, system.objective, tol=tol)
+    assert res.status == ("stalled" if max_iter == 200 else "max_iter")
+    assert [it for it, _, _ in seen] == list(range(res.iterations + 1))
+    cone = ipm._group(system.blocks, system.n_scalars)
+    best = None
+    for _, y, objective in seen:
+        if ipm._positive_definite(cone, y) and (best is None or objective <= best[1]):
+            best = y, objective
+    if best is None:
+        assert res.y is None and max_iter != 200
+    else:
+        assert np.array_equal(res.y, best[0]) and res.objective == best[1]
+
+
+def test_optimal_run_factors_one_iterate(pendulum, pendulum_aug, d_ship, monkeypatch):
+    # Cholesky decides nothing before an iterate meets the tolerances: the
+    # shipped local-fixed run factors its blocks at the optimum only.
+    system = _pendulum_system(pendulum, pendulum_aug, "local-fixed", d_ship)
+    calls, gate = [], ipm._positive_definite
+    monkeypatch.setattr(ipm, "_positive_definite",
+                        lambda *args: calls.append(1) or gate(*args))
+    res = solve_conic(system.blocks, system.objective)
+    assert res.status == res.reason == "optimal" and len(calls) == 1
+
+
+def test_gate_refuses_blocks_that_overflow():
+    # y is finite, but S(y) = I + y_1 C_1 + y_2 C_2 overflows to inf in its
+    # (0, 0) entry, which Cholesky passes through: in a stack of order 2 and
+    # in the orthant alike.
+    C = np.array([[[1.0, 0.5], [0.5, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    for blk, shape in ((LMIBlock("stack", np.eye(2), C), (1, 2, 2)),
+                       (LMIBlock("orthant", np.eye(1), C[:, :1, :1]), (1,))):
+        cone = ipm._group([blk], 2)
+        assert [grp.shape for grp in cone] == [shape]
+        assert ipm._positive_definite(cone, np.array([1.0, 1.0]))
+        with np.errstate(over="ignore"):  # as inside solve_conic
+            assert not ipm._positive_definite(cone, np.array([1e308, 1e308]))
+
+
+@pytest.mark.parametrize("P01,P00", [(1e10, 1.0), (0.0, np.nan)], ids=["inf", "nan"])
+def test_certify_refuses_a_block_value_that_is_not_finite(P01, P00):
+    # One block [[P00, 1e300 P01], [1e300 P01, P11]]: at P01 = 1e10 its value
+    # holds inf, and with P00 nan eigvalsh can return finite eigenvalues.
+    # Neither point is certified.
+    var = VarSpec("P", "sym", 2)
+    weight = np.array([[1.0, 1e300], [1e300, 1.0]])
+    coeffs = np.stack([weight * var.unpack(e) for e in np.eye(var.n_scalars)])
+    system = LMISystem(variables=(var,), blocks=(LMIBlock("B", np.zeros((2, 2)), coeffs),))
+    P = np.array([[P00, P01], [P01, 1.0]])
+    with np.errstate(over="ignore"):
+        value = system.block_value(system.blocks[0], system.pack({"P": P}))
+    assert not np.isfinite(value).all()
+    sol = sdp.certify(system, sdp.SDPSolution(status=sdp.FEASIBLE, values={"P": P}))
+    assert sol.status == sdp.INACCURATE and np.isnan(sol.margins["B"])
+
+
 @pytest.mark.parametrize("d", [30.0, 100.0, 1e4, 1e6])
 def test_tau_underflow_warns_nothing(pendulum, pendulum_aug, recwarn, d):
     # Large boxes are provably infeasible: tau heads to 0 along the ray, and
@@ -435,6 +520,10 @@ def test_affine_step_length_from_dz_alone():
     rng = np.random.default_rng(5)
     cone = ipm._group(_bounded_blocks(rng, [3, 13, 3, 13, 1, 1, 1, 1], 2), 2)
     assert sorted(grp.shape for grp in cone) == [(2, 3, 3), (2, 13, 13), (4,)]
+
+    def views(Q):  # each stack's view, as the solver binds them
+        return [grp.view(Q) for grp in cone]
+
     ds_binds = []
     for size in (0.1, 1.0, 10.0):
         lam = np.empty(cone.eye.size)  # each entry holds its column's lambda
@@ -444,10 +533,11 @@ def test_affine_step_length_from_dz_alone():
         x = size * rng.normal(size=cone.eye.size)
         dz = 0.5 * (x + x[cone.T])
         scale = np.sqrt(lam[cone.T] * lam)
-        both = ipm._step_length(cone, np.stack([-cone.eye * lam - dz, dz]) / scale, ())
-        alone = ipm._step_length(cone, dz / scale, (), affine=True)
+        both = ipm._step_length(cone, views(np.stack([-cone.eye * lam - dz, dz]) / scale),
+                                ())
+        alone = ipm._step_length(cone, views(dz / scale), (), affine=True)
         assert abs(alone - both) <= 1e-12 * both
-        ds_binds.append(alone < ipm._step_length(cone, dz / scale, ()))
+        ds_binds.append(alone < ipm._step_length(cone, views(dz / scale), ()))
     assert any(ds_binds)  # the ds half, read from dz's largest eigenvalue, counted
 
 
