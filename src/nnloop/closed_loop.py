@@ -6,10 +6,14 @@ makes one trace-free network pass and a few small matrix products: the
 reference terms Hr0 r and Br r are formed once per applied reference, told
 apart by its bytes, and the plant inputs k_xi xi + u_nn, the outputs and the
 tracking errors in stacked passes over the stored rows after the loop.
-Each single-vector product of a step is a method bound once per run
-(:func:`_stepper`, :func:`plant._bind`) or per network
-(:func:`network._layer_pass`): ``ndarray.dot``, the BLAS call ``@`` makes at
-about half the dispatch cost, or ``@`` for a matrix with one column.
+The step is the package's one single-point evaluation of the network and
+the plant; every other one (network, steady-state map, joint-set terms)
+runs over a stack of rows, a single point being a stack of one row, and
+each row is bit for bit the step's single products.  Those products,
+the layer loop's included, are methods bound once per run
+(:func:`_stepper`, :func:`_bind`): ``ndarray.dot``, the BLAS call ``@``
+makes at about half the dispatch cost, or ``@`` for a matrix with one
+column.
 
 Offset-free tracking settles a run onto the steady state of its reference
 segment, and in floating point a settled run is an exact periodic orbit of
@@ -65,8 +69,8 @@ import numpy as np
 from .errors import BadSchedule, DimensionMismatch, GovernorInfeasible
 # ``forward`` is imported so that ``closed_loop.forward`` remains a name that
 # perfbench/tracing.py can wrap; the loop itself makes trace-free passes.
-from .network import FeedForwardNN, _layer_pass, forward  # noqa: F401
-from .plant import AugmentedPlant, _bind, _frozen, _matvecs, _rows
+from .network import FeedForwardNN, forward  # noqa: F401
+from .plant import AugmentedPlant, _frozen, _matvecs, _rows
 from .roa import JointEllipsoid, admissible_references
 
 DIVERGENCE_NORM = 1e9
@@ -121,15 +125,38 @@ class Trajectory:
         return np.linalg.norm(self.outputs[:-1] - self.applied_refs, axis=1)
 
 
+def _bind(A):
+    """The product x -> A @ x of the matrix A and one vector, as a bound
+    method chosen once: ``A.dot``, or ``A.__matmul__`` for a matrix with
+    one column.
+
+    ``A.dot(x)`` makes the BLAS gemv (a dot when A has one row) that
+    ``A @ x`` makes, at about half the dispatch cost, and gives the same
+    bits, except for a matrix with one column, which keeps ``@``: ``dot``
+    multiplies a 1x1 matrix as a scalar (``[[-2.0]]`` times ``[0.0]`` is
+    -0.0 where ``@`` gives 0.0), and ``@`` forms an (m, 1) product in
+    numpy's own loop, which can differ from gemv in the sign of a zero.
+    """
+    return A.__matmul__ if A.shape[1] == 1 else A.dot
+
+
 def _stepper(aug: AugmentedPlant, nn: FeedForwardNN):
     """The loop's transition ``(xtil, hr, br) -> (u_nn, xtil+)``, its
-    products bound once: one network pass u_nn = kappa(x, r) and xtil+, from
-    a float state xtil (n_xtil,) and the terms hr = Hr0 r, br = Br r."""
-    n_x, Hx0, layers = nn.n_x, _bind(nn.Hx0), _layer_pass(nn)
+    products and activation bound once: one network pass u_nn = kappa(x, r)
+    and xtil+, from a float state xtil (n_xtil,) and the terms hr = Hr0 r,
+    br = Br r.  Each product gives the bits of a row of
+    :func:`plant._matvecs`, so u_nn is ``network.evaluate(nn, x, r)``."""
+    n_x, Hx0 = nn.n_x, _bind(nn.Hx0)
+    act, args = nn.activation.ufunc
+    hidden = tuple((_bind(W), b) for W, b in nn.layers)
+    Wl, bl = _bind(nn.Wl), nn.bl
     Atil, Btil = _bind(aug.Atil), _bind(aug.Btil)
 
     def transition(xtil, hr, br):
-        u_nn = layers(Hx0(xtil[:n_x]) + hr)
+        w = Hx0(xtil[:n_x]) + hr
+        for W, b in hidden:
+            w = act(W(w) + b, *args)
+        u_nn = Wl(w) + bl
         return u_nn, Atil(xtil) + Btil(u_nn) + br
 
     return transition
@@ -415,9 +442,15 @@ def _closest_feasible_1d(grid, grid_quads, path_quads, target: float,
 
 
 def govern(J: JointEllipsoid, xtil, r_desired):
-    """Surrogate reference: argmin |r - rhat|^2 s.t. J.joint_quad(xtil, r) <= 1."""
+    """Surrogate reference: argmin |r - rhat|^2 s.t. J.joint_quad(xtil, r) <= 1.
+
+    A desired reference with a non-finite entry raises BadSchedule, as it
+    does in a schedule.
+    """
     xtil = np.asarray(xtil, dtype=float)
     r_desired = np.atleast_1d(np.asarray(r_desired, dtype=float))
+    if not all(map(math.isfinite, r_desired.tolist())):
+        raise BadSchedule("desired reference entries must be finite")
 
     q_desired = J.joint_quad(xtil, r_desired)
     if q_desired <= 1.0:

@@ -1,16 +1,23 @@
-"""Feed-forward controller network kappa(x, r) and its layer traces."""
+"""Feed-forward controller network kappa(x, r) and its layer traces.
+
+Every evaluation here runs over a stack of points, one per row, and a
+single point is a stack of one row: :func:`forward` and :func:`evaluate`,
+and through :func:`_layer_pass` the steady-state map
+(:func:`plant.xtil_star_map`).  Each row of a stack is bit for bit the
+single-vector pass of the closed-loop step (:func:`closed_loop._stepper`),
+the one place where a point is evaluated on its own.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadModelFile, DimensionMismatch
-from .plant import _bind, _frozen, _matvec, _matvecs, _read_json
+from .plant import _frozen, _matvecs, _read_json
 
 
 # Each kind as (ufunc, trailing arguments, alpha, beta): applied as
@@ -68,9 +75,13 @@ class Activation:
         return np.ones_like(np.asarray(v, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeedForwardNN:
-    """l-layer network u = Wl phi(... phi(W0 (Hx0 x + Hr0 r) + b0) ...) + bl."""
+    """l-layer network u = Wl phi(... phi(W0 (Hx0 x + Hr0 r) + b0) ...) + bl.
+
+    Two networks are equal when their activations and all their weights and
+    biases are; like their numpy arrays, they are not hashable.
+    """
 
     Hx0: np.ndarray
     Hr0: np.ndarray
@@ -78,10 +89,6 @@ class FeedForwardNN:
     Wl: np.ndarray
     bl: np.ndarray
     activation: Activation
-    # The layer loop of :func:`_layer_pass`, one per product rule, built on
-    # first use; the network is immutable, so its bound products stay valid.
-    _passes: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         Hx0 = _frozen(self.Hx0)
@@ -113,10 +120,19 @@ class FeedForwardNN:
         object.__setattr__(self, "Wl", Wl)
         object.__setattr__(self, "bl", bl)
 
-    def __getstate__(self):
-        # The kept layer loops are closures, which do not pickle; a copy
-        # builds its own on first use.
-        return {**self.__dict__, "_passes": {}}
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = self._arrays(), other._arrays()
+        return (self.activation == other.activation
+                and len(mine) == len(theirs)
+                and all(map(np.array_equal, mine, theirs)))
+
+    __hash__ = None
+
+    def _arrays(self) -> tuple:
+        return (self.Hx0, self.Hr0, *(a for layer in self.layers for a in layer),
+                self.Wl, self.bl)
 
     @property
     def n_x(self) -> int:
@@ -166,7 +182,8 @@ class IOMaps(NamedTuple):
 
 
 def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
-    """Evaluate the network, recording every pre/post-activation."""
+    """Evaluate the network, recording every pre/post-activation; the point
+    is a stack of one row."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if x.shape != (nn.n_x,):
@@ -174,50 +191,45 @@ def forward(nn: FeedForwardNN, x, r) -> LayerTrace:
     if r.shape != (nn.n_r,):
         raise DimensionMismatch(f"r must have shape ({nn.n_r},)")
     trace = []
-    u = _layer_pass(nn)(_matvec(nn.Hx0, x) + _matvec(nn.Hr0, r), trace)
-    vs, ws = zip(*trace)
-    return LayerTrace(v=vs, w=ws, u=u)
+    u = _layer_pass(nn)(x[None, :], r[None, :], trace)
+    return LayerTrace(v=tuple(v[0] for v, _ in trace),
+                      w=tuple(w[0] for _, w in trace), u=u[0])
 
 
 def evaluate(nn: FeedForwardNN, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Control output kappa(x, r) without a trace.
 
-    x and r are float arrays of shapes (n_x,) and (n_r,), or stacks (N, n_x)
-    and (N, n_r) of N points, one per row, each a fresh array or a
-    :func:`plant._rows` copy, giving u of shape (n_u,) or (N, n_u).  Nothing
-    is checked.  The arithmetic is that of :func:`forward` step for step,
-    and a stack forms each product one row at a time (:func:`plant._matvecs`),
-    so every row of a stack is bit for bit ``forward(nn, x_j, r_j).u``.
+    x and r are float arrays of shapes (N, n_x) and (N, n_r), stacks of N
+    points, one per row, each a fresh array or a :func:`plant._rows` copy,
+    giving u of shape (N, n_u); a point (n_x,), (n_r,) is a stack of one row
+    and gives u of shape (n_u,).  Nothing is checked.  The pass is that of
+    :func:`forward`, so every row of a stack is bit for bit
+    ``forward(nn, x_j, r_j).u``.
     """
-    stacked = x.ndim == 2
-    mv = _matvecs if stacked else _matvec
-    return _layer_pass(nn, stacked)(mv(nn.Hx0, x) + mv(nn.Hr0, r))
+    if x.ndim == 1:
+        return _layer_pass(nn)(x[None, :], r[None, :])[0]
+    return _layer_pass(nn)(x, r)
 
 
-def _layer_pass(nn: FeedForwardNN, stacked=False):
-    """The layer loop of every pass: ``pass_(w, trace=None)`` gives the
-    output from the first layer's input w, one point or, when ``stacked``, a
-    stack of rows, and appends each hidden layer's (v, w) to a list
-    ``trace``.  Its products (:func:`plant._bind` for one point,
-    :func:`plant._matvecs` for a stack) and the activation's ufunc are bound
-    on first use and kept per network."""
-    pass_ = nn._passes.get(stacked)
-    if pass_ is not None:
-        return pass_
-    bind = (lambda A: partial(_matvecs, A)) if stacked else _bind
+def _layer_pass(nn: FeedForwardNN):
+    """The network's pass over stacks: ``pass_(X, R, trace=None)`` gives the
+    outputs (N, n_u) of the states X (N, n_x) and references R (N, n_r), one
+    point per row, and appends each hidden layer's stacked (v, w) to a list
+    ``trace``.  Each product is formed one row at a time
+    (:func:`plant._matvecs`), so each row is bit for bit the closed-loop
+    step's pass at that point.  The activation's ufunc is bound when the
+    pass is made."""
     act, args = nn.activation.ufunc
-    hidden = tuple((bind(W), b) for W, b in nn.layers)
-    out, bl = bind(nn.Wl), nn.bl
 
-    def pass_(w, trace=None):
-        for product, b in hidden:
-            v = product(w) + b
+    def pass_(X, R, trace=None):
+        w = _matvecs(nn.Hx0, X) + _matvecs(nn.Hr0, R)
+        for W, b in nn.layers:
+            v = _matvecs(W, w) + b
             w = act(v, *args)
             if trace is not None:
                 trace.append((v, w))
-        return out(w) + bl
+        return _matvecs(nn.Wl, w) + nn.bl
 
-    nn._passes[stacked] = pass_
     return pass_
 
 

@@ -11,6 +11,12 @@ yields the augmented loop
     xtil+ = Atil xtil + Btil u_nn + Br r,    y = Ctil xtil,
 
 whose block matrices are assembled by :func:`augment`.
+
+The steady-state map (:func:`xtil_star_map`) takes its references as a
+stack, one per row, and a single reference is a stack of one row.  Its
+products are formed one row at a time (:func:`_matvecs`), each row bit for
+bit the single product of the closed-loop step, which binds its own
+(:func:`closed_loop._bind`).
 """
 
 from __future__ import annotations
@@ -65,45 +71,28 @@ def _rows(X) -> np.ndarray:
     return rows
 
 
-def _bind(A):
-    """The product x -> A @ x of the matrix A and one vector, as a bound
-    method chosen once: ``A.dot``, or ``A.__matmul__`` for a matrix with
-    one column.
-
-    ``A.dot(x)`` makes the BLAS gemv (a dot when A has one row) that
-    ``A @ x`` makes, at about half the dispatch cost, and gives the same
-    bits, except for a matrix with one column, which keeps ``@``: ``dot``
-    multiplies a 1x1 matrix as a scalar (``[[-2.0]]`` times ``[0.0]`` is
-    -0.0 where ``@`` gives 0.0), and ``@`` forms an (m, 1) product in
-    numpy's own loop, which can differ from gemv in the sign of a zero.
-    """
-    return A.__matmul__ if A.shape[1] == 1 else A.dot
-
-
-def _matvec(A, x) -> np.ndarray:
-    """The single product A @ x of a matrix and a vector, made by
-    :func:`_bind`'s method."""
-    return _bind(A)(x)
-
-
 def _matvecs(A, rows) -> np.ndarray:
     """The (N, m) stack of the products A @ rows[j] of an (N, k) stack of rows.
 
-    Each row is bit for bit the single product ``_matvec(A, rows[j])``:
-    np.matmul over the (N, k, 1) stack makes one BLAS gemv (a dot when A
-    has one row) per row, the call a single product makes, where one gemm
-    over the stack would sum in another order.  Rows of a fresh array of
-    odd width, which do not all start on 16-byte boundaries, are copied with
-    :func:`_rows`.
+    Each row is bit for bit the single product the closed-loop step makes
+    (:func:`closed_loop._bind`): np.matmul over the (N, k, 1) stack makes
+    one BLAS gemv (a dot when A has one row) per row, the call a single
+    product makes, where one gemm over the stack would sum in another order.
+    Rows of a fresh array of odd width, which do not all start on 16-byte
+    boundaries, are copied with :func:`_rows`.
     """
     if rows.strides[0] % 16:
         rows = _rows(rows)
     return np.matmul(A, rows[:, :, None])[:, :, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plant:
-    """State-space data (A, B, C) with n_u == n_r."""
+    """State-space data (A, B, C) with n_u == n_r.
+
+    Two plants are equal when their A, B and C are; like their numpy
+    arrays, they are not hashable.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -125,6 +114,14 @@ class Plant:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in "ABC")
+
+    __hash__ = None
 
     @property
     def n_x(self) -> int:
@@ -231,14 +228,15 @@ def steady_state_map(plant: Plant) -> SteadyStateMap:
 def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
     """The steady-state map r -> xtil_*(r) = (M r, k_xi^-1 (M_u r - kappa(M r, r))).
 
-    The returned function takes a reference (n_r,) and gives its steady state
-    (n_xtil,), or takes a stack (N, n_r) of references, one per row, and
-    gives the (N, n_xtil) stack of theirs in one network pass, each row bit
-    for bit the steady state of that reference alone; one aligned copy of
-    the stack serves M, M_u and the network's Hr0.  k_xi is checked and
-    inverted once, here; raises SingularGain when it is numerically singular.
+    The returned function takes a stack (N, n_r) of references, one per row,
+    and gives the (N, n_xtil) stack of their steady states in one network
+    pass, each row bit for bit the steady state of that reference alone; a
+    reference (n_r,) is a stack of one row and gives that row (n_xtil,).
+    One aligned copy of the stack serves M, M_u and the network's Hr0.  The
+    network pass is bound, and k_xi checked and inverted, once, here; raises
+    SingularGain when k_xi is numerically singular.
     """
-    from .network import evaluate  # local import to avoid a cycle
+    from .network import _layer_pass  # local import to avoid a cycle
 
     M, M_u = ssmap.M, ssmap.M_u
     k_xi = np.atleast_2d(np.asarray(k_xi, dtype=float))
@@ -248,13 +246,15 @@ def xtil_star_map(ssmap: SteadyStateMap, nn, k_xi):
     if np.linalg.cond(k_xi) >= COND_LIMIT:
         raise SingularGain("integrator gain is numerically singular")
     k_xi_inv = np.linalg.inv(k_xi)
+    kappa = _layer_pass(nn)
 
     def xtil_star(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        r, mv = (_rows(r), _matvecs) if r.ndim == 2 else (r, _matvec)
-        x_star = mv(M, r)
-        xi_star = mv(k_xi_inv, mv(M_u, r) - evaluate(nn, x_star, r))
-        return np.concatenate([x_star, xi_star], axis=-1)
+        r = np.asarray(r, dtype=float)
+        R = _rows(np.atleast_2d(r))
+        x_star = _matvecs(M, R)
+        xi_star = _matvecs(k_xi_inv, _matvecs(M_u, R) - kappa(x_star, R))
+        X = np.concatenate([x_star, xi_star], axis=1)
+        return X if r.ndim == 2 else X[0]
 
     return xtil_star
 

@@ -153,7 +153,10 @@ class JointEllipsoid:
         return self.xtil_star(np.asarray(R, dtype=float))
 
     def ref_quad(self, r) -> float:
-        return _ref_quad(self.Q, self.r_nom, r)
+        """The reference term (r - r_nom)' Q (r - r_nom), as a stack of one
+        row: bit for bit the entry of ``joint_quad_many``."""
+        R = np.atleast_2d(np.asarray(r, dtype=float))
+        return float(self._ref_quads(R)[0])
 
     def joint_quad(self, xtil, r) -> float:
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -202,11 +205,6 @@ class JointEllipsoid:
         return _quads(E, self.P) + ref_quads
 
 
-def _ref_quad(Q, r_nom, r) -> float:
-    dr = np.atleast_1d(np.asarray(r, dtype=float)) - r_nom
-    return float(dr @ Q @ dr)
-
-
 def _quads(E, A) -> np.ndarray:
     """The forms e @ A @ e of the rows e of E (N, n), each bit for bit the
     form ``float(e @ A @ e)`` of that row alone: a BLAS gemv and a dot per
@@ -251,7 +249,7 @@ class AdmissibleRefs:
         c = float(self.r_nom[0])
         ends = []
         for end in (c - half, c + half):
-            while _ref_quad(self.Q, self.r_nom, end) > 1.0:
+            while _quads(np.array([[end]]) - self.r_nom, self.Q)[0] > 1.0:
                 end = float(np.nextafter(end, c))
             ends.append(end)
         return tuple(ends)

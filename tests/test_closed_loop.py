@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import math
 import sys
 import types
 
@@ -9,7 +10,7 @@ import pytest
 import nnloop as nl
 from nnloop import closed_loop as cl
 from nnloop import roa
-from nnloop.errors import GovernorInfeasible
+from nnloop.errors import BadSchedule, GovernorInfeasible
 
 
 def zero_nn(n_x, n_r=1):
@@ -228,6 +229,78 @@ def test_governor_descent_2d_smoke():
                 if best is None or d < best:
                     best = d
     assert np.linalg.norm(rhat - r_des) <= best + 1e-2
+
+
+def _curved_joint_set():
+    # two-reference joint set whose slice centers bend with r: tanh of each
+    # entry and a cross term, all elementwise, so each row of a stack is the
+    # center of its reference alone
+    def xtil_star(r):
+        return np.concatenate([np.tanh(r), 0.5 * r[..., :1] * r[..., 1:]],
+                              axis=-1)
+
+    P = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
+    Q = np.array([[3.0, 0.7], [0.7, 1.9]])
+    return nl.JointEllipsoid(P=P, Q=Q, r_nom=np.array([0.1, -0.2]),
+                             xtil_star=xtil_star)
+
+
+def test_governor_descent_is_each_starts_bisection():
+    # The lockstep bisections of the n_r > 1 governor: each row is bit for
+    # bit its own start's plain bisection, one joint_quad_many row per step,
+    # and the result is the first of the nearest ends.  The starts are formed
+    # as the governor forms them; rounding the product in another order gives
+    # other starts.
+    J = _curved_joint_set()
+    refs = roa.admissible_references(J)
+    starts = [J.r_nom]
+    for k in range(2):
+        axis = refs.axes[:, k] * refs.semi_lengths[k]
+        starts += [J.r_nom + 0.7 * axis, J.r_nom - 0.7 * axis]
+    rng = np.random.default_rng(43)
+    compared = 0
+    for _ in range(120):
+        # a state near the slice of an admissible reference, and a desired
+        # reference outside the admissible set
+        turn = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        r0 = J.r_nom + refs.axes @ (refs.semi_lengths * rng.uniform(0.0, 0.9)
+                                    * [np.cos(turn[0]), np.sin(turn[0])])
+        r_des = J.r_nom + refs.axes @ (refs.semi_lengths * rng.uniform(1.2, 3.0)
+                                       * [np.cos(turn[1]), np.sin(turn[1])])
+        xtil = J.xtil_star(r0) + rng.normal(scale=0.2, size=3)
+        assert J.joint_quad(xtil, r_des) > 1.0
+        ends = []
+        for lo in [s for s in starts
+                   if J.joint_quad_many(xtil, s[None])[0] <= 1.0]:
+            hi = r_des
+            for _ in range(cl.REFINE_ITERS):
+                mid = 0.5 * (lo + hi)
+                if J.joint_quad_many(xtil, mid[None])[0] <= 1.0:
+                    lo = mid
+                else:
+                    hi = mid
+            ends.append(lo)
+        if not ends:
+            with pytest.raises(GovernorInfeasible):
+                nl.govern(J, xtil, r_des)
+            continue
+        want = ends[int(np.argmin([np.linalg.norm(e - r_des) for e in ends]))]
+        assert cl._govern_descent(J, xtil, r_des).tobytes() == want.tobytes()
+        assert nl.govern(J, xtil, r_des).tobytes() == want.tobytes()
+        compared += 1
+    assert compared >= 100
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_govern_refuses_a_non_finite_reference(joint_set, bad):
+    # As a schedule does, and before any quadratic: no RuntimeWarning (an
+    # error in this suite) and no failed bracketing.
+    xt = joint_set.xtil_star(np.zeros(1))
+    with pytest.raises(BadSchedule, match="finite"):
+        nl.govern(joint_set, xt, [bad])
+    J = _curved_joint_set()
+    with pytest.raises(BadSchedule, match="finite"):
+        nl.govern(J, np.zeros(3), [0.1, bad])
 
 
 def test_trajectory_csv(tmp_path, pendulum, pendulum_aug):

@@ -1,5 +1,6 @@
 import math
 import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -168,13 +169,36 @@ def test_evaluate_row_of_one_is_bit_identical(pendulum):
 
 
 def test_network_pickles_after_a_pass(pendulum):
-    # A network keeps its bound layer loops after a pass; a pickled copy
-    # leaves them behind and gives the same bits.
+    # A network holds no state from a pass: a pickled copy gives the same
+    # bits.
     _plant, nn, _k_xi = pendulum
     x, r = np.array([0.1, -0.2]), np.array([0.05])
     u = evaluate(nn, x, r)
     copy = pickle.loads(pickle.dumps(nn))
     assert evaluate(copy, x, r).tobytes() == u.tobytes()
+
+
+def test_network_equality_is_by_value(pendulum):
+    # A pickled and a deep copy are equal; one changed weight, another
+    # activation or another depth is not; like its arrays, a network has no
+    # hash.
+    _plant, nn, _k_xi = pendulum
+    assert nn == pickle.loads(pickle.dumps(nn))
+    assert nn == deepcopy(nn)
+    assert nn != "network"
+    W, b = nn.layers[-1]
+    W = W.copy()
+    W[0, 0] = np.nextafter(W[0, 0], np.inf)
+    assert nn != nl.FeedForwardNN(nn.Hx0, nn.Hr0, nn.layers[:-1] + ((W, b),),
+                                  nn.Wl, nn.bl, nn.activation)
+    assert nn != nl.FeedForwardNN(nn.Hx0, nn.Hr0, nn.layers, nn.Wl, nn.bl,
+                                  nl.Activation.relu())
+    deeper = nl.FeedForwardNN(nn.Hx0, nn.Hr0,
+                              nn.layers + ((np.eye(b.size), np.zeros(b.size)),),
+                              nn.Wl, nn.bl, nn.activation)
+    assert nn != deeper and deeper != nn
+    with pytest.raises(TypeError):
+        hash(nn)
 
 
 def test_evaluate_stack_matches_rows(pendulum):

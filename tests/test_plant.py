@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -222,3 +224,20 @@ def test_plant_json_roundtrip(tmp_path):
     assert np.array_equal(back.A, plant.A)
     assert np.array_equal(back.B, plant.B)
     assert np.array_equal(back.C, plant.C)
+
+
+def test_plant_equality_is_by_value():
+    # A pickled and a deep copy are equal, and so are two builds of the same
+    # pendulum; one changed entry of A is not; like its arrays, a plant has
+    # no hash.
+    plant = build_pendulum()
+    assert plant == build_pendulum()
+    assert plant == pickle.loads(pickle.dumps(plant))
+    assert plant == copy.deepcopy(plant)
+    assert plant != "plant"
+    A = plant.A.copy()
+    A[1, 0] = np.nextafter(A[1, 0], np.inf)
+    assert plant != nl.Plant(A=A, B=plant.B, C=plant.C)
+    assert plant != build_pendulum(output="velocity")
+    with pytest.raises(TypeError):
+        hash(plant)
