@@ -70,8 +70,8 @@ from .errors import BadSchedule, DimensionMismatch, GovernorInfeasible
 # ``forward`` is imported so that ``closed_loop.forward`` remains a name that
 # perfbench/tracing.py can wrap; the loop itself makes trace-free passes.
 from .network import FeedForwardNN, forward  # noqa: F401
-from .plant import AugmentedPlant, _frozen, _matvecs, _rows
-from .roa import JointEllipsoid, admissible_references
+from .plant import AugmentedPlant, _Value, _frozen, _matvecs, _rows
+from .roa import JointEllipsoid, _finite_reference, admissible_references
 
 DIVERGENCE_NORM = 1e9
 # A run has converged when its last CONVERGENCE_WINDOW tracking errors are
@@ -98,8 +98,8 @@ DESCENT_STARTS = 8
 CSV_CHUNK_ROWS = 512
 
 
-@dataclass(frozen=True)
-class Trajectory:
+@dataclass(frozen=True, eq=False)
+class Trajectory(_Value):
     """Closed-loop run: states x_0..x_T, per-step inputs/outputs/references."""
 
     states: np.ndarray        # (T+1, n_xtil)
@@ -448,9 +448,7 @@ def govern(J: JointEllipsoid, xtil, r_desired):
     does in a schedule.
     """
     xtil = np.asarray(xtil, dtype=float)
-    r_desired = np.atleast_1d(np.asarray(r_desired, dtype=float))
-    if not all(map(math.isfinite, r_desired.tolist())):
-        raise BadSchedule("desired reference entries must be finite")
+    r_desired = _finite_reference(r_desired)
 
     q_desired = J.joint_quad(xtil, r_desired)
     if q_desired <= 1.0:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveD, NonPositiveGamma
 from .network import FeedForwardNN
-from .plant import AugmentedPlant, SteadyStateMap, _frozen
+from .plant import AugmentedPlant, SteadyStateMap, _Value, _frozen
 from .sectors import SectorBounds, half_widths
 
 # Strictness margin: strict blocks hold G0 + sum_i theta_i coeffs[i]
@@ -96,8 +96,8 @@ class VarSpec:
         return out
 
 
-@dataclass(frozen=True)
-class LMIBlock:
+@dataclass(frozen=True, eq=False)
+class LMIBlock(_Value):
     """One affine matrix inequality G0 + sum_i theta_i coeffs[i] >= delta I."""
 
     name: str
@@ -116,8 +116,8 @@ class LMIBlock:
         return self.G0.shape[0]
 
 
-@dataclass(frozen=True)
-class LMISystem:
+@dataclass(frozen=True, eq=False)
+class LMISystem(_Value):
     variables: tuple
     blocks: tuple
     objective: np.ndarray | None = None
@@ -158,8 +158,8 @@ class LMISystem:
                 + np.tensordot(theta, block.coeffs, axes=1))
 
 
-@dataclass(frozen=True)
-class Selectors:
+@dataclass(frozen=True, eq=False)
+class Selectors(_Value):
     """Constant selection matrices of the network interconnection."""
 
     N0_1: np.ndarray

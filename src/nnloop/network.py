@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadModelFile, DimensionMismatch
-from .plant import _frozen, _matvecs, _read_json
+from .plant import _Value, _frozen, _matvecs, _read_json
 
 
 # Each kind as (ufunc, trailing arguments, alpha, beta): applied as
@@ -76,12 +76,8 @@ class Activation:
 
 
 @dataclass(frozen=True, eq=False)
-class FeedForwardNN:
-    """l-layer network u = Wl phi(... phi(W0 (Hx0 x + Hr0 r) + b0) ...) + bl.
-
-    Two networks are equal when their activations and all their weights and
-    biases are; like their numpy arrays, they are not hashable.
-    """
+class FeedForwardNN(_Value):
+    """l-layer network u = Wl phi(... phi(W0 (Hx0 x + Hr0 r) + b0) ...) + bl."""
 
     Hx0: np.ndarray
     Hr0: np.ndarray
@@ -120,20 +116,6 @@ class FeedForwardNN:
         object.__setattr__(self, "Wl", Wl)
         object.__setattr__(self, "bl", bl)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        mine, theirs = self._arrays(), other._arrays()
-        return (self.activation == other.activation
-                and len(mine) == len(theirs)
-                and all(map(np.array_equal, mine, theirs)))
-
-    __hash__ = None
-
-    def _arrays(self) -> tuple:
-        return (self.Hx0, self.Hr0, *(a for layer in self.layers for a in layer),
-                self.Wl, self.bl)
-
     @property
     def n_x(self) -> int:
         return self.Hx0.shape[1]
@@ -161,8 +143,8 @@ class FeedForwardNN:
         return sum(self.hidden_widths)
 
 
-@dataclass(frozen=True)
-class LayerTrace:
+@dataclass(frozen=True, eq=False)
+class LayerTrace(_Value):
     """Per-layer pre-activations v, post-activations w, and output u."""
 
     v: tuple

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +43,29 @@ def _frozen(a, finite=True) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     out.flags.writeable = False
     return out
+
+
+class _Value:
+    """Equality of the frozen value types: values of one type are equal when
+    each field that takes part in comparison is, arrays by shape and
+    entries (NaN equal to NaN), tuples entry by entry and anything else by
+    ``==``.  Like their numpy arrays, values are not hashable."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+    __hash__ = None
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def _read_json(path, what: str, error=BadModelFile):
@@ -87,12 +110,8 @@ def _matvecs(A, rows) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Plant:
-    """State-space data (A, B, C) with n_u == n_r.
-
-    Two plants are equal when their A, B and C are; like their numpy
-    arrays, they are not hashable.
-    """
+class Plant(_Value):
+    """State-space data (A, B, C) with n_u == n_r."""
 
     A: np.ndarray
     B: np.ndarray
@@ -115,14 +134,6 @@ class Plant:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in "ABC")
-
-    __hash__ = None
-
     @property
     def n_x(self) -> int:
         return self.A.shape[0]
@@ -136,8 +147,8 @@ class Plant:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
-class AugmentedPlant:
+@dataclass(frozen=True, eq=False)
+class AugmentedPlant(_Value):
     """Plant plus integrator state, in block form."""
 
     Atil: np.ndarray
@@ -163,8 +174,8 @@ class AugmentedPlant:
         return self.n_xtil - self.n_r
 
 
-@dataclass(frozen=True)
-class SteadyStateMap:
+@dataclass(frozen=True, eq=False)
+class SteadyStateMap(_Value):
     """Linear maps r -> x_* and r -> u_* obtained from the tracking equations."""
 
     A_a: np.ndarray
@@ -176,8 +187,8 @@ class SteadyStateMap:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class SteadyState:
+@dataclass(frozen=True, eq=False)
+class SteadyState(_Value):
     """Steady state of the augmented loop for one reference."""
 
     x_star: np.ndarray

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .plant import _frozen, _rows, steady_state_map, xtil_star_map
+from .errors import BadSchedule, DimensionMismatch
+from .plant import _Value, _frozen, _rows, steady_state_map, xtil_star_map
 
 # References in the grid over the admissible interval on which the governor
 # brackets the feasible references before it bisects (n_r = 1).
@@ -23,12 +25,8 @@ class Membership(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class Ellipsoid:
-    """Set { x : (x - center)' shape (x - center) <= level }.
-
-    Two ellipsoids are equal when their centers, shapes and levels are; like
-    their numpy arrays, they are not hashable.
-    """
+class Ellipsoid(_Value):
+    """Set { x : (x - center)' shape (x - center) <= level }."""
 
     center: np.ndarray
     shape: np.ndarray
@@ -48,15 +46,6 @@ class Ellipsoid:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", 0.5 * (shape + shape.T))
         object.__setattr__(self, "level", float(self.level))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (np.array_equal(self.center, other.center)
-                and np.array_equal(self.shape, other.shape)
-                and self.level == other.level)
-
-    __hash__ = None
 
     @property
     def dim(self) -> int:
@@ -86,7 +75,7 @@ def contains(E: Ellipsoid, x) -> Membership:
 
 
 @dataclass(frozen=True, eq=False)
-class JointEllipsoid:
+class JointEllipsoid(_Value):
     """Joint state-reference set
 
         (xtil - xtil_*(r))' P (xtil - xtil_*(r)) + (r - r_nom)' Q (r - r_nom) <= 1,
@@ -106,9 +95,6 @@ class JointEllipsoid:
     governor asks it only about the desired reference, constant over a
     schedule segment.  The kept values are those a fresh call computes, so
     results are bit-identical; the entry is not part of equality or repr.
-
-    Two joint sets are equal when P, Q and r_nom are and they share their
-    slice-center map (the same function object); they are not hashable.
     """
 
     P: np.ndarray
@@ -117,32 +103,26 @@ class JointEllipsoid:
     xtil_star: Callable
     # (refs, centers, ref_quads) of the grid, built on first use; the set is
     # immutable, so the grid stays valid.
-    _grid: tuple | None = field(default=None, init=False, repr=False)
+    _grid: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
     # (r.tobytes(), xtil_star(r), ref_quad(r)) of joint_quad's last r.
-    _last: tuple | None = field(default=None, init=False, repr=False)
+    _last: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         P = _frozen(self.P)
         Q = _frozen(np.atleast_2d(self.Q))
         r_nom = _frozen(np.atleast_1d(self.r_nom))
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError("P must be square")
+        if Q.shape != (r_nom.shape[0], r_nom.shape[0]):
+            raise ValueError("Q must match the reference dimension")
         for name, mat in (("P", P), ("Q", Q)):
             if np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
-        if Q.shape != (r_nom.shape[0], r_nom.shape[0]):
-            raise ValueError("Q must match the reference dimension")
         object.__setattr__(self, "P", 0.5 * (P + P.T))
         object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
         object.__setattr__(self, "r_nom", r_nom)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (np.array_equal(self.P, other.P)
-                and np.array_equal(self.Q, other.Q)
-                and np.array_equal(self.r_nom, other.r_nom)
-                and self.xtil_star is other.xtil_star)
-
-    __hash__ = None
 
     @property
     def n_r(self) -> int:
@@ -214,22 +194,31 @@ def _quads(E, A) -> np.ndarray:
     return np.matmul(EA[:, None, :], E[:, :, None])[:, 0, 0]
 
 
+def _finite_reference(r) -> np.ndarray:
+    """The reference r as a float vector; a non-finite entry raises
+    BadSchedule (a ValueError)."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if not all(map(math.isfinite, r.tolist())):
+        raise BadSchedule("reference entries must be finite")
+    return r
+
+
 def joint_contains(J: JointEllipsoid, xtil, r) -> Membership:
-    margin = 1.0 - J.joint_quad(xtil, r)
+    margin = 1.0 - J.joint_quad(xtil, _finite_reference(r))
     return Membership(inside=bool(margin >= 0.0), margin=float(margin))
 
 
 def slice_at(J: JointEllipsoid, r) -> Ellipsoid | None:
     """Fixed-reference slice; None when r is outside the admissible set."""
+    r = _finite_reference(r)
     level = 1.0 - J.ref_quad(r)
     if level < 0.0:
         return None
-    r = np.atleast_1d(np.asarray(r, dtype=float))
     return Ellipsoid(center=J.xtil_star(r), shape=J.P, level=level)
 
 
-@dataclass(frozen=True)
-class AdmissibleRefs:
+@dataclass(frozen=True, eq=False)
+class AdmissibleRefs(_Value):
     """Reference set { r : (r - r_nom)' Q (r - r_nom) <= 1 }."""
 
     r_nom: np.ndarray
@@ -274,7 +263,11 @@ def admissible_references(Q, r_nom=None) -> AdmissibleRefs:
 def joint_ellipsoid_for(plant, nn, k_xi, P, Q, r_nom) -> JointEllipsoid:
     """Joint set whose slice centers come from the true steady-state map,
     :func:`plant.xtil_star_map`: the map :func:`plant.steady_state` uses,
-    so a slice center is bit for bit the steady state a report gives."""
+    so a slice center is bit for bit the steady state a report gives.
+    Raises DimensionMismatch when P is not of order n_x + n_r."""
+    n_xtil = plant.n_x + plant.n_r
+    if np.shape(P) != (n_xtil, n_xtil):
+        raise DimensionMismatch(f"P must be {n_xtil} x {n_xtil} (n_x + n_r)")
     return JointEllipsoid(P=P, Q=Q, r_nom=r_nom, xtil_star=xtil_star_map(
         steady_state_map(plant), nn, k_xi))
 

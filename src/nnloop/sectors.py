@@ -26,14 +26,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveD, StarOutsideBox
 from .network import Activation, FeedForwardNN
-from .plant import _frozen
+from .plant import _Value, _frozen
 
 _WIDEN = 1e-12
 _ROOT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundBox:
+@dataclass(frozen=True, eq=False)
+class BoundBox(_Value):
     """Per-layer elementwise intervals for pre- and post-activations."""
 
     v_lo: tuple
@@ -46,8 +46,8 @@ class BoundBox:
             object.__setattr__(self, name, tuple(_frozen(a) for a in getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class SectorBounds:
+@dataclass(frozen=True, eq=False)
+class SectorBounds(_Value):
     """Stacked per-neuron local slope bounds alpha_phi <= beta_phi."""
 
     alpha_phi: np.ndarray

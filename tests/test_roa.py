@@ -5,6 +5,7 @@ from conftest import schur_row_check
 
 import nnloop as nl
 from nnloop import roa
+from nnloop.errors import BadSchedule, DimensionMismatch
 
 
 def test_contains_center_and_outside():
@@ -332,3 +333,29 @@ def test_sets_compare_by_value_and_are_unhashable():
     for s in (E1, J1):
         with pytest.raises(TypeError, match="unhashable"):
             hash(s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_membership_and_slices_refuse_a_non_finite_reference(joint_set, bad):
+    # As govern does, before any quadratic: a NaN gave a NaN margin, an
+    # infinite reference a RuntimeWarning (an error in this suite) or no
+    # slice.
+    xt = joint_set.xtil_star(np.zeros(1))
+    with pytest.raises(BadSchedule, match="reference entries must be finite"):
+        nl.joint_contains(joint_set, xt, [bad])
+    with pytest.raises(BadSchedule, match="reference entries must be finite"):
+        nl.slice_at(joint_set, [bad])
+
+
+def test_joint_set_refuses_a_non_square_P():
+    with pytest.raises(ValueError, match="P must be square"):
+        roa.JointEllipsoid(P=np.ones((2, 3)), Q=[[1.0]], r_nom=[0.0],
+                           xtil_star=lambda r: r)
+
+
+def test_joint_ellipsoid_for_refuses_P_of_another_order(pendulum):
+    # The pendulum's joint state (x, xi) has order 3.
+    plant, nn, k_xi = pendulum
+    with pytest.raises(DimensionMismatch, match="3 x 3"):
+        nl.joint_ellipsoid_for(plant, nn, k_xi, np.eye(2), np.eye(1),
+                               np.zeros(1))
