@@ -431,12 +431,21 @@ def cmd_roa_plot(args) -> int:
     return EXIT_FEASIBLE
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("verify", "simulate", "bounds", "roa-plot")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser.  When ``command`` names one of COMMANDS, only its
+    subparser is built, the one that parses a command line starting with it;
+    otherwise all four are, for help and for a missing or unknown command."""
     parser = _ArgumentParser(
         prog="nnloop",
         description="LMI certification of NN-controlled setpoint tracking loops",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    built = [command] if command in COMMANDS else COMMANDS
+    sub = parser.add_subparsers(  # a lone subparser's usage still names all four
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--plant", help="plant JSON file")
@@ -446,43 +455,47 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kxi", default="1.0", help="integrator gain (matrix syntax a,b;c,d)")
     common.add_argument("--out", default=".", help="output directory")
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run an LMI verification")
-    p_ver.add_argument("--theorem", required=True,
-                       choices=["global", "local-fixed", "local-range"])
-    p_ver.add_argument("--r", help="fixed reference (CSV)")
-    p_ver.add_argument("--rnom", help="nominal reference (CSV)")
-    p_ver.add_argument("--d", help="layer-1 box half-width (scalar or CSV)")
-    p_ver.add_argument("--gamma", type=float,
-                       help="weight of trace(Q) in the local-range objective "
-                            "(default 1.0)")
-    p_ver.add_argument("--tol", type=float, default=1e-8)
-    p_ver.set_defaults(func=cmd_verify)
+    if "verify" in built:
+        p_ver = sub.add_parser("verify", parents=[common], help="run an LMI verification")
+        p_ver.add_argument("--theorem", required=True,
+                           choices=["global", "local-fixed", "local-range"])
+        p_ver.add_argument("--r", help="fixed reference (CSV)")
+        p_ver.add_argument("--rnom", help="nominal reference (CSV)")
+        p_ver.add_argument("--d", help="layer-1 box half-width (scalar or CSV)")
+        p_ver.add_argument("--gamma", type=float,
+                           help="weight of trace(Q) in the local-range objective "
+                                "(default 1.0)")
+        p_ver.add_argument("--tol", type=float, default=1e-8)
+        p_ver.set_defaults(func=cmd_verify)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="simulate the loop")
-    p_sim.add_argument("--r", help="constant desired reference (CSV)")
-    p_sim.add_argument("--ref-schedule", help="JSON file with [k_start, r] pairs")
-    p_sim.add_argument("--x0", help="initial augmented state (CSV)")
-    p_sim.add_argument("--steps", type=int, default=2000)
-    p_sim.add_argument("--governed", action="store_true")
-    p_sim.add_argument("--report", help="verification report for governed mode")
-    p_sim.add_argument("--svg", action="store_true")
-    p_sim.set_defaults(func=cmd_simulate)
+    if "simulate" in built:
+        p_sim = sub.add_parser("simulate", parents=[common], help="simulate the loop")
+        p_sim.add_argument("--r", help="constant desired reference (CSV)")
+        p_sim.add_argument("--ref-schedule", help="JSON file with [k_start, r] pairs")
+        p_sim.add_argument("--x0", help="initial augmented state (CSV)")
+        p_sim.add_argument("--steps", type=int, default=2000)
+        p_sim.add_argument("--governed", action="store_true")
+        p_sim.add_argument("--report", help="verification report for governed mode")
+        p_sim.add_argument("--svg", action="store_true")
+        p_sim.set_defaults(func=cmd_simulate)
 
-    p_bnd = sub.add_parser("bounds", parents=[common], help="sector-bound report")
-    p_bnd.add_argument("--r", help="anchor reference (CSV)")
-    p_bnd.add_argument("--d", help="layer-1 box half-width (scalar or CSV)")
-    p_bnd.set_defaults(func=cmd_bounds)
+    if "bounds" in built:
+        p_bnd = sub.add_parser("bounds", parents=[common], help="sector-bound report")
+        p_bnd.add_argument("--r", help="anchor reference (CSV)")
+        p_bnd.add_argument("--d", help="layer-1 box half-width (scalar or CSV)")
+        p_bnd.set_defaults(func=cmd_bounds)
 
-    p_plot = sub.add_parser("roa-plot", parents=[common], help="SVG of RoA ellipses")
-    p_plot.add_argument("--report", required=True)
-    p_plot.add_argument("--dims", default="0,1")
-    p_plot.set_defaults(func=cmd_roa_plot)
+    if "roa-plot" in built:
+        p_plot = sub.add_parser("roa-plot", parents=[common], help="SVG of RoA ellipses")
+        p_plot.add_argument("--report", required=True)
+        p_plot.add_argument("--dims", default="0,1")
+        p_plot.set_defaults(func=cmd_roa_plot)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)

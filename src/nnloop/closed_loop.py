@@ -71,7 +71,7 @@ from .errors import BadSchedule, DimensionMismatch, GovernorInfeasible
 # perfbench/tracing.py can wrap; the loop itself makes trace-free passes.
 from .network import FeedForwardNN, forward  # noqa: F401
 from .plant import AugmentedPlant, _Value, _frozen, _matvecs, _rows
-from .roa import JointEllipsoid, _finite_reference, admissible_references
+from .roa import JointEllipsoid, _finite_reference, _joint_state, admissible_references
 
 DIVERGENCE_NORM = 1e9
 # A run has converged when its last CONVERGENCE_WINDOW tracking errors are
@@ -445,10 +445,11 @@ def govern(J: JointEllipsoid, xtil, r_desired):
     """Surrogate reference: argmin |r - rhat|^2 s.t. J.joint_quad(xtil, r) <= 1.
 
     A desired reference with a non-finite entry raises BadSchedule, as it
-    does in a schedule.
+    does in a schedule; a state or reference of the wrong length raises
+    DimensionMismatch.
     """
-    xtil = np.asarray(xtil, dtype=float)
-    r_desired = _finite_reference(r_desired)
+    xtil = _joint_state(J, xtil)
+    r_desired = _finite_reference(J, r_desired)
 
     q_desired = J.joint_quad(xtil, r_desired)
     if q_desired <= 1.0:

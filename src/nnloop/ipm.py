@@ -26,11 +26,11 @@ y = 0, S = Z = I, tau = kappa = 1 ends in either
   within tol.  It returns each Z_p / s_p, in raw units, at unit trace, and
   the caller re-checks it on its own data (:func:`nnloop.sdp.check_farkas`).
 
-Each iteration computes the Nesterov-Todd scaling R_b with
-R' Z R = R^-1 S R^-T = diag(lambda), assembles the Schur matrix
-H_ij = sum_b <Ghat_{b,i}, Ghat_{b,j}> of the scaled coefficients
-Ghat = R^-1 G R^-T, factors it once as L L', and solves the Mehrotra predictor
-and corrector as L^-T (L^-1 v) (the tau column costs one extra solve).
+Each iteration assembles the Schur matrix H_ij = sum_b <Ghat_{b,i}, Ghat_{b,j}>
+of the coefficients scaled as Ghat = R^-1 G R^-T, factors it once as L L',
+solves the Mehrotra predictor and corrector as L^-T (L^-1 v) (the tau column
+costs one extra solve) and updates the Nesterov-Todd scaling R' Z R = R^-1 S R^-T =
+diag(lambda) from a symmetric eigenproblem, as in SDPT3 (Toh, Todd, Tutuncu 1999).
 
 As in SDPT3, each block is split at entry into its irreducible diagonal
 pieces (a diagonal block such as Lambda_nn into order-1 pieces; the barrier
@@ -57,8 +57,8 @@ A run ends in one of six ways, its ``reason``:
   optimal; only such iterates are factored while the run goes on);
 * "ray" (status "infeasible"): the ray test above passes;
 * "short_step" (status "stalled"): a step is shorter than ``_STALL``;
-* "factorization" (status "stalled"): a factorization, eigenvalue or singular
-  value problem fails on finite data; "overflow": on inf or nan data;
+* "factorization" (status "stalled"): a factorization or eigenvalue problem
+  fails on finite data; "overflow": on inf or nan data;
 * "max_iter": ``MAX_ITER`` iterations pass.
 
 A stalled or max_iter run returns the iterate of lowest objective (the later
@@ -323,9 +323,10 @@ def _newton_step(cone, c, W, tau, kappa, rx, rt, mu):
     if alpha < _STALL:
         return None
 
-    # NT update, as in conelp: with L1 L1' = diag(lam) + alpha ds,
-    # L2 L2' = diag(lam) + alpha dz and L2' L1 = U diag(lam_new) V', the new
-    # R and R^-T are R L1 V and R^-T L2 U, columns divided by sqrt(lam_new)
+    # NT update: with L1 L1' = diag(lam) + alpha ds, L2 L2' = diag(lam) +
+    # alpha dz and B = L2' L1 = U diag(lam_new) V', U holds the eigenvectors
+    # of B B', lam_new the column norms of B'U and V = B'U / lam_new; the new R
+    # and R^-T are R L1 V and R^-T L2 U, columns divided by sqrt(lam_new)
     # (vectors in the orthant).
     np.multiply(cor, alpha, out=cone.ahead)
     cone.ahead += diag
@@ -336,9 +337,11 @@ def _newton_step(cone, c, W, tau, kappa, rx, rt, mu):
             lg, WL = L[0] * L[1], Wg * L
         else:
             L = np.linalg.cholesky(grp.ahead)
-            U, lg, Vt = np.linalg.svd(L[1].swapaxes(1, 2) @ L[0])
-            lg, VU = lg[:, None, :], np.concatenate((Vt, U.swapaxes(1, 2)))
-            WL = Wg @ L @ VU.reshape(L.shape).swapaxes(2, 3)
+            B = L[1].swapaxes(1, 2) @ L[0]
+            U = np.linalg.eigh(B @ B.swapaxes(1, 2))[1]
+            X = B.swapaxes(1, 2) @ U
+            lg = np.sqrt(np.einsum("gij,gij->gj", X, X))[:, None, :]
+            WL = Wg @ L @ np.stack((X / lg, U))
         W_new.append(WL / np.sqrt(lg))
         grp.lam[...] = lg
     return W_new, dy, dtau, dkappa, alpha

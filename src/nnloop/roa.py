@@ -43,9 +43,12 @@ class Ellipsoid(_Value):
             raise ValueError("shape matrix must be symmetric")
         if np.linalg.eigvalsh(0.5 * (shape + shape.T))[0] <= 0.0:
             raise ValueError("shape matrix must be positive definite")
+        level = float(self.level)
+        if not 0.0 <= level < math.inf:  # NaN fails every comparison
+            raise ValueError("level must be finite and nonnegative")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", 0.5 * (shape + shape.T))
-        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "level", level)
 
     @property
     def dim(self) -> int:
@@ -194,23 +197,34 @@ def _quads(E, A) -> np.ndarray:
     return np.matmul(EA[:, None, :], E[:, :, None])[:, 0, 0]
 
 
-def _finite_reference(r) -> np.ndarray:
-    """The reference r as a float vector; a non-finite entry raises
-    BadSchedule (a ValueError)."""
+def _finite_reference(J: JointEllipsoid, r) -> np.ndarray:
+    """The reference r as a float vector; one of other than J's n_r entries
+    raises DimensionMismatch, a non-finite entry BadSchedule (a ValueError)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    if r.shape != (J.n_r,):
+        raise DimensionMismatch(f"reference must have shape ({J.n_r},)")
     if not all(map(math.isfinite, r.tolist())):
         raise BadSchedule("reference entries must be finite")
     return r
 
 
+def _joint_state(J: JointEllipsoid, xtil) -> np.ndarray:
+    """The state xtil as a float vector; one of other than J's n_xtil entries
+    raises DimensionMismatch."""
+    xtil = np.asarray(xtil, dtype=float)
+    if xtil.shape != J.P.shape[:1]:
+        raise DimensionMismatch(f"xtil must have shape ({J.P.shape[0]},)")
+    return xtil
+
+
 def joint_contains(J: JointEllipsoid, xtil, r) -> Membership:
-    margin = 1.0 - J.joint_quad(xtil, _finite_reference(r))
+    margin = 1.0 - J.joint_quad(_joint_state(J, xtil), _finite_reference(J, r))
     return Membership(inside=bool(margin >= 0.0), margin=float(margin))
 
 
 def slice_at(J: JointEllipsoid, r) -> Ellipsoid | None:
     """Fixed-reference slice; None when r is outside the admissible set."""
-    r = _finite_reference(r)
+    r = _finite_reference(J, r)
     level = 1.0 - J.ref_quad(r)
     if level < 0.0:
         return None

@@ -11,7 +11,7 @@ import pytest
 
 import nnloop as nl
 from nnloop.assets import PENDULUM_D, example_nn_path
-from nnloop.cli import main
+from nnloop.cli import build_parser, main
 from nnloop.network import save_nn
 from nnloop.plant import save_plant
 
@@ -543,11 +543,12 @@ USAGE_ERRORS = [
     (["verify", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
     (["verify", "--theorem", "bogus"], "argument --theorem: invalid choice: 'bogus'"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", USAGE_ERRORS,
-                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+                         ids=[" ".join(argv) or "no command" for argv, _ in USAGE_ERRORS])
 def test_usage_error_exit_three(capsys, argv, message):
     # argparse's own exit code 2 would read as an inaccurate verdict.
     with pytest.raises(SystemExit) as exc:
@@ -564,6 +565,17 @@ def test_help_exit_zero(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: nnloop")
+
+
+def test_parser_builds_only_the_named_command(capsys):
+    # The first argument picks the one subparser built, and its usage still
+    # names all four commands; no command or an unknown one builds all four.
+    with pytest.raises(SystemExit) as exc:
+        build_parser("verify").parse_args(["simulate", "--r", "0"])
+    assert exc.value.code == 3
+    assert "usage: nnloop [-h] {verify,simulate,bounds,roa-plot}" in capsys.readouterr().err
+    for command in (None, "bogus", "--help"):
+        assert build_parser(command).parse_args(["simulate", "--r", "0"]).r == "0"
 
 
 def test_commands_in_one_process_leave_nothing_behind(tmp_path, capsys):

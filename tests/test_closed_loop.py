@@ -10,7 +10,7 @@ import pytest
 import nnloop as nl
 from nnloop import closed_loop as cl
 from nnloop import roa
-from nnloop.errors import BadSchedule, GovernorInfeasible
+from nnloop.errors import BadSchedule, DimensionMismatch, GovernorInfeasible
 
 
 def zero_nn(n_x, n_r=1):
@@ -289,6 +289,16 @@ def test_governor_descent_is_each_starts_bisection():
         assert nl.govern(J, xtil, r_des).tobytes() == want.tobytes()
         compared += 1
     assert compared >= 100
+
+
+def test_govern_refuses_a_state_or_reference_of_the_wrong_length(joint_set):
+    # n_xtil = 3 and n_r = 1 on the pendulum; numpy raised its own matmul or
+    # broadcast ValueError before.
+    xt = joint_set.xtil_star(np.zeros(1))
+    with pytest.raises(DimensionMismatch, match=r"reference must have shape \(1,\)"):
+        nl.govern(joint_set, xt, [0.1, 0.2])
+    with pytest.raises(DimensionMismatch, match=r"xtil must have shape \(3,\)"):
+        nl.govern(joint_set, np.zeros(2), [0.1])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -34,6 +34,16 @@ def test_ellipsoid_validation():
         nl.Ellipsoid(center=np.zeros(2), shape=np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("level", [np.nan, np.inf, -1.0])
+def test_ellipsoid_refuses_a_level_not_finite_or_negative(level):
+    # A NaN level made a set unequal to its own copy and a NaN margin; a
+    # negative one, an empty set.  Level 0, a single point, stays.
+    with pytest.raises(ValueError, match="level must be finite and nonnegative"):
+        nl.Ellipsoid(center=np.zeros(2), shape=np.eye(2), level=level)
+    assert nl.contains(nl.Ellipsoid(center=np.zeros(2), shape=np.eye(2), level=0.0),
+                       np.zeros(2)).inside
+
+
 def make_joint(q=25.0, r_nom=0.0):
     # affine steady map for a standalone joint set, for one reference (1,)
     # or a stack (N, 1) of them, one per row
@@ -345,6 +355,21 @@ def test_membership_and_slices_refuse_a_non_finite_reference(joint_set, bad):
         nl.joint_contains(joint_set, xt, [bad])
     with pytest.raises(BadSchedule, match="reference entries must be finite"):
         nl.slice_at(joint_set, [bad])
+
+
+def test_joint_contains_refuses_a_state_or_reference_of_the_wrong_length(joint_set):
+    # The pendulum's joint set has n_xtil = 3 and n_r = 1; numpy raised its
+    # own matmul or broadcast ValueError before.
+    xt = joint_set.xtil_star(np.zeros(1))
+    with pytest.raises(DimensionMismatch, match=r"reference must have shape \(1,\)"):
+        nl.joint_contains(joint_set, xt, [0.1, 0.2])
+    with pytest.raises(DimensionMismatch, match=r"xtil must have shape \(3,\)"):
+        nl.joint_contains(joint_set, np.zeros(2), [0.1])
+
+
+def test_slice_at_refuses_a_reference_of_the_wrong_length(joint_set):
+    with pytest.raises(DimensionMismatch, match=r"reference must have shape \(1,\)"):
+        nl.slice_at(joint_set, [0.1, 0.2])
 
 
 def test_joint_set_refuses_a_non_square_P():

@@ -541,6 +541,52 @@ def test_affine_step_length_from_dz_alone():
     assert any(ds_binds)  # the ds half, read from dz's largest eigenvalue, counted
 
 
+def test_nt_update_from_one_symmetric_eigenproblem():
+    # The NT update factors B = L2' L1 = U diag(lam_new) V' from the
+    # eigenvectors U of B B', with lam_new the column norms of B'U.  Here, on
+    # a stack of order 13 (bins of pieces 13 and 8 + 3 + 2) and one of order
+    # 3, with lambda spread over four decades, lam_new matches the singular
+    # values of B to 1e-12 relative, where the square roots of the
+    # eigenvalues of B B' miss them on both stacks.  The new R and R^-T meet
+    # R' R^-T = I and R' Z R = R^-1 S R^-T = diag(lam_new) at the NT point
+    # (S, Z) to k eps cond(B)^2, the accuracy of U.  The old R is a random
+    # diagonal, so that R L1 V is told apart from L1 V R.
+    rng = np.random.default_rng(0)
+    m = 2
+    cone = ipm._group(_bounded_blocks(rng, [13, 8, 3, 2, 13, 3, 3], m), m)
+    assert [grp.shape for grp in cone] == [(3, 13, 13), (2, 3, 3)]
+    cone.bind()
+    W = []
+    for grp in cone:
+        g, k = grp.shape[:2]
+        lam = rng.permuted(np.tile(np.logspace(-2.0, 2.0, k), (g, 1)), axis=1)
+        grp.lam[...] = lam[:, None, :]
+        r = np.exp(rng.normal(size=(g, k, 1)))
+        W.append(np.stack([r * np.eye(k), np.eye(k) / r]))
+    mu = float(cone.lam[cone.diag].dot(cone.lam[cone.diag])) / len(cone.diag)
+    step = ipm._newton_step(cone, rng.normal(size=m), W, 1.0, 1.0, rng.normal(size=m),
+                            0.0, mu)
+    assert step is not None
+    for grp, (R, Rit), (Rn, Rnit) in zip(cone, W, step[0]):
+        k, lam = grp.shape[-1], grp.lam[:, 0, :]
+        L = np.linalg.cholesky(grp.ahead)
+        B = L[1].swapaxes(1, 2) @ L[0]
+        sv = np.sort(np.linalg.svd(B, compute_uv=False), axis=1)
+        shortcut = np.sqrt(np.linalg.eigvalsh(B @ B.swapaxes(1, 2)))
+        assert np.max(np.abs(np.sort(lam, axis=1) - sv) / sv) <= 1e-12
+        assert np.max(np.abs(shortcut - sv) / sv) > 1e-12
+
+        S = R @ grp.ahead[0] @ R.swapaxes(1, 2)
+        Z = Rit @ grp.ahead[1] @ Rit.swapaxes(1, 2)
+        D = np.eye(k) * lam[:, None, :]
+        scale = np.sqrt(lam[:, :, None] * lam[:, None, :])
+        tol = k * np.finfo(float).eps * (sv[:, -1] / sv[:, 0]) ** 2
+        for err in (Rn.swapaxes(1, 2) @ Rnit - np.eye(k),
+                    (Rn.swapaxes(1, 2) @ Z @ Rn - D) / scale,
+                    (Rnit.swapaxes(1, 2) @ S @ Rnit - D) / scale):
+            assert np.all(np.abs(err).max(axis=(1, 2)) <= tol)
+
+
 def _lp_blocks(g0, C):
     """The LP g0 + C' y >= 0 as one 1x1 block per row, and as one diagonal
     block."""
