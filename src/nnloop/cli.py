@@ -238,9 +238,8 @@ def run_verify(plant, nn, k_xi, theorem: str, r=None, r_nom=None, d=None,
 
 def _write_report(report: dict, out_dir: str, name: str) -> str:
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w") as fh:  # one write of the whole text, not one per token
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -447,16 +446,20 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         dest="command", required=True,
         metavar="{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--plant", help="plant JSON file")
-    common.add_argument("--pendulum",
-                        help='pendulum parameters "m=..,L=..,mu=..,g=..,Ts=..,disc=.."')
-    common.add_argument("--nn", help="network JSON file")
-    common.add_argument("--kxi", default="1.0", help="integrator gain (matrix syntax a,b;c,d)")
-    common.add_argument("--out", default=".", help="output directory")
+    def add_parser(name, text):
+        """A subparser with the options every command takes, first."""
+        sub_parser = sub.add_parser(name, help=text)
+        sub_parser.add_argument("--plant", help="plant JSON file")
+        sub_parser.add_argument(
+            "--pendulum", help='pendulum parameters "m=..,L=..,mu=..,g=..,Ts=..,disc=.."')
+        sub_parser.add_argument("--nn", help="network JSON file")
+        sub_parser.add_argument("--kxi", default="1.0",
+                                help="integrator gain (matrix syntax a,b;c,d)")
+        sub_parser.add_argument("--out", default=".", help="output directory")
+        return sub_parser
 
     if "verify" in built:
-        p_ver = sub.add_parser("verify", parents=[common], help="run an LMI verification")
+        p_ver = add_parser("verify", "run an LMI verification")
         p_ver.add_argument("--theorem", required=True,
                            choices=["global", "local-fixed", "local-range"])
         p_ver.add_argument("--r", help="fixed reference (CSV)")
@@ -469,7 +472,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p_ver.set_defaults(func=cmd_verify)
 
     if "simulate" in built:
-        p_sim = sub.add_parser("simulate", parents=[common], help="simulate the loop")
+        p_sim = add_parser("simulate", "simulate the loop")
         p_sim.add_argument("--r", help="constant desired reference (CSV)")
         p_sim.add_argument("--ref-schedule", help="JSON file with [k_start, r] pairs")
         p_sim.add_argument("--x0", help="initial augmented state (CSV)")
@@ -480,13 +483,13 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p_sim.set_defaults(func=cmd_simulate)
 
     if "bounds" in built:
-        p_bnd = sub.add_parser("bounds", parents=[common], help="sector-bound report")
+        p_bnd = add_parser("bounds", "sector-bound report")
         p_bnd.add_argument("--r", help="anchor reference (CSV)")
         p_bnd.add_argument("--d", help="layer-1 box half-width (scalar or CSV)")
         p_bnd.set_defaults(func=cmd_bounds)
 
     if "roa-plot" in built:
-        p_plot = sub.add_parser("roa-plot", parents=[common], help="SVG of RoA ellipses")
+        p_plot = add_parser("roa-plot", "SVG of RoA ellipses")
         p_plot.add_argument("--report", required=True)
         p_plot.add_argument("--dims", default="0,1")
         p_plot.set_defaults(func=cmd_roa_plot)

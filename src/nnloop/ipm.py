@@ -34,18 +34,18 @@ diag(lambda) from a symmetric eigenproblem, as in SDPT3 (Toh, Todd, Tutuncu 1999
 
 As in SDPT3, each block is split at entry into its irreducible diagonal
 pieces (a diagonal block such as Lambda_nn into order-1 pieces; the barrier
-and central path are the same), and small pieces are packed block-diagonally
-into slots of the largest order (:func:`_group`).  As in conelp, all cone
-entries form one flat vector: the slots of each order stacked (g, k, k) and
-raveled, then the order-1 slots as one nonnegative orthant, scaled
-elementwise (R is r with r^2 = sqrt(s/z), so Ghat = G / r^2).  With the
-coefficients one matrix F, the residuals, the Schur matrix and both Newton
-directions are one numpy call per iteration; S and Z, the congruences with
-R^-1, the step-length eigenvalues, the corrector's right-hand side and the NT
-update are one call per stack, on views bound once per run into work arrays
-allocated once (:meth:`_Cone.bind`); the predictor's ds is -diag(lambda) - dz,
-so its step length takes the eigenvalues of dz alone.  A ray is unstacked
-into the caller's blocks, zero off their pieces.
+and central path are the same), found in one pass over all blocks, and small
+pieces are packed into slots of the largest order (:func:`_group`).  As in
+conelp, all cone entries form one flat vector: the slots of each order
+stacked (g, k, k) and raveled, then the order-1 slots as one nonnegative
+orthant, scaled elementwise (R is r with r^2 = sqrt(s/z), so Ghat = G / r^2).
+With the coefficients one matrix F, the residuals, the Schur matrix and both
+Newton directions are one numpy call per iteration; S and Z, the congruences
+with R^-1, the step-length eigenvalues, the corrector's right-hand side and
+the NT update are one call per stack, on views bound once per run into work
+arrays allocated once (:meth:`_Cone.bind`); the predictor's ds is
+-diag(lambda) - dz, so its step length takes the eigenvalues of dz alone.  A
+ray is unstacked into the caller's blocks, zero off their pieces.
 
 The shift tol I is an interior target: a primal point that meets the shifted
 blocks up to the stopping tolerances still satisfies the blocks as given, so
@@ -148,43 +148,44 @@ class _Cone(list):
 
 
 def _group(blocks, m):
-    """The caller's blocks split into pieces (the connected components of the
-    nonzero pattern of G0 - delta I and every coefficient of each block, from
-    one label propagation over all blocks), packed into slots and grouped by
-    slot order.  Pieces are taken by decreasing order, in caller order and by
-    smallest index among equal ones, and placed first-fit into bins of the
-    largest order k when k <= _PACK_MAX; a bin is kept as a slot only when its
-    pieces fill it exactly, and every other piece is a slot of its own.  A
-    piece is held as the flat indices of its entries in the caller's blocks
-    laid end to end, through which G0 and F are gathered from the blocks."""
+    """The caller's blocks split into pieces, packed into slots and grouped by
+    slot order.  Entry e of the blocks laid end to end is (row[e], col[e]) of
+    their block-diagonal whole, whose nonzero pattern (of G0 - delta I and
+    every coefficient) one label propagation splits into connected components,
+    the pieces, listed from one grouping of the labels.  Pieces are taken by
+    decreasing order, in caller order and by smallest index among equal ones,
+    and placed first-fit into bins of the largest order k when k <= _PACK_MAX;
+    a bin is kept as a slot only when its pieces fill it exactly, and every
+    other piece is a slot of its own.  G0 and F are gathered through each cone
+    entry's flat index, F from one concatenation of the blocks per _ROWS rows."""
     orders = [blk.order for blk in blocks]
-    start, first = np.cumsum([0] + [k * k for k in orders]), np.cumsum([0] + orders)
-    G0s, edges, tops = [], [], []
-    for blk, lo in zip(blocks, first):
-        G0 = blk.G0 - blk.delta * np.eye(blk.order)
-        size = np.maximum(np.abs(G0), np.abs(blk.coeffs).max(axis=0, initial=0.0))
-        G0s.append(G0.ravel())
-        edges.append(np.argwhere(size + size.T + np.eye(blk.order)).T + lo)  # and i ~ i
-        tops.append(size.max(axis=1, initial=0.0))
-    (row, col), top = np.concatenate(edges, axis=1), np.concatenate(tops)
-    heads = np.r_[0, np.flatnonzero(np.diff(row)) + 1]  # each index's first edge
+    sizes = [k * k for k in orders]
+    start, first = np.cumsum([0] + sizes), np.cumsum([0] + orders)
+    local = np.arange(first[-1]) - np.repeat(first[:-1], orders)
+    rowstart = np.repeat(start[:-1], orders) + np.repeat(orders, orders) * local
+    row = np.repeat(np.arange(first[-1]), np.repeat(orders, orders))
+    col = row - local[row] + np.arange(start[-1]) - rowstart[row]
+    eye = row == col
+    G0 = np.concatenate([blk.G0.ravel() for blk in blocks] + [[0.0]])  # [-1]: off the pieces
+    G0[:-1] -= np.repeat([blk.delta for blk in blocks], sizes) * eye
+    size = np.maximum(np.abs(G0[:-1]), np.concatenate(  # no |coeffs| temporary
+        [np.maximum(blk.coeffs.max(axis=0, initial=0.0),
+                    -blk.coeffs.min(axis=0, initial=0.0)).ravel() for blk in blocks]))
+    edge = np.flatnonzero(size + size[rowstart[col] + local[row]] + eye)  # and i ~ i
+    row, col = row[edge], col[edge]
+    heads = np.flatnonzero(np.diff(row, prepend=-1))  # each index's first edge
     # Float labels, and no sort or ufunc.at: nothing else in a verify run uses
     # them, and paging in their loops added 0.1-0.2 MB to the peak RSS.
-    label = index = np.arange(first[-1], dtype=float)
+    label = np.arange(first[-1], dtype=float)
     while True:  # each pass takes the least label among the neighbours
         new = np.minimum.reduceat(label[col], heads)
         if np.array_equal(new, label):
             break
         label = new
-    local = np.arange(first[-1]) - np.repeat(first[:-1], orders)
-    rowstart = np.repeat(start[:-1], orders) + np.repeat(orders, orders) * local
-    scale = np.ones(start[-1] + 1)  # the last entry is off the pieces
-    pieces = []
-    for root in label[label == index]:  # by smallest index
-        idx = np.flatnonzero(label == root)
-        pieces.append(rowstart[idx, None] + local[idx])
-        scale[pieces[-1]] = max(1.0, float(top[idx].max()))
-    pieces.sort(key=lambda piece: -len(piece))
+    members = {}  # by smallest index: a root is labelled with its own index
+    for index, root in enumerate(label.tolist()):
+        members.setdefault(root, []).append(index)
+    pieces = sorted(members.values(), key=len, reverse=True)  # stable
     k = len(pieces[0])
     bins = []  # [room left, pieces...]; above _PACK_MAX a bin holds one piece
     for piece in pieces:
@@ -194,31 +195,36 @@ def _group(blocks, m):
             bins.append(fit)
         fit[0] -= len(piece)
         fit.append(piece)
-    slots = [slot for room, *bn in bins
+    # Each index's piece p, and s_p: the largest row maximum of p if above one.
+    lens = [len(piece) for piece in pieces]
+    at, pid = np.concatenate(pieces), np.empty(first[-1], dtype=int)
+    pid[at] = np.repeat(np.arange(len(pieces)), lens)
+    top = np.maximum.reduceat(np.maximum.reduceat(size, rowstart)[at], np.cumsum([0] + lens[:-1]))
+    scale = np.append(np.where(top > 1.0, top, 1.0), 1.0)  # [-1]: off the pieces
+    slots = [[i for piece in slot for i in piece] for room, *bn in bins
              for slot in ([bn] if room == 0 else [[piece] for piece in bn])]
-    orders = [sum(map(len, slot)) for slot in slots]
-    groups = []
+    orders = [len(slot) for slot in slots]
+    groups, flat = [], []  # flat: per stack, src, piece, identity and transpose
     for order in dict.fromkeys(orders):
-        src = np.full((orders.count(order), order, order), -1)
-        for s, slot in enumerate(slot for slot, n in zip(slots, orders) if n == order):
-            at = np.cumsum([0] + [len(piece) for piece in slot])
-            for piece, lo, hi in zip(slot, at, at[1:]):
-                src[s, lo:hi, lo:hi] = piece
-        groups.append(_Group(src if order > 1 else src.ravel(),
-                             groups[-1].at.stop if groups else 0))
-    src = np.concatenate([grp.src.ravel() for grp in groups])
-    srcf, cone, N = src.astype(float), _Cone(groups), len(src)  # float as the labels
-    cone.eye, cone.T, cone.src, cone.scale = np.zeros(N), np.arange(N), src, scale[src]
-    cone.G0, cone.F = np.concatenate(G0s + [[0.0]])[src] / cone.scale, np.zeros((m + 2, N))
-    for blk, lo, hi in zip(blocks, start, start[1:]):
-        at = np.flatnonzero((srcf >= lo) & (srcf < hi))
-        idx, C, sc = src[at] - lo, blk.coeffs.reshape(m, -1), cone.scale[at]
-        for i in range(0, m, _ROWS):
-            cone.F[i:min(i + _ROWS, m), at] = C[i:i + _ROWS, idx] / sc
-    for grp in groups:
-        grp.view(cone.eye)[...] = 1.0 if grp.orthant else np.eye(grp.shape[-1])
-        if not grp.orthant:
-            grp.view(cone.T)[...] = grp.view(cone.T).transpose(0, 2, 1).copy()
+        idx = np.array([slot for slot, n in zip(slots, orders) if n == order])
+        p, at = pid[idx][:, :, None], groups[-1].at.stop if groups else 0
+        on = p == p.swapaxes(1, 2)
+        flat.append([np.where(on, rowstart[idx][:, :, None] + local[idx][:, None, :], -1),
+                     np.where(on, p, -1), np.broadcast_to(np.eye(order), on.shape),
+                     at + np.arange(on.size).reshape(on.shape).swapaxes(1, 2)])
+        groups.append(_Group(flat[-1][0] if order > 1 else flat[-1][0].ravel(), at))
+    cone = _Cone(groups)
+    cone.src, piece, cone.eye, cone.T = (np.concatenate([x.ravel() for x in xs])
+                                         for xs in zip(*flat))
+    cone.scale, N = scale[piece], len(piece)
+    cone.G0, cone.F = G0[cone.src] / cone.scale, np.zeros((m + 2, N))
+    rows = np.zeros((min(m, _ROWS), start[-1] + 1))  # the last column stays 0
+    for i in range(0, m, _ROWS):
+        F = cone.F[i:min(i + _ROWS, m)]
+        np.concatenate([blk.coeffs.reshape(m, -1)[i:i + _ROWS] for blk in blocks],
+                       axis=1, out=rows[:len(F), :-1])
+        np.take(rows[:len(F)], cone.src, axis=1, out=F, mode="wrap")  # -1: the 0 column
+        F /= cone.scale
     cone.diag = np.flatnonzero(cone.eye)
     return cone
 
@@ -411,7 +417,7 @@ def solve_conic(blocks, c, *, tol=1e-8) -> IPMResult:
         # residual; the caller's check allows 1e3 tol, slack for its scaling.
         if float(cone.G0.dot(Z)) < 0.0:
             tr = float(cone.eye.dot(Z))
-            if np.max(np.abs(FZ[:m]) / (tr * col_scale), initial=0.0) <= tol:
+            if (np.abs(FZ[:m]) / (tr * col_scale)).max(initial=0.0) <= tol:
                 ray = Z / cone.scale  # unit trace summed flat: the same bits for any blocks
                 return IPMResult("infeasible", None,
                                  _unstack(blocks, cone, ray / ray[cone.diag].sum()),

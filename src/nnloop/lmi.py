@@ -35,6 +35,7 @@ basis matrices E of the variables:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,17 +69,16 @@ class VarSpec:
             return self.dim * (self.dim + 1) // 2
         return self.dim
 
+    @cached_property
     def _entries(self) -> tuple:
-        """Row and column indices of the scalar components: the upper
-        triangle, row by row, or the diagonal."""
-        if self.kind == "sym":
-            return np.triu_indices(self.dim)
-        return np.diag_indices(self.dim)
+        """Row and column indices of the scalar components, built once: the
+        upper triangle, row by row, or the diagonal."""
+        return np.triu_indices(self.dim) if self.kind == "sym" else np.diag_indices(self.dim)
 
     def basis(self) -> np.ndarray:
         """(n_scalars, dim, dim) basis matrices of the scalar components:
-        E[k] has ones at entry k of :meth:`_entries` and its mirror."""
-        i, j = self._entries()
+        E[k] has ones at entry k of :attr:`_entries` and its mirror."""
+        i, j = self._entries
         k = np.arange(self.n_scalars)
         E = np.zeros((self.n_scalars, self.dim, self.dim))
         E[k, i, j] = 1.0
@@ -86,10 +86,10 @@ class VarSpec:
         return E
 
     def pack(self, mat: np.ndarray) -> np.ndarray:
-        return np.asarray(mat, dtype=float)[self._entries()]
+        return np.asarray(mat, dtype=float)[self._entries]
 
     def unpack(self, theta: np.ndarray) -> np.ndarray:
-        i, j = self._entries()
+        i, j = self._entries
         out = np.zeros((self.dim, self.dim))
         out[i, j] = theta
         out[j, i] = theta
@@ -132,30 +132,19 @@ class LMISystem(_Value):
     def n_scalars(self) -> int:
         return sum(v.n_scalars for v in self.variables)
 
-    def var_slices(self) -> dict:
-        out, start = {}, 0
-        for v in self.variables:
-            out[v.name] = slice(start, start + v.n_scalars)
-            start += v.n_scalars
-        return out
-
     def pack(self, values: dict) -> np.ndarray:
-        theta = np.zeros(self.n_scalars)
-        for v, sl in zip(self.variables, self.var_slices().values()):
-            theta[sl] = v.pack(values[v.name])
-        return theta
+        return np.concatenate([np.zeros(0)] + [v.pack(values[v.name]) for v in self.variables])
 
     def unpack(self, theta: np.ndarray) -> dict:
-        return {
-            v.name: v.unpack(theta[sl])
-            for v, sl in zip(self.variables, self.var_slices().values())
-        }
+        ends = np.cumsum([v.n_scalars for v in self.variables]).tolist()
+        return {v.name: v.unpack(theta[end - v.n_scalars:end])
+                for v, end in zip(self.variables, ends)}
 
     def block_value(self, block: LMIBlock, theta: np.ndarray) -> np.ndarray:
         """G0 + sum_i theta_i coeffs[i] - delta I: positive semidefinite
         exactly when the block holds at theta, margin included."""
-        return (block.G0 - block.delta * np.eye(block.order)
-                + np.tensordot(theta, block.coeffs, axes=1))
+        return (block.G0 - block.delta * np.eye(block.order)  # the gemv of np.tensordot
+                + theta.dot(block.coeffs.reshape(len(theta), -1)).reshape(block.G0.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,15 +262,15 @@ def _row_blocks(variables, rows: np.ndarray, d: np.ndarray) -> list:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         G0s = [-np.outer(row, row) / dj**2 for row, dj in zip(rows, d)]
     if not np.all(np.isfinite(G0s)):
-        raise NonPositiveD(f"box half-width d = {np.min(d)!r} is too small: "
+        raise NonPositiveD(f"box half-width d = {float(np.min(d))!r} is too small: "
                            f"a row constant row_j row_j'/d_j^2 overflows")
     return [_block(f"roa_row_{j}", coeffs, G0) for j, G0 in enumerate(G0s)]
 
 
 def _trace_objective(variables, weights: dict) -> np.ndarray:
     """Sum of weights[v.name] * trace(v) over the variables, as a vector."""
-    return np.concatenate([float(weights.get(v.name, 0.0))
-                           * np.einsum("kii->k", v.basis()) for v in variables])
+    return np.concatenate([float(weights.get(v.name, 0.0))  # trace E[k]: 1 if i == j
+                           * np.equal(*v._entries) for v in variables])
 
 
 def _sector_vectors(sectors: SectorBounds, n: int):
@@ -318,7 +307,7 @@ def check_gamma(gamma: float) -> None:
     """Refuse a trace(Q) weight that is not finite and positive, with
     NonPositiveGamma: otherwise the objective is unbounded below in Q."""
     if not 0.0 < gamma < np.inf:
-        raise NonPositiveGamma(f"gamma must be finite and positive, got {gamma!r}")
+        raise NonPositiveGamma(f"gamma must be finite and positive, got {float(gamma)!r}")
 
 
 def build_local_range(aug: AugmentedPlant, sel: Selectors,

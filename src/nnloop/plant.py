@@ -102,9 +102,10 @@ def _matvecs(A, rows) -> np.ndarray:
     one BLAS gemv (a dot when A has one row) per row, the call a single
     product makes, where one gemm over the stack would sum in another order.
     Rows of a fresh array of odd width, which do not all start on 16-byte
-    boundaries, are copied with :func:`_rows`.
+    boundaries, are copied with :func:`_rows`; a stack of one row is not,
+    since its only row starts where the array does.
     """
-    if rows.strides[0] % 16:
+    if rows.strides[0] % 16 and len(rows) > 1:
         rows = _rows(rows)
     return np.matmul(A, rows[:, :, None])[:, :, 0]
 

@@ -152,6 +152,18 @@ def test_verify_local_range_nonpositive_gamma_exit_three(tmp_path, capsys, gamma
     assert "gamma must be finite and positive" in capsys.readouterr().err
 
 
+def test_verify_tiny_d_message_is_a_plain_float(tmp_path, capsys):
+    # The half-width in the NonPositiveD message is printed as a Python float,
+    # so the message does not depend on how numpy prints its scalars.
+    code = main(["verify", "--pendulum", PENDULUM_FLAG, "--nn", example_nn_path(),
+                 "--theorem", "local-fixed", "--r", "0", "--d", "1e-320",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "d = 1e-320 is too small" in err
+    assert "np.float64" not in err
+
+
 @pytest.mark.parametrize("gamma", ["1e160", "1e300"])
 def test_verify_overflowing_objective_is_not_infeasible(tmp_path, capsys, recwarn,
                                                        gamma):

@@ -241,3 +241,21 @@ def test_plant_equality_is_by_value():
     assert plant != build_pendulum(output="velocity")
     with pytest.raises(TypeError):
         hash(plant)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (1, 5), (3, 1), (2, 4)])
+def test_matvecs_leaves_a_one_row_stack_uncopied(monkeypatch, shape):
+    # A stack of one row of any width is multiplied where it lies, with no
+    # aligned copy, and gives the bits of the closed-loop step's single product.
+    from nnloop import closed_loop, plant
+
+    rng = np.random.default_rng(94)
+    A, X = rng.normal(size=shape), rng.normal(size=(1, shape[1]))
+
+    def copy(rows):
+        raise AssertionError("a one-row stack was copied")
+
+    monkeypatch.setattr(plant, "_rows", copy)
+    got = plant._matvecs(A, X)
+    assert got.shape == (1, shape[0])
+    assert got[0].tobytes() == closed_loop._bind(A)(X[0]).tobytes()

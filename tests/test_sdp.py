@@ -10,7 +10,7 @@ from nnloop.ipm import solve_conic
 from nnloop.sdp import check_farkas
 from nnloop.cli import run_verify
 from nnloop.lmi import LMIBlock, LMISystem, VarSpec, build_selectors
-from test_metamorphic import REF_HALF_INTERVAL, REF_TRACE_P, duplicated_nn
+from test_metamorphic import REF_HALF_INTERVAL, REF_TRACE_P, duplicated_nn, zero_padded_nn
 
 
 def scalar_system(objective=True):
@@ -129,6 +129,25 @@ def test_certified_decrease_rate(schur_scalar):
         v_next = float(xt @ P @ xt)
         slack = 1e-9 * (1.0 + v_now)
         assert v_next - v_now <= -eps * float(e @ e) + slack
+
+
+def test_certify_margins_are_the_per_block_eigenvalues(pendulum, pendulum_aug, d_ship):
+    # certify takes one eigvalsh per block order over the stack of those
+    # blocks; each margin must be the bits of the block's own eigvalsh.
+    duplicated = duplicated_nn(pendulum[1], 2, np.random.default_rng(2024))
+    for theorem, nn in (("local-fixed", None), ("local-range", None),
+                        ("local-range", duplicated)):
+        system = _pendulum_system(pendulum, pendulum_aug, theorem, d_ship, nn)
+        sol = sdp.solve(system)
+        assert sol.status == sdp.FEASIBLE
+        assert len({blk.order for blk in system.blocks}) < len(system.blocks)
+        theta = system.pack(sol.values)
+        for blk in system.blocks:
+            v = system.block_value(blk, theta)
+            want = np.linalg.eigvalsh(0.5 * (v + v.T))[0]
+            assert np.float64(sol.margins[blk.name]).tobytes() == want.tobytes()
+            assert v.tobytes() == (blk.G0 - blk.delta * np.eye(blk.order) + np.tensordot(
+                theta, blk.coeffs, axes=1)).tobytes()
 
 
 def test_certify_downgrades_perturbed_P(thm2_report, pendulum, pendulum_aug,
@@ -763,6 +782,109 @@ def test_pack_and_unstack_return_every_caller_block():
         assert np.array_equal(X, (blk.G0 != 0).astype(float))
 
 
+def _reference_group(blocks, m):
+    """What _group's docstring says, read plainly: each block's pieces by
+    union-find over its own nonzero pattern, by smallest index, each with its
+    flat indices in the blocks laid end to end and its scale; then first-fit
+    decreasing into bins.  Returns, per slot order in order of first use, the
+    expected (src, scale, G0, F) of that stack."""
+    pieces, start = [], 0
+    for blk in blocks:
+        k = blk.order
+        G0 = blk.G0 - blk.delta * np.eye(k)
+        size = np.maximum(np.abs(G0), np.abs(blk.coeffs).max(axis=0, initial=0.0))
+        parent = list(range(k))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, j in zip(*np.nonzero(size)):
+            a, b = sorted((find(i), find(j)))
+            parent[b] = a
+        members = {}
+        for i in range(k):
+            members.setdefault(find(i), []).append(i)
+        for idx in sorted(members.values()):
+            flat = start + np.array(idx)[:, None] * k + np.array(idx)
+            pieces.append((flat, max(1.0, float(size[idx].max()))))
+        start += k * k
+    pieces.sort(key=lambda piece: -len(piece[0]))
+    top = len(pieces[0][0])
+    bins = []
+    for piece in pieces:
+        fit = next((bn for bn in bins if len(piece[0]) <= bn[0]), None)
+        if fit is None:
+            bins.append(fit := [top if top <= ipm._PACK_MAX else len(piece[0])])
+        fit[0] -= len(piece[0])
+        fit.append(piece)
+    slots = [slot for room, *bn in bins
+             for slot in ([bn] if room == 0 else [[piece] for piece in bn])]
+    G0 = np.concatenate([(blk.G0 - blk.delta * np.eye(blk.order)).ravel()
+                         for blk in blocks])
+    C = np.concatenate([blk.coeffs.reshape(m, -1) for blk in blocks], axis=1)
+    stacks = {}
+    for slot in slots:
+        k = sum(len(flat) for flat, _ in slot)
+        src, scale, lo = np.full((k, k), -1), np.ones((k, k)), 0
+        for flat, s in slot:
+            hi = lo + len(flat)
+            src[lo:hi, lo:hi], scale[lo:hi, lo:hi], lo = flat, s, hi
+        G0s, Fs = np.zeros((k, k)), np.zeros((m, k, k))
+        G0s[src >= 0] = G0[src[src >= 0]] / scale[src >= 0]
+        Fs[:, src >= 0] = C[:, src[src >= 0]] / scale[src >= 0]
+        stacks.setdefault(k, []).append((src, scale, G0s, Fs))
+    return {k: [np.stack(x) for x in zip(*parts)] for k, parts in stacks.items()}
+
+
+def _random_pattern_blocks(rng, m):
+    """Blocks whose pieces are dense diagonal blocks on permuted indices, each
+    thinned to a random connected pattern: a chain through its indices plus
+    random extra entries, and sometimes no G0 or a nonzero delta."""
+    blocks = []
+    for j in range(int(rng.integers(1, 7))):
+        k = int(rng.integers(1, 15))
+        label = rng.permutation(rng.integers(0, max(1, k // 2), size=k))
+        mask = (label[:, None] == label[None, :]) & (rng.random((k, k)) < 0.4)
+        for piece in np.unique(label):
+            idx = rng.permutation(np.flatnonzero(label == piece))
+            mask[idx[:-1], idx[1:]] = True
+        mask |= mask.T
+        scale = 10.0 ** rng.integers(-2, 4, size=m)[:, None, None]
+        G0 = mask * _sym(rng, k) if rng.random() < 0.7 else np.zeros((k, k))
+        blocks.append(LMIBlock(f"b{j}", G0, scale * mask * np.stack(
+            [_sym(rng, k) for _ in range(m)]), float(rng.choice([0.0, 1e-7]))))
+    return blocks
+
+
+def test_group_matches_a_plain_reference(pendulum, pendulum_aug, d_ship):
+    # _group finds all pieces in one pass over the blocks laid end to end and
+    # lists them from one grouping of the labels; a per-block union-find and
+    # first-fit decreasing must give the same slots, scales, G0 and F bit for
+    # bit, on random patterns and on the zero-padded network, whose stability
+    # block splits off one order-1 piece per padded neuron.
+    rng = np.random.default_rng(33)
+    cases = [(blocks, m) for m in (1, 5, 17, 40)
+             for blocks in (_random_pattern_blocks(rng, m) for _ in range(15))]
+    padded = zero_padded_nn(pendulum[1])
+    for theorem in ("global", "local-fixed", "local-range"):
+        system = _pendulum_system(pendulum, pendulum_aug, theorem, d_ship, padded)
+        cases.append((system.blocks, system.n_scalars))
+    split = system.blocks[0]  # the padded local-range stability block
+    assert len(ipm._group([split], system.n_scalars)[-1].src) == 2
+    for blocks, m in cases:
+        cone, want = ipm._group(blocks, m), _reference_group(blocks, m)
+        assert [grp.shape[-1] if len(grp.shape) > 1 else 1 for grp in cone] == list(want)
+        for grp, (src, scale, G0, F) in zip(cone, want.values()):
+            shape = grp.shape
+            assert np.array_equal(grp.src, src.reshape(shape))
+            assert grp.view(cone.scale).tobytes() == scale.reshape(shape).tobytes()
+            assert grp.view(cone.G0).tobytes() == G0.reshape(shape).tobytes()
+            assert grp.view(cone.F[:m]).tobytes() == F.swapaxes(0, 1).reshape(
+                (m,) + shape).tobytes()
+
+
 def test_block_diagonal_caller_block_gets_its_ray_back(pendulum, pendulum_aug):
     # P_pd and Lambda_nn of the global system joined into one order-13
     # caller block on interleaved indices: the solver runs the same pieces,
@@ -813,10 +935,10 @@ def test_solve_invariant_to_grouping_of_pieces(pendulum, pendulum_aug, d_ship):
 
 def test_solve_keeps_no_second_copy_of_the_coefficients(pendulum, pendulum_aug,
                                                         d_ship):
-    # The solver gathers the used entries of each block's coefficients
-    # straight into its cone, scaled per piece, and keeps no scaled copy of
-    # the blocks: the traced peak of a 40-neuron local-fixed solve stays
-    # below twice the bytes of the system's coefficients.
+    # The solver gathers the coefficients into its cone _ROWS rows at a
+    # time, scaled per piece, and keeps no scaled copy of the blocks: the
+    # traced peak of a 40-neuron local-fixed solve stays below twice the
+    # bytes of the system's coefficients.
     import tracemalloc
 
     wide = duplicated_nn(pendulum[1], 4, np.random.default_rng(2024))
