@@ -294,12 +294,13 @@ def _report_array(report: dict, key: str, shape: tuple) -> np.ndarray:
 
 def _report_matrix(report: dict, key: str, n: int) -> np.ndarray:
     """Matrix ``key`` of a verification report, checked to be a symmetric
-    positive definite n x n matrix (an inaccurate run's P need not be)."""
+    positive definite n x n matrix (an inaccurate run's P need not be), as
+    its symmetrized copy (:func:`roa._spd`)."""
     mat = _report_array(report, key, (n, n))
-    if not (np.max(np.abs(mat - mat.T)) <= 1e-10 * (1.0 + np.max(np.abs(mat)))
-            and np.linalg.eigvalsh(mat)[0] > 0.0):
-        raise CliError(f"report {key} is not symmetric positive definite")
-    return mat
+    try:
+        return roa._spd(mat, f"report {key}")
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _joint_from_report(report: dict, plant, nn, k_xi):

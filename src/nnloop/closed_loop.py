@@ -70,7 +70,7 @@ from .errors import BadSchedule, DimensionMismatch, GovernorInfeasible
 # ``forward`` is imported so that ``closed_loop.forward`` remains a name that
 # perfbench/tracing.py can wrap; the loop itself makes trace-free passes.
 from .network import FeedForwardNN, forward  # noqa: F401
-from .plant import AugmentedPlant, _Value, _frozen, _matvecs, _rows
+from .plant import AugmentedPlant, _Value, _matvecs, _rows
 from .roa import JointEllipsoid, _finite_reference, _joint_state, admissible_references
 
 DIVERGENCE_NORM = 1e9
@@ -110,11 +110,8 @@ class Trajectory(_Value):
     converged: bool
     diverged: bool
 
-    def __post_init__(self):
-        # A diverged run may end in non-finite rows.
-        for name in ("states", "inputs", "outputs", "applied_refs", "desired_refs"):
-            object.__setattr__(self, name,
-                               _frozen(getattr(self, name), finite=False))
+    # A diverged run may end in non-finite rows.
+    _arrays = _nonfinite = ("states", "inputs", "outputs", "applied_refs", "desired_refs")
 
     @property
     def steps(self) -> int:

@@ -105,11 +105,13 @@ class LMIBlock(_Value):
     coeffs: np.ndarray   # (n_scalars, k, k)
     delta: float = 0.0
 
+    _arrays, _nonfinite = ("G0", "coeffs"), ("coeffs",)  # no pass over coeffs
+
     def __post_init__(self):
-        object.__setattr__(self, "G0", _frozen(self.G0))
-        coeffs = np.array(self.coeffs, dtype=float)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__post_init__()
+        G0, shape = self.G0, self.coeffs.shape
+        if G0.ndim != 2 or G0.shape[0] != G0.shape[1] or shape[1:] != G0.shape:
+            raise DimensionMismatch(f"block {self.name}: G0 must be k x k and coeffs (m, k, k)")
 
     @property
     def order(self) -> int:
@@ -122,11 +124,17 @@ class LMISystem(_Value):
     blocks: tuple
     objective: np.ndarray | None = None
 
+    _arrays = ("objective",)
+
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        if self.objective is not None:
-            object.__setattr__(self, "objective", _frozen(self.objective))
+        m = self.n_scalars
+        if any(len(block.coeffs) != m for block in self.blocks):
+            raise DimensionMismatch(f"every block needs {m} coefficients, one per scalar")
+        if self.objective is not None and self.objective.shape != (m,):
+            raise DimensionMismatch(f"the objective must have shape ({m},)")
 
     @property
     def n_scalars(self) -> int:
@@ -156,9 +164,7 @@ class Selectors(_Value):
     RV: np.ndarray
     Rphi: np.ndarray
 
-    def __post_init__(self):
-        for name in ("N0_1", "N1lm1", "RV", "Rphi"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    _arrays = ("N0_1", "N1lm1", "RV", "Rphi")
 
 
 def build_selectors(nn: FeedForwardNN, n_xtil: int) -> Selectors:
@@ -212,8 +218,7 @@ def _coeffs(variables, k: int, **parts) -> np.ndarray:
 def _block(name: str, coeffs: np.ndarray, G0=None, strict=False) -> LMIBlock:
     """A block with constant term G0 (zero by default); a strict one, which
     has no G0, gets the margin MARGIN_COEFF."""
-    k = coeffs.shape[1]
-    G0 = np.zeros((k, k)) if G0 is None else G0
+    G0 = np.zeros(coeffs.shape[1:]) if G0 is None else G0
     return LMIBlock(name, G0, coeffs, MARGIN_COEFF if strict else 0.0)
 
 
@@ -225,8 +230,10 @@ def _congruence(X: np.ndarray, E: np.ndarray) -> np.ndarray:
 def _core_blocks(aug: AugmentedPlant, sel: Selectors, variables,
                  alpha_vec: np.ndarray, beta_vec: np.ndarray) -> list:
     """stability, P_pd, Q_pd (when Q is a variable) and Lambda_nn."""
-    basis = {v.name: v.basis() for v in variables}
     n = sel.N1lm1.shape[0]
+    if len(alpha_vec) != n:
+        raise DimensionMismatch("sector bounds do not match the neuron count")
+    basis = {v.name: v.basis() for v in variables}
     M = np.hstack([aug.Atil, aug.Btil]) @ sel.RV
     N = sel.RV[: aug.n_xtil]
     p, q = sel.Rphi[:n], sel.Rphi[n:]
@@ -273,12 +280,6 @@ def _trace_objective(variables, weights: dict) -> np.ndarray:
                            * np.equal(*v._entries) for v in variables])
 
 
-def _sector_vectors(sectors: SectorBounds, n: int):
-    if sectors.n != n:
-        raise DimensionMismatch("sector bounds do not match the neuron count")
-    return sectors.alpha_phi, sectors.beta_phi
-
-
 def build_global(aug: AugmentedPlant, sel: Selectors,
                  alpha: float, beta: float) -> LMISystem:
     """Global-stability LMI with the activation's global slope bounds."""
@@ -297,7 +298,7 @@ def build_local_fixed(aug: AugmentedPlant, sel: Selectors,
     n = sel.N1lm1.shape[0]
     d = half_widths(d, sel.N0_1.shape[0])
     variables = (VarSpec("P", "sym", aug.n_xtil), VarSpec("Lambda", "diag", n))
-    blocks = (_core_blocks(aug, sel, variables, *_sector_vectors(sectors, n))
+    blocks = (_core_blocks(aug, sel, variables, sectors.alpha_phi, sectors.beta_phi)
               + _row_blocks(variables, sel.N0_1, d))
     return LMISystem(variables=variables, blocks=blocks,
                      objective=_trace_objective(variables, {"P": 1.0}))
@@ -319,14 +320,13 @@ def build_local_range(aug: AugmentedPlant, sel: Selectors,
 
     ``gamma`` weighs trace(Q) in the objective (see :func:`check_gamma`)."""
     check_gamma(gamma)
-    n = sel.N1lm1.shape[0]
-    n_1 = sel.N0_1.shape[0]
+    n, n_1 = sel.N1lm1.shape[0], sel.N0_1.shape[0]
     d = half_widths(d, n_1)
     if S.shape != (n_1, aug.n_r):
         raise DimensionMismatch("reference sensitivity must be n_1 x n_r")
     variables = (VarSpec("P", "sym", aug.n_xtil), VarSpec("Lambda", "diag", n),
                  VarSpec("Q", "sym", aug.n_r))
-    blocks = (_core_blocks(aug, sel, variables, *_sector_vectors(sectors, n))
+    blocks = (_core_blocks(aug, sel, variables, sectors.alpha_phi, sectors.beta_phi)
               + _row_blocks(variables, np.hstack([sel.N0_1, S]), d))
     return LMISystem(variables=variables, blocks=blocks,
                      objective=_trace_objective(variables, {"P": 1.0, "Q": float(gamma)}))

@@ -86,14 +86,15 @@ class FeedForwardNN(_Value):
     bl: np.ndarray
     activation: Activation
 
+    _arrays = ("Hx0", "Hr0", "Wl", "bl")
+
     def __post_init__(self):
-        Hx0 = _frozen(self.Hx0)
-        Hr0 = _frozen(self.Hr0)
-        if Hx0.ndim != 2 or Hr0.ndim != 2 or Hx0.shape[0] != Hr0.shape[0]:
+        super().__post_init__()
+        if self.Hx0.ndim != 2 or self.Hr0.ndim != 2 or self.Hx0.shape[0] != self.Hr0.shape[0]:
             raise DimensionMismatch("Hx0 and Hr0 must share their row count n_0")
         if len(self.layers) < 1:
             raise DimensionMismatch("at least one hidden layer is required")
-        width = Hx0.shape[0]
+        width = self.Hx0.shape[0]
         frozen_layers = []
         for i, (W, b) in enumerate(self.layers):
             W = _frozen(W)
@@ -104,17 +105,11 @@ class FeedForwardNN(_Value):
                 raise DimensionMismatch(f"layer {i}: b must have length {W.shape[0]}")
             width = W.shape[0]
             frozen_layers.append((W, b))
-        Wl = _frozen(self.Wl)
-        bl = _frozen(self.bl)
-        if Wl.ndim != 2 or Wl.shape[1] != width:
+        if self.Wl.ndim != 2 or self.Wl.shape[1] != width:
             raise DimensionMismatch(f"output layer: Wl must have {width} columns")
-        if bl.shape != (Wl.shape[0],):
+        if self.bl.shape != (self.n_u,):
             raise DimensionMismatch("output layer: bl must match Wl rows")
-        object.__setattr__(self, "Hx0", Hx0)
-        object.__setattr__(self, "Hr0", Hr0)
         object.__setattr__(self, "layers", tuple(frozen_layers))
-        object.__setattr__(self, "Wl", Wl)
-        object.__setattr__(self, "bl", bl)
 
     @property
     def n_x(self) -> int:
@@ -150,6 +145,10 @@ class LayerTrace(_Value):
     v: tuple
     w: tuple
     u: np.ndarray
+
+    # A non-finite point gives non-finite entries.
+    _arrays = _nonfinite = ("v", "w", "u")
+    _tuples = ("v", "w")
 
     def stacked_v(self) -> np.ndarray:
         return np.concatenate(self.v)

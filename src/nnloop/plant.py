@@ -39,17 +39,41 @@ def _frozen(a, finite=True) -> np.ndarray:
     """Return a read-only float64 copy, checking that its entries are finite
     unless ``finite`` is false."""
     out = np.array(a, dtype=float)
-    if finite and not np.all(np.isfinite(out)):
+    if finite and not np.isfinite(out).all():  # skips np.all's dispatch
         raise ValueError("matrix entries must be finite")
     out.flags.writeable = False
     return out
 
 
 class _Value:
-    """Equality of the frozen value types: values of one type are equal when
-    each field that takes part in comparison is, arrays by shape and
-    entries (NaN equal to NaN), tuples entry by entry and anything else by
-    ``==``.  Like their numpy arrays, values are not hashable."""
+    """Construction and equality of the frozen value types.
+
+    A type names its array fields once, in ``_arrays``; construction stores
+    each as a read-only float64 copy (:func:`_frozen`), whose entries must
+    be finite unless the field is also named in ``_nonfinite``.  A field
+    named in ``_tuples`` too holds a tuple of such arrays, one per entry,
+    and any other field one array, whatever sequence it is given as.  An
+    array field whose default is None may be left None.  A type with
+    checks of its own runs them after ``super().__post_init__()``.
+
+    Values of one type are equal when each field that takes part in
+    comparison is, arrays by shape and entries (NaN equal to NaN), tuples
+    entry by entry and anything else by ``==``.  Like their numpy arrays,
+    values are not hashable."""
+
+    _arrays = ()
+    _tuples = ()
+    _nonfinite = ()
+
+    def __post_init__(self):
+        cls = type(self)
+        for name in cls._arrays:
+            value, finite = getattr(self, name), name not in cls._nonfinite
+            if name in cls._tuples:
+                value = tuple(_frozen(a, finite) for a in value)
+            elif value is not None or getattr(cls, name, 0) is not None:
+                value = _frozen(value, finite)
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -118,22 +142,18 @@ class Plant(_Value):
     B: np.ndarray
     C: np.ndarray
 
+    _arrays = ("A", "B", "C")
+
     def __post_init__(self):
-        A = _frozen(self.A)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        super().__post_init__()
+        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise DimensionMismatch("A must be square")
-        n_x = A.shape[0]
-        B = _frozen(self.B)
-        if B.ndim != 2 or B.shape[0] != n_x:
+        if self.B.ndim != 2 or self.B.shape[0] != self.n_x:
             raise DimensionMismatch("B must be n_x x n_u")
-        C = _frozen(self.C)
-        if C.ndim != 2 or C.shape[1] != n_x:
+        if self.C.ndim != 2 or self.C.shape[1] != self.n_x:
             raise DimensionMismatch("C must be n_r x n_x")
-        if B.shape[1] != C.shape[0]:
+        if self.n_u != self.n_r:
             raise DimensionMismatch("input and output dimensions must agree (n_u == n_r)")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
 
     @property
     def n_x(self) -> int:
@@ -158,9 +178,7 @@ class AugmentedPlant(_Value):
     Br: np.ndarray
     k_xi: np.ndarray
 
-    def __post_init__(self):
-        for name in ("Atil", "Btil", "Ctil", "Br", "k_xi"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    _arrays = ("Atil", "Btil", "Ctil", "Br", "k_xi")
 
     @property
     def n_xtil(self) -> int:
@@ -183,9 +201,7 @@ class SteadyStateMap(_Value):
     M: np.ndarray
     M_u: np.ndarray
 
-    def __post_init__(self):
-        for name in ("A_a", "M", "M_u"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    _arrays = ("A_a", "M", "M_u")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +213,7 @@ class SteadyState(_Value):
     xi_star: np.ndarray
     xtil_star: np.ndarray
 
-    def __post_init__(self):
-        for name in ("x_star", "u_star", "xi_star", "xtil_star"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    _arrays = ("x_star", "u_star", "xi_star", "xtil_star")
 
 
 def augment(plant: Plant, k_xi) -> AugmentedPlant:

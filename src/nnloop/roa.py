@@ -24,6 +24,24 @@ class Membership(NamedTuple):
     margin: float
 
 
+def _spd(mat, name: str) -> np.ndarray:
+    """The read-only symmetrized copy 0.5 (mat + mat') of a matrix checked,
+    in this order, to be square, finite, symmetric to 1e-10 relative to its
+    largest entry, and positive definite; a failed check raises ValueError
+    naming the matrix ``name``."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} entries must be finite")
+    if abs(mat - mat.T).max() > 1e-10 * (1.0 + abs(mat).max()):
+        raise ValueError(f"{name} must be symmetric")
+    sym = _frozen(0.5 * (mat + mat.T))
+    if np.linalg.eigvalsh(sym)[0] <= 0.0:
+        raise ValueError(f"{name} must be positive definite")
+    return sym
+
+
 @dataclass(frozen=True, eq=False)
 class Ellipsoid(_Value):
     """Set { x : (x - center)' shape (x - center) <= level }."""
@@ -32,23 +50,16 @@ class Ellipsoid(_Value):
     shape: np.ndarray
     level: float = 1.0
 
+    _arrays = ("center",)
+
     def __post_init__(self):
-        center = _frozen(self.center)
-        shape = _frozen(self.shape)
-        if shape.ndim != 2 or shape.shape[0] != shape.shape[1]:
-            raise ValueError("shape matrix must be square")
-        if center.shape != (shape.shape[0],):
+        super().__post_init__()
+        object.__setattr__(self, "shape", _spd(self.shape, "shape matrix"))
+        object.__setattr__(self, "level", float(self.level))
+        if self.center.shape != self.shape.shape[:1]:
             raise ValueError("center must match the shape dimension")
-        if np.max(np.abs(shape - shape.T)) > 1e-10 * (1.0 + np.max(np.abs(shape))):
-            raise ValueError("shape matrix must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (shape + shape.T))[0] <= 0.0:
-            raise ValueError("shape matrix must be positive definite")
-        level = float(self.level)
-        if not 0.0 <= level < math.inf:  # NaN fails every comparison
+        if not 0.0 <= self.level < math.inf:  # NaN fails every comparison
             raise ValueError("level must be finite and nonnegative")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "shape", 0.5 * (shape + shape.T))
-        object.__setattr__(self, "level", level)
 
     @property
     def dim(self) -> int:
@@ -105,27 +116,23 @@ class JointEllipsoid(_Value):
     r_nom: np.ndarray
     xtil_star: Callable
     # (refs, centers, ref_quads) of the grid, built on first use; the set is
-    # immutable, so the grid stays valid.
+    # immutable, its arrays read-only, so the grid stays valid.
     _grid: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
     # (r.tobytes(), xtil_star(r), ref_quad(r)) of joint_quad's last r.
     _last: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
+    _arrays = ("r_nom",)
+
     def __post_init__(self):
-        P = _frozen(self.P)
-        Q = _frozen(np.atleast_2d(self.Q))
-        r_nom = _frozen(np.atleast_1d(self.r_nom))
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("P must be square")
-        if Q.shape != (r_nom.shape[0], r_nom.shape[0]):
+        super().__post_init__()
+        object.__setattr__(self, "r_nom", np.atleast_1d(self.r_nom))
+        object.__setattr__(self, "P", _spd(self.P, "P"))
+        Q = np.atleast_2d(self.Q)
+        if Q.shape != (self.n_r, self.n_r):
             raise ValueError("Q must match the reference dimension")
-        for name, mat in (("P", P), ("Q", Q)):
-            if np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] <= 0.0:
-                raise ValueError(f"{name} must be positive definite")
-        object.__setattr__(self, "P", 0.5 * (P + P.T))
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
-        object.__setattr__(self, "r_nom", r_nom)
+        object.__setattr__(self, "Q", _spd(Q, "Q"))
 
     @property
     def n_r(self) -> int:
@@ -238,7 +245,10 @@ class AdmissibleRefs(_Value):
     r_nom: np.ndarray
     axes: np.ndarray        # columns: principal directions
     semi_lengths: np.ndarray
-    Q: np.ndarray           # symmetrized, as in the joint set
+    Q: np.ndarray           # checked and symmetrized by _spd, as in the joint set
+
+    # As built, unchecked: admissible_references takes r_nom as given.
+    _arrays = _nonfinite = ("r_nom", "axes", "semi_lengths", "Q")
 
     @property
     def interval(self) -> tuple:
@@ -262,13 +272,13 @@ def admissible_references(Q, r_nom=None) -> AdmissibleRefs:
     """Reference set of a joint set, ``admissible_references(J)``, or of the
     matrix Q and center r_nom of its reference term.
 
-    Q is symmetrized as a joint set symmetrizes it, so both forms give the
-    same bits.
+    Q is checked and symmetrized as a joint set does it (:func:`_spd`), so
+    both forms give the same bits; a Q that is not symmetric positive
+    definite raises ValueError.
     """
     if r_nom is None:
         Q, r_nom = Q.Q, Q.r_nom
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    Q = 0.5 * (Q + Q.T)
+    Q = _spd(np.atleast_2d(Q), "Q")
     evals, evecs = np.linalg.eigh(Q)
     return AdmissibleRefs(r_nom=np.atleast_1d(np.asarray(r_nom, dtype=float)),
                           axes=evecs, semi_lengths=evals**-0.5, Q=Q)

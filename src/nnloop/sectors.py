@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveD, StarOutsideBox
 from .network import Activation, FeedForwardNN
-from .plant import _Value, _frozen
+from .plant import _Value
 
 _WIDEN = 1e-12
 _ROOT_TOL = 1e-12
@@ -41,9 +41,7 @@ class BoundBox(_Value):
     w_lo: tuple
     w_hi: tuple
 
-    def __post_init__(self):
-        for name in ("v_lo", "v_hi", "w_lo", "w_hi"):
-            object.__setattr__(self, name, tuple(_frozen(a) for a in getattr(self, name)))
+    _arrays = _tuples = ("v_lo", "v_hi", "w_lo", "w_hi")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,15 +51,14 @@ class SectorBounds(_Value):
     alpha_phi: np.ndarray
     beta_phi: np.ndarray
 
+    _arrays = ("alpha_phi", "beta_phi")
+
     def __post_init__(self):
-        a = _frozen(self.alpha_phi)
-        b = _frozen(self.beta_phi)
-        if a.shape != b.shape or a.ndim != 1:
+        super().__post_init__()
+        if self.alpha_phi.shape != self.beta_phi.shape or self.alpha_phi.ndim != 1:
             raise ValueError("alpha_phi and beta_phi must be equal-length vectors")
-        if np.any(a > b):
+        if np.any(self.alpha_phi > self.beta_phi):
             raise ValueError("alpha_phi must not exceed beta_phi")
-        object.__setattr__(self, "alpha_phi", a)
-        object.__setattr__(self, "beta_phi", b)
 
     @property
     def n(self) -> int:

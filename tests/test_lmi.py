@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import nnloop as nl
-from nnloop.lmi import MARGIN_COEFF, VarSpec, build_selectors
+from nnloop.errors import DimensionMismatch
+from nnloop.lmi import MARGIN_COEFF, LMIBlock, LMISystem, VarSpec, build_selectors
 from nnloop.sectors import global_sectors
 
 
@@ -275,3 +276,32 @@ def test_local_range_rejects_nonpositive_gamma(pendulum, pendulum_aug, d_ship,
     S = nl.ref_sensitivity(nn, nl.steady_state_map(plant))
     with pytest.raises(nl.NonPositiveGamma):
         nl.build_local_range(pendulum_aug, sel, secs, d_ship, S, gamma=gamma)
+
+
+@pytest.mark.parametrize("G0, coeffs", [
+    (np.eye(2), np.ones((1, 3, 3))),       # coeffs of another order
+    (np.ones((2, 3)), np.ones((1, 2, 3))),  # G0 not square
+    (np.eye(2), np.ones((2, 2))),          # coeffs not a stack
+    (np.ones(2), np.ones((1, 2))),         # G0 not a matrix
+], ids=["coeffs-3x3", "G0-2x3", "coeffs-2d", "G0-1d"])
+def test_lmi_block_refuses_shapes_that_do_not_fit(G0, coeffs):
+    # sdp.solve on the first failed deep in the solver with numpy's
+    # "operands could not be broadcast together with shapes (4,) (9,)".
+    with pytest.raises(DimensionMismatch, match="G0 must be k x k and coeffs"):
+        LMIBlock("b", G0, coeffs)
+
+
+def test_lmi_system_refuses_a_block_with_another_coefficient_count():
+    # Two coefficients against one scalar variable raised numpy's "Output
+    # array is the wrong shape" in the solver.
+    block = LMIBlock("b", np.eye(2), np.ones((2, 2, 2)))
+    with pytest.raises(DimensionMismatch, match="1 coefficients"):
+        LMISystem(variables=(VarSpec("x", "diag", 1),), blocks=(block,))
+
+
+@pytest.mark.parametrize("objective", [[1.0, 2.0], [[1.0]], 1.0])
+def test_lmi_system_refuses_an_objective_of_another_shape(objective):
+    block = LMIBlock("b", np.eye(2), np.ones((1, 2, 2)))
+    with pytest.raises(DimensionMismatch, match=r"objective must have shape \(1,\)"):
+        LMISystem(variables=(VarSpec("x", "diag", 1),), blocks=(block,),
+                  objective=objective)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -384,3 +386,43 @@ def test_joint_ellipsoid_for_refuses_P_of_another_order(pendulum):
     with pytest.raises(DimensionMismatch, match="3 x 3"):
         nl.joint_ellipsoid_for(plant, nn, k_xi, np.eye(2), np.eye(1),
                                np.zeros(1))
+
+
+@pytest.mark.parametrize("which", ["P", "Q"])
+def test_joint_set_refuses_an_asymmetric_matrix(which):
+    # P = [[2, 1], [0, 2]] was stored as [[2, .5], [.5, 2]] without a word,
+    # while Ellipsoid refused it.
+    mats = {"P": np.eye(2), "Q": np.eye(2)}
+    mats[which] = np.array([[2.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match=f"{which} must be symmetric"):
+        roa.JointEllipsoid(r_nom=np.zeros(2), xtil_star=lambda r: r, **mats)
+
+
+@pytest.mark.parametrize("P", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]])
+def test_joint_set_and_ellipsoid_refuse_a_non_finite_matrix_without_a_warning(P):
+    # The symmetry test on an inf entry computed inf - inf; the entries are
+    # checked to be finite first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="P entries must be finite"):
+            roa.JointEllipsoid(P=P, Q=[[1.0]], r_nom=[0.0], xtil_star=lambda r: r)
+        with pytest.raises(ValueError, match="shape matrix entries must be finite"):
+            nl.Ellipsoid(center=np.zeros(2), shape=P)
+
+
+@pytest.mark.parametrize("Q, problem", [
+    ([[0.0]], "positive definite"), ([[-1.0]], "positive definite"),
+    ([[1.0, 2.0], [0.0, 1.0]], "symmetric")])
+def test_admissible_references_refuses_a_Q_not_symmetric_positive_definite(Q, problem):
+    # These gave a divide-by-zero or invalid-value RuntimeWarning in the
+    # power Q^-1/2, and inf or nan semi-lengths without -W error.
+    with pytest.raises(ValueError, match=f"Q must be {problem}"):
+        nl.admissible_references(Q, np.zeros(len(Q)))
+
+
+def test_admissible_references_keeps_a_joint_sets_Q_bit_for_bit():
+    # 0.5 (Q + Q') of a symmetric Q is Q exactly.
+    J = make_joint(q=14.22204568607481, r_nom=0.3)
+    refs = nl.admissible_references(J)
+    assert refs.Q.tobytes() == J.Q.tobytes()
+    assert refs == nl.admissible_references(J.Q, J.r_nom)

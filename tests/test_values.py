@@ -1,4 +1,5 @@
-"""Value equality of every frozen array-holding record (plant._Value)."""
+"""Construction and value equality of every frozen array-holding record
+(plant._Value)."""
 
 import copy
 import dataclasses
@@ -78,6 +79,60 @@ def test_values_compare_by_value_and_are_unhashable(name):
     assert value != name
     with pytest.raises(TypeError, match="unhashable"):
         hash(value)
+
+
+def _arrays(value):
+    """Every array a field of value holds, itself or inside a tuple (a
+    network's layers are a tuple of pairs), by field name."""
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            return [x]
+        if isinstance(x, tuple):
+            return [a for entry in x for a in walk(entry)]
+        return []
+
+    return {f.name: walk(getattr(value, f.name)) for f in dataclasses.fields(value)}
+
+
+@pytest.mark.parametrize("name", CHANGED_FIELD)
+def test_every_array_of_a_value_is_read_only(name):
+    # At the parent the arrays of Ellipsoid.shape, JointEllipsoid.P and .Q,
+    # AdmissibleRefs and LayerTrace could be written in place.
+    value = _values()[name]
+    arrays = _arrays(value)
+    assert arrays[CHANGED_FIELD[name]]
+    for field, entries in arrays.items():
+        for a in entries:
+            assert a.dtype == np.float64 and not a.flags.writeable, field
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("name", CHANGED_FIELD)
+def test_sequences_for_array_fields_are_stored_as_arrays(name):
+    # Whether a field holds one array or a tuple of them comes from its type,
+    # not from the value given: a tuple literal for an array field, such as
+    # SectorBounds(alpha_phi=(0.0, 0.5), ...), is one array, and lists in a
+    # tuple field are one array each.
+    value = _values()[name]
+    given = {}
+    for field in dataclasses.fields(value):
+        a = getattr(value, field.name)
+        if isinstance(a, np.ndarray):
+            given[field.name] = tuple(a.tolist())
+        elif isinstance(a, tuple) and all(isinstance(e, np.ndarray) for e in a):
+            given[field.name] = tuple(e.tolist() for e in a)
+    assert given
+    for field, seq in given.items():
+        stored = getattr(dataclasses.replace(value, **{field: seq}), field)
+        kept = getattr(value, field)
+        if isinstance(kept, tuple):
+            assert isinstance(stored, tuple) and len(stored) == len(kept)
+        else:
+            stored, kept = (stored,), (kept,)
+        for s, k in zip(stored, kept):
+            assert isinstance(s, np.ndarray) and not s.flags.writeable, field
+            assert np.array_equal(s, k, equal_nan=True), field
 
 
 def test_filled_joint_set_caches_leave_equality_alone(pendulum, thm3_report):
